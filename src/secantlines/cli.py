@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -51,7 +50,6 @@ class RunConfig:
     r_min: int = 2
     r_max: int | None = None
     mode: str = "classify"
-    jobs: int = 1
 
     def validate(self) -> None:
         PrimeField(self.prime)  # raises ValueError unless prime and in range
@@ -59,8 +57,6 @@ class RunConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.d_max < 2:
             raise ValueError(f"d-max must be >= 2, got {self.d_max}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 def parse_partition(text: str) -> Partition:
@@ -106,7 +102,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         r_min=r_min,
         r_max=r_max,
         mode=getattr(args, "mode", "classify"),
-        jobs=getattr(args, "jobs", 1),
     )
     config.validate()
     return config
@@ -191,19 +186,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _emit(records, config.output_format, sys.stdout)
         return 0
 
-    def run_one(partition: Partition):
-        return verify(
-            partition,
-            prime=config.prime,
-            trials=config.trials,
-            base_seed=config.base_seed,
-        )
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(run_one, partitions))
-    else:
-        reports = [run_one(p) for p in partitions]
+    reports = [
+        verify(p, prime=config.prime, trials=config.trials, base_seed=config.base_seed)
+        for p in partitions
+    ]
     mismatches = sum(1 for r in reports if r.verdict != VERDICT_MATCH)
     summary = {
         "summary": {
@@ -383,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r-max", dest="r_max", type=int, default=None, help="maximum part count (default: no limit)")
     sp.add_argument("--r", type=int, default=None, help="fix the part count (sets both --r-min and --r-max)")
     sp.add_argument("--mode", choices=("classify", "verify"), default="classify")
-    sp.add_argument("--jobs", type=int, default=1, help="worker threads for verify sweeps (default 1)")
     _add_oracle_options(sp)
     _add_format_option(sp, "json")
     sp.set_defaults(func=cmd_sweep)

@@ -281,26 +281,6 @@ class ClassificationReport:
             "case_label": self.case_label.value,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ClassificationReport":
-        return cls(
-            partition=Partition(payload["lambda"]),
-            d=payload["d"],
-            D=payload["D"],
-            N=payload["N"],
-            s=payload["s"],
-            p=payload["p"],
-            dim_X=payload["dim_X"],
-            exp_dim_sigma2=payload["exp_dim_sigma2"],
-            exp_dim_IZ=payload["exp_dim_IZ"],
-            defective=payload["defective"],
-            delta2=payload["delta2"],
-            dim_sigma2=payload["dim_sigma2"],
-            dim_IZ=payload["dim_IZ"],
-            fills_ambient=payload["fills_ambient"],
-            case_label=CaseLabel(payload["case_label"]),
-        )
-
 
 def classify(partition: Partition) -> ClassificationReport:
     """Evaluate every closed-form quantity for one partition."""

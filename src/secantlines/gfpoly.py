@@ -1,23 +1,25 @@
 """Dense trivariate forms over a prime field, with deterministic seeded sampling.
 
-Coefficient vectors are indexed by the graded-lex order on monomials of fixed
-degree in x0, x1, x2. All arithmetic is exact modular arithmetic on Python ints;
-the prime defaults to 1,000,003 and is capped below 2**31 so downstream int64
-matrix elimination can never overflow.
+A form of degree d is an int64 numpy vector of its C(d+2, 2) coefficients in
+the graded-lex order on monomials x0^a x1^b x2^c: a descending, then b
+descending, so x0^d comes first and x2^d last. The degree follows from the
+length. That order is known only to `product_index`; products and monomial
+shifts are scatters through the positions it returns. The prime defaults to
+1,000,003 and is capped below 2**31, so every product of two reduced
+coefficients fits in int64 and all arithmetic stays exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-from typing import Iterator, Sequence
+from math import comb, isqrt
+from typing import Sequence
+
+import numpy as np
 
 DEFAULT_PRIME = 1_000_003
 MAX_MODULUS = 2**31 - 1
-# Generous cap for product degrees; every computation in this package stays far
-# below it, and unbounded degrees would only produce uselessly huge dense vectors.
-MAX_PRODUCT_DEGREE = 64
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -104,152 +106,71 @@ class PrimeField:
         if not is_prime(self.modulus):
             raise ValueError(f"modulus {self.modulus} is not prime")
 
-    def inverse(self, a: int) -> int:
-        a %= self.modulus
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return pow(a, self.modulus - 2, self.modulus)
-
 
 def num_monomials(degree: int) -> int:
     """Number of degree-d monomials in three variables: C(d+2, 2)."""
     return comb(degree + 2, 2)
 
 
-class MonomialIndex:
-    """Bijection between exponent triples (a, b, c) with a + b + c = degree and
-    positions [0, C(degree+2,2)), in graded-lex order: a descending, then b
-    descending (so x0^d is position 0 and x2^d is the last)."""
-
-    __slots__ = ("degree", "_exponents")
-
-    def __init__(self, degree: int) -> None:
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
-        self.degree = degree
-        self._exponents = tuple(
-            (a, b, degree - a - b)
-            for a in range(degree, -1, -1)
-            for b in range(degree - a, -1, -1)
-        )
-
-    def __len__(self) -> int:
-        return len(self._exponents)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        return iter(self._exponents)
-
-    def exponents(self, i: int) -> tuple[int, int, int]:
-        return self._exponents[i]
-
-    def index(self, a: int, b: int, c: int) -> int:
-        if a < 0 or b < 0 or c < 0 or a + b + c != self.degree:
-            raise ValueError(f"({a},{b},{c}) is not a degree-{self.degree} exponent")
-        # All monomials with a larger x0-exponent come first; within fixed a the
-        # offset is c. Closed form: C(degree - a + 1, 2) + c.
-        t = self.degree - a
-        return t * (t + 1) // 2 + c
+def form_degree(f: np.ndarray) -> int:
+    """Degree of a form, read off its coefficient count C(d+2, 2)."""
+    degree = (isqrt(8 * len(f) + 1) - 3) // 2
+    if degree < 0 or num_monomials(degree) != len(f):
+        raise ValueError(f"{len(f)} coefficients is not C(d+2, 2) for any degree d")
+    return degree
 
 
-@lru_cache(maxsize=None)
-def monomial_index(degree: int) -> MonomialIndex:
-    return MonomialIndex(degree)
+def _grading(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per graded-lex position of degree `degree`: t = b + c and the exponent c.
 
-
-@dataclass(frozen=True)
-class Form:
-    """Dense homogeneous polynomial of fixed degree in x0, x1, x2 over a prime field.
-
-    coeffs[i] is the coefficient of the i-th monomial in MonomialIndex(degree)
-    order; the all-zero vector is a valid form at every degree.
+    Position t(t+1)/2 + c holds x0^(degree-t) x1^(t-c) x2^c.
     """
-
-    field: PrimeField
-    degree: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        expected = num_monomials(self.degree)
-        if len(self.coeffs) != expected:
-            raise ValueError(
-                f"degree {self.degree} needs {expected} coefficients, got {len(self.coeffs)}"
-            )
-        p = self.field.modulus
-        if not isinstance(self.coeffs, tuple) or any(
-            c < 0 or c >= p for c in self.coeffs
-        ):
-            object.__setattr__(self, "coeffs", tuple(c % p for c in self.coeffs))
-
-    @classmethod
-    def zero(cls, field: PrimeField, degree: int) -> "Form":
-        return cls(field, degree, (0,) * num_monomials(degree))
-
-    @classmethod
-    def one(cls, field: PrimeField) -> "Form":
-        return cls(field, 0, (1,))
-
-    @classmethod
-    def monomial(cls, field: PrimeField, a: int, b: int, c: int, coeff: int = 1) -> "Form":
-        degree = a + b + c
-        coeffs = [0] * num_monomials(degree)
-        coeffs[monomial_index(degree).index(a, b, c)] = coeff % field.modulus
-        return cls(field, degree, tuple(coeffs))
-
-    def coefficient(self, a: int, b: int, c: int) -> int:
-        return self.coeffs[monomial_index(self.degree).index(a, b, c)]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __mul__(self, other: "Form") -> "Form":
-        return multiply(self, other)
+    t = np.repeat(np.arange(degree + 1), np.arange(1, degree + 2))
+    return t, np.arange(num_monomials(degree)) - t * (t + 1) // 2
 
 
-def random_form(field: PrimeField, degree: int, seed: int) -> Form:
-    """Form with every coefficient drawn independently and uniformly from the field.
+def product_index(m: int, n: int) -> np.ndarray:
+    """Positions, among degree-(m+n) monomials, of monomial products.
+
+    Entry (i, k) is the position of the product of the i-th degree-m monomial
+    and the k-th degree-n monomial. Since t and c add under multiplication,
+    it is (t_i + t_k)(t_i + t_k + 1)/2 + c_i + c_k.
+    """
+    if m < 0 or n < 0:
+        raise ValueError(f"degrees must be >= 0, got {m} and {n}")
+    t_m, c_m = _grading(m)
+    t_n, c_n = _grading(n)
+    t = t_m[:, None] + t_n[None, :]
+    return t * (t + 1) // 2 + c_m[:, None] + c_n[None, :]
+
+
+def random_form(field: PrimeField, degree: int, seed: int) -> np.ndarray:
+    """A form with every coefficient drawn independently and uniformly from the field.
 
     Deterministic: the same (modulus, degree, seed) always produces the same form.
     """
     if degree < 1:
         raise ValueError(f"random forms need degree >= 1, got {degree}")
     stream = SeedStream(seed)
-    return Form(
-        field,
-        degree,
-        tuple(stream.field_element(field.modulus) for _ in range(num_monomials(degree))),
+    return np.array(
+        [stream.field_element(field.modulus) for _ in range(num_monomials(degree))],
+        dtype=np.int64,
     )
 
 
-def multiply(f: Form, g: Form) -> Form:
-    """Exact product by schoolbook convolution on the dense coefficient vectors."""
-    if f.field != g.field:
-        raise ValueError("cannot multiply forms over different fields")
-    degree = f.degree + g.degree
-    if degree > MAX_PRODUCT_DEGREE:
-        raise OverflowError(
-            f"product degree {degree} exceeds the configured cap {MAX_PRODUCT_DEGREE}"
-        )
-    p = f.field.modulus
-    out = [0] * num_monomials(degree)
-    f_exponents = monomial_index(f.degree)._exponents
-    g_exponents = monomial_index(g.degree)._exponents
-    for i, ci in enumerate(f.coeffs):
-        if not ci:
-            continue
-        a1, _, c1 = f_exponents[i]
-        for j, cj in enumerate(g.coeffs):
-            if not cj:
-                continue
-            a2, _, c2 = g_exponents[j]
-            t = degree - a1 - a2
-            k = t * (t + 1) // 2 + c1 + c2
-            out[k] = (out[k] + ci * cj) % p
-    return Form(f.field, degree, tuple(out))
+def multiply(f: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray:
+    """Exact product mod `modulus`, reduced to [0, modulus).
+
+    Each term f_i g_k (below 2**62 for coefficients below 2**31) is reduced
+    before the terms are summed into their positions, so no int64 overflows.
+    """
+    m, n = form_degree(f), form_degree(g)
+    out = np.zeros(num_monomials(m + n), dtype=np.int64)
+    np.add.at(out, product_index(m, n), np.outer(f, g) % modulus)
+    return out % modulus
 
 
-def cofactor_products(factors: Sequence[Form]) -> list[Form]:
+def cofactor_products(factors: Sequence[np.ndarray], modulus: int) -> list[np.ndarray]:
     """For factors F1..Fr return the r products each omitting one factor.
 
     Output i is prod_{j != i} Fj, of degree d - d_i. Built from prefix and
@@ -258,37 +179,28 @@ def cofactor_products(factors: Sequence[Form]) -> list[Form]:
     r = len(factors)
     if r < 2:
         raise ValueError(f"need at least two factors, got {r}")
-    field = factors[0].field
-    if any(f.field != field for f in factors):
-        raise ValueError("all factors must live over the same field")
-    one = Form.one(field)
+    one = np.ones(1, dtype=np.int64)
     prefix = [one]  # prefix[i] = F1 * ... * Fi
     for f in factors[:-1]:
-        prefix.append(multiply(prefix[-1], f))
+        prefix.append(multiply(prefix[-1], f, modulus))
     suffix = [one]  # after reversal, suffix[i] = F_{i+2} * ... * Fr
     for f in reversed(factors[1:]):
-        suffix.append(multiply(f, suffix[-1]))
+        suffix.append(multiply(f, suffix[-1], modulus))
     suffix.reverse()
-    return [multiply(prefix[i], suffix[i]) for i in range(r)]
+    return [multiply(prefix[i], suffix[i], modulus) for i in range(r)]
 
 
-def monomial_multiples(f: Form, target_degree: int) -> list[Form]:
-    """All products m * f for m a monomial of degree target_degree - f.degree.
+def monomial_multiples(f: np.ndarray, target_degree: int) -> np.ndarray:
+    """Matrix whose rows are the products m * f for m a monomial of degree
+    target_degree - deg f, in graded-lex order of m.
 
-    Returned in graded-lex order of m; empty when the target degree is below the
-    degree of f (such a generator contributes nothing to that graded piece).
+    It has no rows when the target degree is below the degree of f (such a
+    generator contributes nothing to that graded piece).
     """
-    if target_degree < f.degree:
-        return []
-    src = monomial_index(f.degree)._exponents
-    n_out = num_monomials(target_degree)
-    out = []
-    for ma, _, mc in monomial_index(target_degree - f.degree):
-        row = [0] * n_out
-        for i, coeff in enumerate(f.coeffs):
-            if coeff:
-                a, _, c = src[i]
-                t = target_degree - a - ma
-                row[t * (t + 1) // 2 + c + mc] = coeff
-        out.append(Form(f.field, target_degree, tuple(row)))
-    return out
+    degree = form_degree(f)
+    if target_degree < degree:
+        return np.zeros((0, num_monomials(target_degree)), dtype=np.int64)
+    positions = product_index(target_degree - degree, degree)
+    block = np.zeros((len(positions), num_monomials(target_degree)), dtype=np.int64)
+    np.put_along_axis(block, positions, np.broadcast_to(f, positions.shape), axis=1)
+    return block

@@ -24,7 +24,6 @@ from .formulas import (
 )
 from .gfpoly import (
     DEFAULT_PRIME,
-    Form,
     PrimeField,
     cofactor_products,
     derive_seed,
@@ -44,6 +43,13 @@ VERDICT_ABOVE = "ORACLE_ABOVE_THEORY"
 
 class NotApplicableError(ValueError):
     """The degree conditions for the requested specialization bound are not met."""
+
+
+class SemicontinuityError(RuntimeError):
+    """A measured rank exceeded the generic value it can only fall short of.
+
+    No unlucky draw can cause this; it means the oracle itself is wrong.
+    """
 
 
 def _echelon(a: np.ndarray, modulus: int, reduced: bool = False) -> list[int]:
@@ -110,83 +116,41 @@ def nullspace(rows: np.ndarray, modulus: int) -> np.ndarray:
     return basis
 
 
-@dataclass(frozen=True, eq=False)
-class TangentSliceBasis:
-    """Rows spanning the degree-j piece of the ideal generated by the all-but-one
-    factor products of one factored form.
+def tangent_slice(cofactors: Sequence[np.ndarray], j: int) -> np.ndarray:
+    """Rows spanning the degree-j piece of the ideal generated by the
+    all-but-one factor products of one factored form.
 
-    At j = d the row span is the affine cone over the tangent space of the
-    variety of split forms at that point.
-    """
-
-    partition: Partition
-    degree: int
-    field: PrimeField
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = self.partition.d
-        expected_rows = sum(
-            num_monomials(self.degree - (d - di))
-            for di in self.partition.parts
-            if self.degree >= d - di
-        )
-        assert self.rows.shape == (expected_rows, num_monomials(self.degree))
-
-    @property
-    def row_count(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def col_count(self) -> int:
-        return self.rows.shape[1]
-
-
-def tangent_slice(factors: Sequence[Form], j: int) -> TangentSliceBasis:
-    """Assemble the degree-j slice matrix for the given factored form.
-
-    One block of rows per factor: all monomial multiples of the product of the
-    other factors, raised to degree j. Generators of degree above j contribute
-    no rows.
+    One block of rows per cofactor: all its monomial multiples of degree j.
+    Cofactors of degree above j contribute no rows. At j = d the row span is
+    the affine cone over the tangent space of the variety of split forms at
+    that point.
     """
     if j < 0:
         raise ValueError(f"degree must be >= 0, got {j}")
-    partition = Partition(f.degree for f in factors)
-    field = factors[0].field
-    row_vectors: list[tuple[int, ...]] = []
-    for cofactor in cofactor_products(list(factors)):
-        for shifted in monomial_multiples(cofactor, j):
-            row_vectors.append(shifted.coeffs)
-    matrix = np.array(row_vectors, dtype=np.int64).reshape(
-        len(row_vectors), num_monomials(j)
-    )
-    return TangentSliceBasis(partition=partition, degree=j, field=field, rows=matrix)
+    return np.vstack([monomial_multiples(c, j) for c in cofactors])
 
 
-def _draw_factors(field: PrimeField, partition: Partition, seed: int) -> list[Form]:
-    """One random factor per degree, each from its own derived seed stream."""
-    return [
+def _draw_cofactors(partition: Partition, seed: int, prime: int) -> list[np.ndarray]:
+    """Cofactor products of one random point: one factor per degree, each
+    drawn from its own derived seed stream."""
+    field = PrimeField(prime)
+    factors = [
         random_form(field, di, derive_seed(seed, i))
         for i, di in enumerate(partition.parts)
     ]
+    return cofactor_products(factors, prime)
 
 
 def oracle_dim_IF(
-    partition: Partition, j: int, seed: int, *, prime: int = DEFAULT_PRIME
-) -> int:
-    """Measured dimension of the degree-j slice of the tangent ideal for one
-    random factor draw. At j = d the generic value is C(d+2,2) - D."""
-    field = PrimeField(prime)
-    factors = _draw_factors(field, partition, seed)
-    basis = tangent_slice(factors, j)
-    return rank(basis.rows, prime)
-
-
-def oracle_hilbert(
-    partition: Partition, j: int, seed: int, *, prime: int = DEFAULT_PRIME
-) -> int:
-    """Measured Hilbert function value C(j+2,2) - dim(slice) at degree j."""
-    return num_monomials(j) - oracle_dim_IF(partition, j, seed, prime=prime)
+    partition: Partition, seed: int, *, prime: int = DEFAULT_PRIME
+) -> list[int]:
+    """Measured dimensions of the degree-j slices of the tangent ideal, for
+    j = 0..d, all at one random point. The Hilbert function value at j is
+    C(j+2,2) minus entry j; at j = d the generic value is C(d+2,2) - D."""
+    cofactors = _draw_cofactors(partition, seed, prime)
+    return [
+        rank(tangent_slice(cofactors, j), prime) for j in range(partition.d + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -212,29 +176,35 @@ def secant_trials(
     stack their degree-d tangent slices, and record all ranks.
 
     Per trial: dim_sigma2 = rank(stacked) - 1 and, through the dimension formula
-    for a sum of subspaces, dim_IZ = dim_IF + dim_IG - rank(stacked). A trial
-    value of dim_sigma2 above the parameter-count bound is impossible and raises.
+    for a sum of subspaces, dim_IZ = dim_IF + dim_IG - rank(stacked). A slice
+    rank above its generic value, or a trial value of dim_sigma2 above the
+    parameter-count bound, is impossible and raises SemicontinuityError.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    field = PrimeField(prime)
     q = derived(partition)
     generic_slice_dim = comb(q.d + 2, 2) - q.D
-    sigma2_cap = expected_dim_sigma2(partition)
+    sigma2_cap = min(expected_dim_sigma2(partition), q.N)
     out = []
     for t in range(trials):
         trial_seed = derive_seed(base_seed, t)
-        factors_f = _draw_factors(field, partition, derive_seed(trial_seed, 0))
-        factors_g = _draw_factors(field, partition, derive_seed(trial_seed, 1))
-        slice_f = tangent_slice(factors_f, q.d)
-        slice_g = tangent_slice(factors_g, q.d)
-        rank_f = rank(slice_f.rows, prime)
-        rank_g = rank(slice_g.rows, prime)
-        rank_joint = rank(np.vstack([slice_f.rows, slice_g.rows]), prime)
-        # Specialized ranks can never exceed the generic ones; a violation is a bug.
-        assert rank_f <= generic_slice_dim and rank_g <= generic_slice_dim
+        slice_f, slice_g = (
+            tangent_slice(_draw_cofactors(partition, derive_seed(trial_seed, k), prime), q.d)
+            for k in (0, 1)
+        )
+        rank_f = rank(slice_f, prime)
+        rank_g = rank(slice_g, prime)
+        rank_joint = rank(np.vstack([slice_f, slice_g]), prime)
+        if max(rank_f, rank_g) > generic_slice_dim:
+            raise SemicontinuityError(
+                f"{partition}: trial rank above generic "
+                f"({rank_f}, {rank_g} > {generic_slice_dim})"
+            )
         dim_sigma2 = rank_joint - 1
-        assert dim_sigma2 <= sigma2_cap and dim_sigma2 <= q.N
+        if dim_sigma2 > sigma2_cap:
+            raise SemicontinuityError(
+                f"{partition}: sigma2 above the parameter count ({dim_sigma2} > {sigma2_cap})"
+            )
         out.append(
             SecantTrial(
                 seed=trial_seed,
@@ -246,20 +216,6 @@ def secant_trials(
             )
         )
     return out
-
-
-def oracle_dim_sigma2(
-    partition: Partition,
-    trials: int = DEFAULT_TRIALS,
-    base_seed: int = DEFAULT_SEED,
-    *,
-    prime: int = DEFAULT_PRIME,
-) -> int:
-    """Measured dimension of the secant line variety: span of two tangent slices,
-    minus one; maximum over trials, since specialization only lowers rank."""
-    return max(
-        t.dim_sigma2 for t in secant_trials(partition, trials, base_seed, prime=prime)
-    )
 
 
 def oracle_dim_IZ(
@@ -413,21 +369,6 @@ class OracleReport:
             "verdict": self.verdict,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "OracleReport":
-        return cls(
-            partition=Partition(payload["lambda"]),
-            prime=payload["prime"],
-            trials=payload["trials"],
-            base_seed=payload["base_seed"],
-            seeds=tuple(payload["seeds"]),
-            measured=dict(payload["measured"]),
-            predicted=dict(payload["predicted"]),
-            trial_dim_sigma2=tuple(payload["trial_dim_sigma2"]),
-            trial_dim_IZ=tuple(payload["trial_dim_IZ"]),
-            verdict=payload["verdict"],
-        )
-
 
 def _verdict(measured: dict, predicted: dict) -> str:
     """Classify the measurement against the prediction, direction-aware.
@@ -465,10 +406,11 @@ def verify(
 ) -> OracleReport:
     """Measure every predicted dimension for one partition and compare.
 
-    Runs the degree-d slice dimension, the full Hilbert function j = 0..d, the
-    secant-line dimension, and the intersection dimension. The single-draw
-    measurements use the seed stream reserved at index `trials`, so they never
-    collide with the per-trial streams 0..trials-1.
+    Measures the full Hilbert function j = 0..d (whose j = d slice gives the
+    degree-d slice dimension), the secant-line dimension, and the intersection
+    dimension. The single-point measurements use the seed stream reserved at
+    index `trials`, so they never collide with the per-trial streams
+    0..trials-1.
     """
     q = derived(partition)
     d = q.d
@@ -480,11 +422,10 @@ def verify(
     }
     point_seed = derive_seed(base_seed, trials)
     trial_data = secant_trials(partition, trials, base_seed, prime=prime)
+    slice_dims = oracle_dim_IF(partition, point_seed, prime=prime)
     measured = {
-        "dim_IF_d": oracle_dim_IF(partition, d, point_seed, prime=prime),
-        "hilbert": [
-            oracle_hilbert(partition, j, point_seed, prime=prime) for j in range(d + 1)
-        ],
+        "dim_IF_d": slice_dims[-1],
+        "hilbert": [num_monomials(j) - dim for j, dim in enumerate(slice_dims)],
         "dim_sigma2": max(t.dim_sigma2 for t in trial_data),
         "dim_IZ": min(t.dim_IZ for t in trial_data),
     }

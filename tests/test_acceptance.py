@@ -21,8 +21,8 @@ from secantlines.formulas import (
 from secantlines.oracle import (
     VERDICT_ABOVE,
     VERDICT_MATCH,
+    oracle_dim_IF,
     oracle_dim_IZ,
-    oracle_hilbert,
     specialization_check,
     verify,
 )
@@ -116,10 +116,9 @@ def test_criterion_2_hilbert_function_reproduction():
         # the oracle reproduces the formula at every degree for d <= 8
         for p in enumerate_partitions(8):
             point_seed = SEED + p.d
-            for j in range(p.d + 1):
-                assert oracle_hilbert(p, j, point_seed, prime=PRIME) == (
-                    hilbert_function_theory(p, j)
-                )
+            slice_dims = oracle_dim_IF(p, point_seed, prime=PRIME)
+            for j, dim in enumerate(slice_dims):
+                assert comb(j + 2, 2) - dim == hilbert_function_theory(p, j)
         ok = True
     finally:
         announce(2, ok, f"{checked_pairs} overlap checks to d=30, oracle sweep to d=8")

@@ -1,28 +1,63 @@
+import numpy as np
 import pytest
 
 from secantlines.gfpoly import (
     DEFAULT_PRIME,
-    Form,
-    MonomialIndex,
     PrimeField,
     SeedStream,
     cofactor_products,
     derive_seed,
+    form_degree,
     is_prime,
-    monomial_index,
     monomial_multiples,
     multiply,
     num_monomials,
+    product_index,
     random_form,
 )
 
 F = PrimeField()
+P = F.modulus
+ONE = np.ones(1, dtype=np.int64)
+
+
+def exponents(degree):
+    """Graded-lex order written out: x0-exponent descending, then x1-exponent."""
+    return [
+        (a, b, degree - a - b)
+        for a in range(degree, -1, -1)
+        for b in range(degree - a, -1, -1)
+    ]
+
+
+def monomial(a, b, c):
+    form = np.zeros(num_monomials(a + b + c), dtype=np.int64)
+    form[exponents(a + b + c).index((a, b, c))] = 1
+    return form
 
 
 def x(i):
     exps = [0, 0, 0]
     exps[i] = 1
-    return Form.monomial(F, *exps)
+    return monomial(*exps)
+
+
+def schoolbook(f, g, modulus):
+    """Product by the definition, in Python ints: multiply every pair of terms."""
+    m, n = form_degree(f), form_degree(g)
+    position = {e: k for k, e in enumerate(exponents(m + n))}
+    out = [0] * num_monomials(m + n)
+    for (a1, b1, c1), fi in zip(exponents(m), f.tolist()):
+        for (a2, b2, c2), gk in zip(exponents(n), g.tolist()):
+            k = position[(a1 + a2, b1 + b2, c1 + c2)]
+            out[k] = (out[k] + fi * gk) % modulus
+    return out
+
+
+def assert_forms_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 class TestPrimality:
@@ -42,22 +77,22 @@ class TestPrimality:
         with pytest.raises(ValueError):
             PrimeField(2**31)
 
-    def test_inverse(self):
-        assert F.inverse(2) * 2 % F.modulus == 1
-        with pytest.raises(ZeroDivisionError):
-            F.inverse(0)
-
 
 class TestMonomialIndex:
     def test_round_trip_all_degrees(self):
-        for degree in range(31):
-            idx = monomial_index(degree)
-            assert len(idx) == num_monomials(degree)
-            for i in range(len(idx)):
-                assert idx.index(*idx.exponents(i)) == i
+        # Every product of monomials lands where the written-out order puts it.
+        for degree in range(13):
+            for m in range(degree + 1):
+                n = degree - m
+                position = {e: k for k, e in enumerate(exponents(degree))}
+                want = [
+                    [position[(a1 + a2, b1 + b2, c1 + c2)] for a2, b2, c2 in exponents(n)]
+                    for a1, b1, c1 in exponents(m)
+                ]
+                np.testing.assert_array_equal(product_index(m, n), want)
 
     def test_graded_lex_order(self):
-        assert list(MonomialIndex(2)) == [
+        assert exponents(2) == [
             (2, 0, 0),
             (1, 1, 0),
             (1, 0, 1),
@@ -65,42 +100,62 @@ class TestMonomialIndex:
             (0, 1, 1),
             (0, 0, 2),
         ]
+        # x0*x0 = x0^2 comes first, x2*x2 = x2^2 last
+        np.testing.assert_array_equal(
+            product_index(1, 1), [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
+        )
+        for d in range(1, 31):
+            positions = product_index(d, 0)[:, 0]
+            assert positions[0] == 0 and positions[-1] == num_monomials(d) - 1
+
+    def test_bijection_onto_positions_hit(self):
+        for m, n in ((0, 7), (7, 0), (3, 4), (6, 1), (5, 5)):
+            positions = product_index(m, n)
+            assert positions.shape == (num_monomials(m), num_monomials(n))
+            # multiplying by one monomial is injective ...
+            for row in positions:
+                assert len(set(row.tolist())) == len(row)
+            # ... and every degree-(m+n) monomial is some product
+            assert set(positions.ravel().tolist()) == set(range(num_monomials(m + n)))
+        np.testing.assert_array_equal(product_index(0, 9)[0], np.arange(num_monomials(9)))
 
     def test_bad_exponents(self):
         with pytest.raises(ValueError):
-            monomial_index(3).index(2, 2, 0)
+            product_index(-1, 2)
         with pytest.raises(ValueError):
-            MonomialIndex(-1)
+            product_index(2, -1)
 
 
 class TestForm:
     def test_length_checked(self):
-        with pytest.raises(ValueError):
-            Form(F, 2, (1, 2, 3))
+        for length in (0, 2, 4, 5, 7):
+            with pytest.raises(ValueError):
+                form_degree(np.zeros(length, dtype=np.int64))
+        for degree in range(31):
+            assert form_degree(np.zeros(num_monomials(degree), dtype=np.int64)) == degree
 
     def test_coefficients_normalized(self):
-        p = F.modulus
-        form = Form(F, 1, (-1, p, p + 2))
-        assert form.coeffs == (p - 1, 0, 2)
+        form = np.array([-1, P, P + 2], dtype=np.int64)
+        np.testing.assert_array_equal(multiply(form, ONE, P), [P - 1, 0, 2])
 
     def test_zero_one_monomial(self):
-        assert Form.zero(F, 3).is_zero()
-        assert Form.one(F).coeffs == (1,)
-        assert x(0).coefficient(1, 0, 0) == 1
-        assert x(0).coefficient(0, 1, 0) == 0
+        assert not multiply(np.zeros(10, dtype=np.int64), random_form(F, 2, 3), P).any()
+        np.testing.assert_array_equal(multiply(ONE, ONE, P), [1])
+        assert x(0)[exponents(1).index((1, 0, 0))] == 1
+        assert x(0)[exponents(1).index((0, 1, 0))] == 0
 
 
 class TestRandomForm:
     def test_deterministic(self):
-        assert random_form(F, 2, 42) == random_form(F, 2, 42)
+        np.testing.assert_array_equal(random_form(F, 2, 42), random_form(F, 2, 42))
 
     def test_seed_sensitivity(self):
-        assert random_form(F, 2, 0) != random_form(F, 2, 1)
+        assert not np.array_equal(random_form(F, 2, 0), random_form(F, 2, 1))
 
     def test_shape_and_range(self):
         form = random_form(F, 3, 7)
-        assert len(form.coeffs) == 10
-        assert all(0 <= c < F.modulus for c in form.coeffs)
+        assert form.shape == (10,) and form.dtype == np.int64
+        assert ((0 <= form) & (form < P)).all()
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -109,91 +164,98 @@ class TestRandomForm:
 
 class TestMultiply:
     def test_variables(self):
-        assert multiply(x(0), x(1)) == Form.monomial(F, 1, 1, 0)
+        np.testing.assert_array_equal(multiply(x(0), x(1), P), monomial(1, 1, 0))
 
     def test_identity(self):
         f = random_form(F, 3, 5)
-        assert multiply(f, Form.one(F)) == f
+        np.testing.assert_array_equal(multiply(f, ONE, P), f)
 
     def test_difference_of_squares(self):
-        p = F.modulus
-        plus = Form(F, 1, (1, 1, 0))
-        minus = Form(F, 1, (1, p - 1, 0))
-        product = multiply(plus, minus)
-        want = Form(F, 2, (1, 0, 0, p - 1, 0, 0))  # x0^2 - x1^2
-        assert product == want
+        plus = np.array([1, 1, 0], dtype=np.int64)
+        minus = np.array([1, P - 1, 0], dtype=np.int64)
+        want = [1, 0, 0, P - 1, 0, 0]  # x0^2 - x1^2
+        np.testing.assert_array_equal(multiply(plus, minus, P), want)
 
     def test_commutative_and_associative(self):
         f = random_form(F, 2, 11)
         g = random_form(F, 3, 12)
         h = random_form(F, 1, 13)
-        assert multiply(f, g) == multiply(g, f)
-        assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
+        np.testing.assert_array_equal(multiply(f, g, P), multiply(g, f, P))
+        np.testing.assert_array_equal(
+            multiply(multiply(f, g, P), h, P), multiply(f, multiply(g, h, P), P)
+        )
 
-    def test_operator_sugar(self):
-        f, g = random_form(F, 1, 1), random_form(F, 1, 2)
-        assert f * g == multiply(f, g)
-
-    def test_field_mismatch(self):
-        other = PrimeField(101)
-        with pytest.raises(ValueError):
-            multiply(random_form(F, 1, 0), random_form(other, 1, 0))
+    @pytest.mark.parametrize("m, n", [(1, 1), (4, 7), (12, 9)])
+    def test_matches_schoolbook_at_largest_modulus(self, m, n):
+        # Coefficients near 2**31 make every pairwise product near 2**62, where
+        # a sum taken before reducing would overflow int64.
+        field = PrimeField(2**31 - 1)
+        f, g = random_form(field, m, 1), random_form(field, n, 2)
+        assert multiply(f, g, field.modulus).tolist() == schoolbook(f, g, field.modulus)
 
     def test_degree_cap(self):
+        # There is no cap on product degrees: degree 33 times degree 33 works.
         f = random_form(F, 33, 0)
-        with pytest.raises(OverflowError):
-            multiply(f, f)
+        assert form_degree(multiply(f, f, P)) == 66
 
 
 class TestCofactorProducts:
     def test_two_factors_swap(self):
         f1, f2 = random_form(F, 2, 1), random_form(F, 1, 2)
-        assert cofactor_products([f1, f2]) == [f2, f1]
+        assert_forms_equal(cofactor_products([f1, f2], P), [f2, f1])
 
     def test_three_factors(self):
         f1, f2, f3 = (random_form(F, deg, seed) for deg, seed in ((2, 1), (1, 2), (1, 3)))
-        assert cofactor_products([f1, f2, f3]) == [
-            multiply(f2, f3),
-            multiply(f1, f3),
-            multiply(f1, f2),
-        ]
+        assert_forms_equal(
+            cofactor_products([f1, f2, f3], P),
+            [multiply(f2, f3, P), multiply(f1, f3, P), multiply(f1, f2, P)],
+        )
 
     def test_degrees(self):
         factors = [random_form(F, deg, s) for s, deg in enumerate((2, 1, 1))]
-        assert [c.degree for c in cofactor_products(factors)] == [2, 3, 3]
+        assert [form_degree(c) for c in cofactor_products(factors, P)] == [2, 3, 3]
 
     def test_product_reconstruction(self):
         factors = [random_form(F, deg, s) for s, deg in enumerate((3, 2, 2))]
-        full = multiply(multiply(factors[0], factors[1]), factors[2])
-        for factor, cofactor in zip(factors, cofactor_products(factors)):
-            assert multiply(factor, cofactor) == full
+        full = multiply(multiply(factors[0], factors[1], P), factors[2], P)
+        for factor, cofactor in zip(factors, cofactor_products(factors, P)):
+            np.testing.assert_array_equal(multiply(factor, cofactor, P), full)
+
+    def test_product_degree_66(self):
+        # Beyond the former cap of 64 on product degrees.
+        factors = [random_form(F, deg, s) for s, deg in enumerate((33, 32, 1))]
+        full = multiply(multiply(factors[0], factors[1], P), factors[2], P)
+        cofactors = cofactor_products(factors, P)
+        assert [form_degree(c) for c in cofactors] == [33, 34, 65]
+        for factor, cofactor in zip(factors, cofactors):
+            np.testing.assert_array_equal(multiply(factor, cofactor, P), full)
 
     def test_too_few(self):
         with pytest.raises(ValueError):
-            cofactor_products([random_form(F, 1, 0)])
+            cofactor_products([random_form(F, 1, 0)], P)
 
 
 class TestMonomialMultiples:
     def test_same_degree(self):
         f = random_form(F, 3, 9)
-        assert monomial_multiples(f, 3) == [f]
+        np.testing.assert_array_equal(monomial_multiples(f, 3), [f])
 
     def test_variable_shifts(self):
-        got = monomial_multiples(x(0), 2)
-        assert got == [
-            Form.monomial(F, 2, 0, 0),
-            Form.monomial(F, 1, 1, 0),
-            Form.monomial(F, 1, 0, 1),
-        ]
+        np.testing.assert_array_equal(
+            monomial_multiples(x(0), 2),
+            [monomial(2, 0, 0), monomial(1, 1, 0), monomial(1, 0, 1)],
+        )
 
     def test_counts(self):
         f = random_form(F, 3, 4)
         got = monomial_multiples(f, 5)
-        assert len(got) == 6
-        assert all(g.degree == 5 for g in got)
+        assert got.shape == (6, num_monomials(5))
+        # row i is the i-th degree-2 monomial times f
+        for row, (a, b, c) in zip(got, exponents(2)):
+            np.testing.assert_array_equal(row, multiply(monomial(a, b, c), f, P))
 
     def test_below_degree_is_empty(self):
-        assert monomial_multiples(random_form(F, 3, 4), 2) == []
+        assert monomial_multiples(random_form(F, 3, 4), 2).shape == (0, num_monomials(2))
 
 
 class TestSeeds:

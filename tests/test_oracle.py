@@ -10,21 +10,21 @@ from secantlines.formulas import (
     dim_sigma2_theory,
     hilbert_function_theory,
 )
-from secantlines.gfpoly import PrimeField, derive_seed, random_form
+import secantlines.oracle as oracle
+from secantlines.gfpoly import derive_seed, num_monomials
 from secantlines.oracle import (
     CHECK_RESIDUAL,
     CHECK_RESIDUAL_PLUS_POINTS,
     NotApplicableError,
-    OracleReport,
+    SemicontinuityError,
     VERDICT_ABOVE,
     VERDICT_BELOW,
     VERDICT_MATCH,
+    _draw_cofactors,
     _verdict,
     nullspace,
     oracle_dim_IF,
     oracle_dim_IZ,
-    oracle_dim_sigma2,
-    oracle_hilbert,
     rank,
     secant_trials,
     specialization_check,
@@ -35,6 +35,16 @@ from secantlines.partitions import Partition, derived
 
 P = 1_000_003
 SEED = 1234
+
+
+def hilbert(partition, seed):
+    """Measured Hilbert function j = 0..d at one random point."""
+    dims = oracle_dim_IF(partition, seed, prime=P)
+    return [num_monomials(j) - dim for j, dim in enumerate(dims)]
+
+
+def sigma2(partition, trials, seed):
+    return max(t.dim_sigma2 for t in secant_trials(partition, trials, seed, prime=P))
 
 
 class TestRank:
@@ -88,15 +98,7 @@ class TestTangentSlice:
         ],
     )
     def test_shapes(self, parts, j, shape):
-        partition = Partition(parts)
-        field = PrimeField(P)
-        factors = [
-            random_form(field, di, derive_seed(SEED, i))
-            for i, di in enumerate(partition.parts)
-        ]
-        basis = tangent_slice(factors, j)
-        assert (basis.row_count, basis.col_count) == shape
-        assert basis.rows.shape == shape
+        assert tangent_slice(_draw_cofactors(Partition(parts), SEED, P), j).shape == shape
 
 
 class TestSliceDimensions:
@@ -105,29 +107,28 @@ class TestSliceDimensions:
         [([1, 1], 2, 5), ([2, 1], 3, 8), ([1, 1, 1], 3, 7)],
     )
     def test_examples(self, parts, j, want):
-        assert oracle_dim_IF(Partition(parts), j, SEED, prime=P) == want
+        assert oracle_dim_IF(Partition(parts), SEED, prime=P)[j] == want
 
     def test_hilbert_examples(self):
-        assert oracle_hilbert(Partition([1, 1, 1]), 1, SEED, prime=P) == 3
-        assert oracle_hilbert(Partition([2, 1]), 0, SEED, prime=P) == 1
+        assert hilbert(Partition([1, 1, 1]), SEED)[1] == 3
+        assert hilbert(Partition([2, 1]), SEED)[0] == 1
 
     @pytest.mark.parametrize("parts", [[2, 1], [2, 2, 1], [3, 2]])
     def test_hilbert_stabilizes_at_point_count(self, parts):
         p = Partition(parts)
         q = derived(p)
-        assert oracle_hilbert(p, q.d, SEED, prime=P) == q.D
+        assert hilbert(p, SEED)[q.d] == q.D
 
     @pytest.mark.parametrize("parts", [[3, 2], [2, 2, 1], [1, 1, 1, 1]])
     def test_hilbert_matches_theory_all_degrees(self, parts):
         p = Partition(parts)
-        for j in range(p.d + 1):
-            assert oracle_hilbert(p, j, SEED, prime=P) == hilbert_function_theory(p, j)
+        assert hilbert(p, SEED) == [hilbert_function_theory(p, j) for j in range(p.d + 1)]
 
     @pytest.mark.parametrize("parts", [[3, 2], [2, 2, 1], [2, 1, 1, 1]])
     def test_hilbert_monotone_for_fixed_factors(self, parts):
         p = Partition(parts)
         q = derived(p)
-        values = [oracle_hilbert(p, j, SEED, prime=P) for j in range(q.d + 1)]
+        values = hilbert(p, SEED)
         assert values == sorted(values)
         for j, h in enumerate(values):
             assert h <= min(comb(j + 2, 2), q.D)
@@ -139,7 +140,7 @@ class TestSecantMeasurements:
         [([1, 1, 1], 9), ([5, 1, 1, 1, 1, 1], 60), ([2, 1], 9)],
     )
     def test_sigma2_examples(self, parts, want):
-        assert oracle_dim_sigma2(Partition(parts), 3, SEED, prime=P) == want
+        assert sigma2(Partition(parts), 3, SEED) == want
 
     @pytest.mark.parametrize(
         "parts, want",
@@ -156,24 +157,14 @@ class TestSecantMeasurements:
 
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
-            oracle_dim_sigma2(Partition([2, 1]), 0, SEED, prime=P)
+            secant_trials(Partition([2, 1]), 0, SEED, prime=P)
 
     @pytest.mark.parametrize("parts", [[2, 1], [2, 2, 1], [3, 1, 1]])
     def test_grassmann_identity_via_orthogonal_complements(self, parts):
         # Independent route: dim(U cap V) = ncols - rank([ker(A); ker(B)]).
         partition = Partition(parts)
-        field = PrimeField(P)
-        d = partition.d
-        factors_f = [
-            random_form(field, di, derive_seed(77, 0, i))
-            for i, di in enumerate(partition.parts)
-        ]
-        factors_g = [
-            random_form(field, di, derive_seed(77, 1, i))
-            for i, di in enumerate(partition.parts)
-        ]
-        a = tangent_slice(factors_f, d).rows
-        b = tangent_slice(factors_g, d).rows
+        a = tangent_slice(_draw_cofactors(partition, derive_seed(77, 0), P), partition.d)
+        b = tangent_slice(_draw_cofactors(partition, derive_seed(77, 1), P), partition.d)
         rank_a, rank_b = rank(a, P), rank(b, P)
         rank_joint = rank(np.vstack([a, b]), P)
         complements = np.vstack([nullspace(a, P), nullspace(b, P)])
@@ -187,6 +178,23 @@ class TestSecantMeasurements:
         for t in trials:
             assert t.dim_sigma2 == t.rank_joint - 1
             assert t.dim_IZ == t.dim_IF + t.dim_IG - t.rank_joint
+
+    @pytest.mark.parametrize(
+        "inflated, message",
+        [(9, "trial rank above generic"), (18, "sigma2 above the parameter count")],
+        ids=["slice", "stacked"],
+    )
+    def test_rank_above_generic_raises(self, monkeypatch, inflated, message):
+        # [2,1] has 9-row tangent slices and 18-row stacked pairs; a rank
+        # reported one too high on either must be refused, also under -O.
+        true_rank = oracle.rank
+
+        def over_reporting_rank(rows, modulus):
+            return true_rank(rows, modulus) + (len(rows) == inflated)
+
+        monkeypatch.setattr(oracle, "rank", over_reporting_rank)
+        with pytest.raises(SemicontinuityError, match=message):
+            secant_trials(Partition([2, 1]), 1, SEED, prime=P)
 
 
 class TestSpecializationCheck:
@@ -253,8 +261,10 @@ class TestVerify:
             t <= report.predicted["dim_sigma2"] for t in report.trial_dim_sigma2
         )
         assert report.predicted["dim_sigma2"] == dim_sigma2_theory(p)
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert OracleReport.from_dict(payload) == report
+        payload = report.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["seeds"] == list(report.seeds)
+        assert payload["measured"] == report.measured
 
 
 class TestVerdict:
