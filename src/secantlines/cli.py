@@ -1,9 +1,9 @@
 """Command-line driver: classify partitions, verify them against the rank
 oracle, sweep ranges, and emit figure grids and fixture tables.
 
-Config precedence is flags, then environment (SECANT_PRIME, SECANT_SEED,
-SECANT_TRIALS), then defaults. Exit codes: 0 success or MATCH, 1 verified
-mismatch, 2 usage or validation error.
+Every setting is a flag. Records are written one at a time as they are
+computed. Exit codes: 0 success or MATCH, 1 verified mismatch, 2 usage or
+validation error.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .formulas import (
@@ -33,31 +31,6 @@ from .oracle import (
 )
 from .partitions import Partition, PartitionError, derived, enumerate_partitions
 
-ENV_PRIME = "SECANT_PRIME"
-ENV_SEED = "SECANT_SEED"
-ENV_TRIALS = "SECANT_TRIALS"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one command invocation."""
-
-    prime: int = DEFAULT_PRIME
-    trials: int = DEFAULT_TRIALS
-    base_seed: int = DEFAULT_SEED
-    output_format: str = "json"
-    d_max: int = 10
-    r_min: int = 2
-    r_max: int | None = None
-    mode: str = "classify"
-
-    def validate(self) -> None:
-        PrimeField(self.prime)  # raises ValueError unless prime and in range
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.d_max < 2:
-            raise ValueError(f"d-max must be >= 2, got {self.d_max}")
-
 
 def parse_partition(text: str) -> Partition:
     """Parse a comma-separated degree list such as '9,7,2' (auto-sorted)."""
@@ -69,42 +42,6 @@ def parse_partition(text: str) -> Partition:
             f"cannot parse {text!r}: expected comma-separated integers"
         ) from None
     return Partition(degrees)
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def _pick(flag_value: int | None, env_name: str, default: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env_value = _env_int(env_name)
-    return default if env_value is None else env_value
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    r_min = getattr(args, "r_min", 2)
-    r_max = getattr(args, "r_max", None)
-    if getattr(args, "r", None) is not None:
-        r_min = r_max = args.r
-    config = RunConfig(
-        prime=_pick(getattr(args, "prime", None), ENV_PRIME, DEFAULT_PRIME),
-        trials=_pick(getattr(args, "trials", None), ENV_TRIALS, DEFAULT_TRIALS),
-        base_seed=_pick(getattr(args, "seed", None), ENV_SEED, DEFAULT_SEED),
-        output_format=getattr(args, "format", "json"),
-        d_max=getattr(args, "d_max", 10),
-        r_min=r_min,
-        r_max=r_max,
-        mode=getattr(args, "mode", "classify"),
-    )
-    config.validate()
-    return config
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -124,17 +61,19 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 
 def _emit(records: Iterable[dict], output_format: str, stream) -> None:
-    """Write records as JSON Lines (streamed) or CSV with a header row, LF endings."""
-    if output_format == "json":
-        for record in records:
+    """Write records one at a time, flushing after each, as JSON Lines or as CSV
+    with LF endings and a header row taken from the first record."""
+    writer = None
+    for record in records:
+        if output_format == "json":
             stream.write(json.dumps(record, separators=(",", ":")) + "\n")
-        return
-    rows = [_flatten(r) for r in records]
-    if not rows:
-        return
-    writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+        else:
+            row = _flatten(record)
+            if writer is None:
+                writer = csv.DictWriter(stream, fieldnames=list(row), lineterminator="\n")
+                writer.writeheader()
+            writer.writerow(row)
+        stream.flush()
 
 
 def _diff(measured: dict, predicted: dict) -> dict:
@@ -154,55 +93,50 @@ def _diff(measured: dict, predicted: dict) -> dict:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     partition = parse_partition(args.partition)
-    _emit([classify(partition).to_dict()], config.output_format, sys.stdout)
+    _emit([classify(partition).to_dict()], args.format, sys.stdout)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     partition = parse_partition(args.partition)
-    report = verify(
-        partition,
-        prime=config.prime,
-        trials=config.trials,
-        base_seed=config.base_seed,
-    )
+    report = verify(partition, prime=args.prime, trials=args.trials, base_seed=args.seed)
     payload = report.to_dict()
     if report.verdict != VERDICT_MATCH:
         payload["diff"] = _diff(report.measured, report.predicted)
-    _emit([payload], config.output_format, sys.stdout)
+    _emit([payload], args.format, sys.stdout)
     return 0 if report.verdict == VERDICT_MATCH else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    partitions = list(
-        enumerate_partitions(config.d_max, config.r_min, config.r_max)
-    )
-    if config.mode == "classify":
-        records = (classify(p).to_dict() for p in partitions)
-        _emit(records, config.output_format, sys.stdout)
+    r_min, r_max = (args.r, args.r) if args.r is not None else (args.r_min, args.r_max)
+    partitions = enumerate_partitions(args.d_max, r_min, r_max)
+    if args.mode == "classify":
+        _emit((classify(p).to_dict() for p in partitions), args.format, sys.stdout)
         return 0
 
-    reports = [
-        verify(p, prime=config.prime, trials=config.trials, base_seed=config.base_seed)
-        for p in partitions
-    ]
-    mismatches = sum(1 for r in reports if r.verdict != VERDICT_MATCH)
-    summary = {
-        "summary": {
-            "partitions": len(reports),
-            "matches": len(reports) - mismatches,
-            "mismatches": mismatches,
-        }
-    }
-    if config.output_format == "json":
-        records: Iterator[dict] = iter([r.to_dict() for r in reports] + [summary])
-        _emit(records, "json", sys.stdout)
-    else:
-        _emit((r.to_dict() for r in reports), "csv", sys.stdout)
+    mismatches = 0
+
+    def records() -> Iterator[dict]:
+        nonlocal mismatches
+        count = 0
+        for count, partition in enumerate(partitions, 1):
+            report = verify(
+                partition, prime=args.prime, trials=args.trials, base_seed=args.seed
+            )
+            mismatches += report.verdict != VERDICT_MATCH
+            yield report.to_dict()
+        if args.format == "json":
+            yield {
+                "summary": {
+                    "partitions": count,
+                    "matches": count - mismatches,
+                    "mismatches": mismatches,
+                }
+            }
+
+    _emit(records(), args.format, sys.stdout)
+    if args.format == "csv":
         print(f"mismatches: {mismatches}", file=sys.stderr)
     return 1 if mismatches else 0
 
@@ -237,10 +171,7 @@ def figure_records(r: int, max_part: int) -> list[dict]:
 
 
 def cmd_figure_data(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    if args.max_part < 1:
-        raise ValueError(f"max-part must be >= 1, got {args.max_part}")
-    _emit(figure_records(args.r, args.max_part), config.output_format, sys.stdout)
+    _emit(figure_records(args.r, args.max_part), args.format, sys.stdout)
     return 0
 
 
@@ -303,7 +234,6 @@ def table_rows(name: str) -> list[dict]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    config = _config_from(args)
     rows = table_rows(args.name)
     mismatches = 0
     if args.check:
@@ -314,23 +244,41 @@ def cmd_table(args: argparse.Namespace) -> int:
                     continue
                 measured = oracle_dim_IZ(
                     Partition(row[key]),
-                    trials=config.trials,
-                    base_seed=config.base_seed,
-                    prime=config.prime,
+                    trials=args.trials,
+                    base_seed=args.seed,
+                    prime=args.prime,
                 )
                 row[f"oracle_{column}"] = measured
                 checked.append(measured == row[column])
             row["match"] = all(checked)
             if not row["match"]:
                 mismatches += 1
-    _emit(rows, config.output_format, sys.stdout)
+    _emit(rows, args.format, sys.stdout)
     return 1 if mismatches else 0
 
 
+def prime_modulus(text: str) -> int:
+    """argparse type for --prime: an integer that PrimeField accepts."""
+    value = int(text)
+    try:
+        PrimeField(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type for --trials and --max-part: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_oracle_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--prime", type=int, default=None, help="prime field modulus (default 1000003, env SECANT_PRIME)")
-    sub.add_argument("--trials", type=int, default=None, help="independent random trials (default 3, env SECANT_TRIALS)")
-    sub.add_argument("--seed", type=int, default=None, help="base seed for all randomness (default 0, env SECANT_SEED)")
+    sub.add_argument("--prime", type=prime_modulus, default=DEFAULT_PRIME, help=f"prime field modulus (default {DEFAULT_PRIME})")
+    sub.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS, help=f"independent random trials (default {DEFAULT_TRIALS})")
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"base seed for all randomness (default {DEFAULT_SEED})")
 
 
 def _add_format_option(sub: argparse.ArgumentParser, default: str) -> None:
@@ -346,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Partitions are comma-separated positive degrees, auto-sorted (e.g. 9,7,2). "
-            "Environment variables SECANT_PRIME, SECANT_SEED and SECANT_TRIALS supply "
-            "defaults; flags override them. Exit codes: 0 ok/MATCH, 1 mismatch, 2 usage."
+            "Exit codes: 0 ok/MATCH, 1 mismatch, 2 usage."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -375,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("figure-data", help="grid of 2p-3s sign data underlying the region pictures")
     sp.add_argument("--r", type=int, choices=(3, 4, 5), required=True, help="number of factors")
-    sp.add_argument("--max-part", dest="max_part", type=int, default=12, help="largest tail degree (default 12)")
+    sp.add_argument("--max-part", dest="max_part", type=positive_int, default=12, help="largest tail degree (default 12)")
     _add_format_option(sp, "csv")
     sp.set_defaults(func=cmd_figure_data)
 

@@ -2,8 +2,8 @@
 varieties of reducible plane curves.
 
 Everything in this module is exact integer arithmetic. Several quantities have
-two independent derivations; where that happens the second form is asserted at
-runtime as a consistency check (disabled under ``python -O``).
+two independent derivations; where that happens both are computed and a
+disagreement raises DerivationMismatchError, under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -12,34 +12,37 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .partitions import INT64_MAX, Partition, derived
+from .partitions import Partition, derived
 
 
 class NegativeDegreeError(ValueError):
     """A graded piece was requested at a negative degree."""
 
 
-def dim_variety(partition: Partition, n: int = 2) -> int:
-    """Dimension of the variety of forms splitting with the given factor degrees.
+class DerivationMismatchError(RuntimeError):
+    """Two independent derivations of one closed-form quantity disagree."""
 
-    Equals sum_i [C(d_i + n, n) - 1] in n+1 variables; for plane curves (n = 2)
-    this is the same as C(d+2,2) - D - 1.
-    """
-    if n < 1:
-        raise ValueError(f"ambient dimension n must be >= 1, got {n}")
+
+def _check_agreement(name: str, partition: Partition, first, second) -> None:
+    if first != second:
+        raise DerivationMismatchError(
+            f"{name}{partition}: the two derivations give {first} and {second}"
+        )
+
+
+def dim_variety(partition: Partition) -> int:
+    """Dimension of the variety of plane curves splitting with the given factor
+    degrees: sum_i [C(d_i + 2, 2) - 1], checked against C(d+2,2) - D - 1."""
     q = derived(partition)
-    value = sum(comb(di + n, n) for di in partition.parts) - partition.r
-    if value > INT64_MAX:
-        raise OverflowError(f"dim_variety({partition}, n={n}) exceeds 64-bit range")
-    if n == 2:
-        assert value == comb(q.d + 2, 2) - q.D - 1
+    value = sum(comb(di + 2, 2) for di in partition.parts) - partition.r
+    _check_agreement("dim_variety", partition, value, comb(q.d + 2, 2) - q.D - 1)
     return value
 
 
 def expected_dim_sigma2(partition: Partition) -> int:
     """Parameter-count bound min{N, 2*dim_X + 1} for the secant line variety."""
     q = derived(partition)
-    return min(q.N, 2 * dim_variety(partition, 2) + 1)
+    return min(q.N, 2 * dim_variety(partition) + 1)
 
 
 def hilbert_function_theory(partition: Partition, j: int) -> int:
@@ -48,7 +51,7 @@ def hilbert_function_theory(partition: Partition, j: int) -> int:
 
     Stabilizes at D for j >= d - 2; below that it equals
     C(j+2,2) - sum_i C(max{j - d + d_i, -1} + 2, 2). The two branches overlap at
-    j in {d-2, d-1} and are asserted to agree there.
+    j in {d-2, d-1} and are checked to agree there.
     """
     if j < 0:
         raise NegativeDegreeError(f"degree must be >= 0, got {j}")
@@ -59,7 +62,7 @@ def hilbert_function_theory(partition: Partition, j: int) -> int:
         comb(max(j - q.d + di, -1) + 2, 2) for di in partition.parts
     )
     if j >= q.d - 2:
-        assert value == q.D
+        _check_agreement("hilbert_function_theory", partition, value, q.D)
     return value
 
 
@@ -77,7 +80,7 @@ def defect(partition: Partition) -> int:
 
     For defective partitions this is min{C(d1 - s + 2, 2), 2p - 3s}, which must
     coincide with the branch form: 2p - 3s when C(d+2,2) - 2D > 0, else
-    C(d1 - s + 2, 2). Both are computed and asserted equal.
+    C(d1 - s + 2, 2). Both are computed and checked equal.
     """
     if not is_defective(partition):
         return 0
@@ -89,7 +92,7 @@ def defect(partition: Partition) -> int:
         if comb(q.d + 2, 2) - 2 * q.D > 0
         else comb(d1 - q.s + 2, 2)
     )
-    assert min_form == branch_form
+    _check_agreement("defect", partition, min_form, branch_form)
     return min_form
 
 
@@ -105,13 +108,13 @@ def dim_IZ_theory(partition: Partition) -> int:
     sets: expected value plus the defect.
 
     In the unbalanced-positive regime (d1 >= s - 1 and 2p - 3s > 0) this must
-    collapse to the closed form C(d1 - s + 2, 2); asserted.
+    collapse to the closed form C(d1 - s + 2, 2); checked.
     """
     q = derived(partition)
     value = expected_dim_IZ(partition) + defect(partition)
     d1 = partition.parts[0]
     if d1 >= q.s - 1 and 2 * q.p - 3 * q.s > 0:
-        assert value == comb(d1 - q.s + 2, 2)
+        _check_agreement("dim_IZ_theory", partition, value, comb(d1 - q.s + 2, 2))
     return value
 
 
@@ -119,10 +122,15 @@ def dim_sigma2_theory(partition: Partition) -> int:
     """Dimension of the secant line variety: expected dimension minus defect.
 
     Must agree with the span-of-two-tangent-spaces form
-    2*dim_X + 1 - dim_IZ; asserted.
+    2*dim_X + 1 - dim_IZ; checked.
     """
     value = expected_dim_sigma2(partition) - defect(partition)
-    assert value == 2 * dim_variety(partition, 2) + 1 - dim_IZ_theory(partition)
+    _check_agreement(
+        "dim_sigma2_theory",
+        partition,
+        value,
+        2 * dim_variety(partition) + 1 - dim_IZ_theory(partition),
+    )
     return value
 
 
@@ -130,11 +138,11 @@ def fills_ambient(partition: Partition) -> bool:
     """Whether the secant line variety is all of projective N-space.
 
     True iff 3s - 2p >= 0 or the partition is exactly [2,2,2,1]; must agree with
-    dim_sigma2_theory == N, asserted.
+    dim_sigma2_theory == N, checked.
     """
     q = derived(partition)
     flag = 3 * q.s - 2 * q.p >= 0 or partition.parts == (2, 2, 2, 1)
-    assert flag == (dim_sigma2_theory(partition) == q.N)
+    _check_agreement("fills_ambient", partition, flag, dim_sigma2_theory(partition) == q.N)
     return flag
 
 
@@ -205,7 +213,7 @@ def classify_case(partition: Partition) -> CaseLabel:
     """Which family the partition belongs to; exactly one label applies.
 
     The family is determined by r and the tail (d2, ..., dr) alone, and its side
-    of the enumeration agrees with the sign of 2p - 3s (asserted).
+    of the enumeration agrees with the sign of 2p - 3s (checked).
     """
     q = derived(partition)
     parts = partition.parts
@@ -236,7 +244,9 @@ def classify_case(partition: Partition) -> CaseLabel:
         )
     else:
         label = CaseLabel.R6PLUS
-    assert label.defective_side == (2 * q.p - 3 * q.s > 0)
+    _check_agreement(
+        "classify_case", partition, label.defective_side, 2 * q.p - 3 * q.s > 0
+    )
     return label
 
 
@@ -292,7 +302,7 @@ def classify(partition: Partition) -> ClassificationReport:
         N=q.N,
         s=q.s,
         p=q.p,
-        dim_X=dim_variety(partition, 2),
+        dim_X=dim_variety(partition),
         exp_dim_sigma2=expected_dim_sigma2(partition),
         exp_dim_IZ=expected_dim_IZ(partition),
         defective=is_defective(partition),

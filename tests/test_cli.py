@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -10,12 +11,6 @@ import secantlines.cli as cli
 from secantlines.cli import main, parse_partition, table_rows
 from secantlines.oracle import VERDICT_BELOW
 from secantlines.partitions import Partition, PartitionError
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for name in ("SECANT_PRIME", "SECANT_SEED", "SECANT_TRIALS"):
-        monkeypatch.delenv(name, raising=False)
 
 
 def run(capsys, *argv):
@@ -85,10 +80,20 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "0,1")
         assert code == 2
 
-    def test_composite_prime_rejected(self, capsys):
-        code, _, err = run(capsys, "verify", "2,1", "--prime", "1000004")
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [
+            ("--prime", "1000004", "modulus 1000004 is not prime"),
+            ("--prime", "2147483659", "modulus must be in [2, 2147483647]"),
+            ("--trials", "0", "must be >= 1, got 0"),
+        ],
+        ids=["composite", "above_max_modulus", "zero_trials"],
+    )
+    def test_composite_prime_rejected(self, capsys, flag, value, reason):
+        code, out, err = run(capsys, "verify", "2,1", flag, value)
         assert code == 2
-        assert "prime" in err
+        assert out == ""
+        assert f"argument {flag}: {reason}" in err
 
     def test_mismatch_exits_one_with_diff(self, capsys, monkeypatch):
         real_verify = cli.verify
@@ -150,6 +155,42 @@ class TestSweep:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "a272fc6ea34dabbe9403e2714ffbce66401b64ff81896e88552ac09cd346cff3"
         )
+
+    def test_csv_verify_sweep_output_bytes_are_pinned(self, capsys):
+        # The CSV twin of the pin above: 14 lines (header plus 13 partitions).
+        code, out, err = run(
+            capsys, "sweep", "--d-max", "5", "--mode", "verify", "--format", "csv"
+        )
+        assert code == 0
+        assert err == "mismatches: 0\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "5e61999dec06b6d70394f100a984620e0e7d063425a1f3d8b6e35a8d9fa08a34"
+        )
+
+    @pytest.mark.parametrize("fmt, header", [("json", 0), ("csv", 1)])
+    def test_verify_records_stream(self, monkeypatch, fmt, header):
+        # Each record must be written and flushed before the next partition is
+        # verified: count the flushed lines when verify call k+1 starts.
+        class FlushedOnly(io.StringIO):
+            flushed = ""
+
+            def flush(self):
+                self.flushed = self.getvalue()
+
+        stream = FlushedOnly()
+        seen = []
+        real_verify = cli.verify
+
+        def watched(partition, **kwargs):
+            seen.append(stream.flushed.count("\n"))
+            return real_verify(partition, **kwargs)
+
+        monkeypatch.setattr(sys, "stdout", stream)
+        monkeypatch.setattr(cli, "verify", watched)
+        code = main(["sweep", "--d-max", "4", "--mode", "verify", "--format", fmt])
+        assert code == 0
+        assert len(seen) == 7  # partitions of total degree 2..4
+        assert seen == [0] + [k + header for k in range(1, len(seen))]
 
     def test_csv_mode_summary_on_stderr(self, capsys):
         code, out, err = run(
@@ -220,6 +261,12 @@ class TestFigureData:
         code, _, _ = run(capsys, "figure-data", "--r", "6")
         assert code == 2
 
+    def test_max_part_must_be_positive(self, capsys):
+        code, out, err = run(capsys, "figure-data", "--r", "3", "--max-part", "0")
+        assert code == 2
+        assert out == ""
+        assert "argument --max-part: must be >= 1, got 0" in err
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "figure-data", "--r", "4", "--max-part", "5")
         _, out2, _ = run(capsys, "figure-data", "--r", "4", "--max-part", "5")
@@ -280,27 +327,6 @@ class TestTable:
 
 
 class TestConfigPrecedence:
-    def test_env_supplies_defaults(self, capsys, monkeypatch):
-        monkeypatch.setenv("SECANT_TRIALS", "1")
-        monkeypatch.setenv("SECANT_SEED", "9")
-        code, out, _ = run(capsys, "verify", "2,1")
-        assert code == 0
-        (record,) = json_lines(out)
-        assert record["trials"] == 1 and record["base_seed"] == 9
-
-    def test_flags_override_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SECANT_TRIALS", "5")
-        code, out, _ = run(capsys, "verify", "2,1", "--trials", "2")
-        assert code == 0
-        (record,) = json_lines(out)
-        assert record["trials"] == 2
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("SECANT_TRIALS", "many")
-        code, _, err = run(capsys, "verify", "2,1")
-        assert code == 2
-        assert "SECANT_TRIALS" in err
-
     def test_verify_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "verify", "2,2,1")
         _, out2, _ = run(capsys, "verify", "2,2,1")

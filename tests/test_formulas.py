@@ -1,10 +1,13 @@
 import json
+from dataclasses import replace
 from math import comb
 
 import pytest
 
+import secantlines.formulas as formulas
 from secantlines.formulas import (
     CaseLabel,
+    DerivationMismatchError,
     NegativeDegreeError,
     classify,
     classify_case,
@@ -23,20 +26,15 @@ from secantlines.partitions import Partition, derived, enumerate_partitions
 
 class TestDimVariety:
     @pytest.mark.parametrize(
-        "parts, n, want",
-        [([1, 1], 2, 4), ([2, 1], 2, 7), ([1, 1], 3, 6), ([2, 1, 1, 1], 2, 11)],
+        "parts, want", [([1, 1], 4), ([2, 1], 7), ([2, 1, 1, 1], 11)]
     )
-    def test_examples(self, parts, n, want):
-        assert dim_variety(Partition(parts), n) == want
+    def test_examples(self, parts, want):
+        assert dim_variety(Partition(parts)) == want
 
     def test_point_count_form_agrees(self):
         for p in enumerate_partitions(15):
             q = derived(p)
-            assert dim_variety(p, 2) == comb(q.d + 2, 2) - q.D - 1
-
-    def test_bad_ambient(self):
-        with pytest.raises(ValueError):
-            dim_variety(Partition([2, 1]), 0)
+            assert dim_variety(p) == comb(q.d + 2, 2) - q.D - 1
 
 
 class TestExpectedDimSigma2:
@@ -211,12 +209,12 @@ class TestCaseLabels:
 
 def test_wide_sweep_consistency():
     # One pass over every partition with d <= 30, exercising the paired-form
-    # assertions inside dim_variety, defect, fills_ambient and classify_case
+    # checks inside dim_variety, defect, fills_ambient and classify_case
     # at full range.
     count = 0
     for p in enumerate_partitions(30):
         q = derived(p)
-        assert dim_variety(p, 2) == comb(q.d + 2, 2) - q.D - 1
+        assert dim_variety(p) == comb(q.d + 2, 2) - q.D - 1
         if is_defective(p):
             d1 = p.parts[0]
             assert defect(p) == min(comb(d1 - q.s + 2, 2), 2 * q.p - 3 * q.s)
@@ -224,6 +222,30 @@ def test_wide_sweep_consistency():
         classify_case(p)
         count += 1
     assert count > 25000
+
+
+def _shifted(real):
+    return lambda partition: real(partition) + 1
+
+
+class TestDerivationChecks:
+    # Each case replaces one ingredient of a quantity so that its two
+    # derivations disagree; the check must raise, also under python -O.
+    @pytest.mark.parametrize(
+        "target, broken, check, parts",
+        [
+            ("derived", lambda real: lambda p: replace(real(p), D=real(p).D + 1), dim_variety, [2, 1]),
+            ("dim_IZ_theory", _shifted, dim_sigma2_theory, [9, 7, 2]),
+            ("defect", _shifted, dim_IZ_theory, [9, 7, 2]),
+            ("dim_sigma2_theory", _shifted, fills_ambient, [2, 2, 2, 1]),
+            ("_DEFECTIVE_SIDE", lambda real: frozenset(), classify_case, [9, 7, 2]),
+        ],
+        ids=["dim_variety", "dim_sigma2", "dim_IZ", "fills_ambient", "case_label"],
+    )
+    def test_disagreement_raises(self, monkeypatch, target, broken, check, parts):
+        monkeypatch.setattr(formulas, target, broken(getattr(formulas, target)))
+        with pytest.raises(DerivationMismatchError):
+            check(Partition(parts))
 
 
 class TestClassificationReport:
