@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +40,14 @@ VERDICT_MATCH = "MATCH"
 VERDICT_BELOW = "ORACLE_BELOW_THEORY"
 VERDICT_ABOVE = "ORACLE_ABOVE_THEORY"
 
+# Rows per leaf of the blocked kernel `_rref`.
+LEAF_ROWS = 16
+# Matrices with at most this many columns stay on `_echelon`. On real tangent
+# slices the kernel beats it from about 80 columns for a trial's pair of
+# slices and from about 190 for a single rank; below this width every verify
+# sweep to d = 14 keeps off BLAS and its buffer.
+BLAS_MIN_COLS = 128
+
 
 class NotApplicableError(ValueError):
     """The degree conditions for the requested specialization bound are not met."""
@@ -53,10 +61,15 @@ class SemicontinuityError(RuntimeError):
 
 
 def _echelon(a: np.ndarray, modulus: int, reduced: bool = False) -> list[int]:
-    """In-place Gaussian elimination mod `modulus`; returns the pivot columns.
+    """In-place Gaussian elimination mod `modulus`, one column at a time;
+    returns the pivot columns.
 
     Entries must already be reduced to [0, modulus). With modulus < 2**31 every
-    intermediate product fits in int64, so the vectorized row updates are exact.
+    intermediate product fits in int64, so the vectorized row updates are exact
+    at every allowed prime. With `reduced`, entries above each pivot are cleared
+    too, leaving the first len(pivots) rows in reduced row echelon form. This is
+    the exact route for small matrices and for primes too large for float64
+    products, and it eliminates the leaves of the blocked kernel `_rref`.
     """
     n_rows, n_cols = a.shape
     pivots: list[int] = []
@@ -87,13 +100,150 @@ def _echelon(a: np.ndarray, modulus: int, reduced: bool = False) -> list[int]:
     return pivots
 
 
+def _mod(x: np.ndarray, modulus: int) -> np.ndarray:
+    """x mod `modulus`, in [0, modulus), for a float64 array of integers with
+    |x| <= 2**53 - 1; exact.
+
+    floor(|x| / modulus) taken through the rounded reciprocal is off by at most
+    one either way, and when it is one too high, q * modulus <= |x| + 1 <= 2**53,
+    so every product and difference below is an exact integer. The kernel only
+    passes x >= 0. (np.fmod is exact too, but several times slower.)
+    """
+    a = np.abs(x)
+    r = np.floor(a * (1.0 / modulus))
+    r *= modulus
+    np.subtract(a, r, out=r)
+    r[r < 0] += modulus
+    r[r >= modulus] -= modulus
+    negative = (x < 0) & (r > 0)
+    r[negative] = modulus - r[negative]
+    return r
+
+
+def _blocked(n_cols: int, modulus: int) -> bool:
+    """The route for a matrix with `n_cols` columns: True for the blocked
+    float64 kernel, False for the int64 column loop `_echelon`.
+
+    The kernel is taken above BLAS_MIN_COLS columns, and only where it is
+    exact. Each of its float64 products adds one entry in [0, modulus) to a
+    sum of at most n_cols products of entries in [0, modulus), and float64
+    holds every such partial sum exactly while n_cols * (modulus - 1)**2 +
+    modulus - 1 < 2**53: up to 9007 columns at modulus 1,000,003, and never
+    for moduli above about 8.36 million.
+    """
+    return n_cols > BLAS_MIN_COLS and n_cols * (modulus - 1) ** 2 + modulus - 1 < 2**53
+
+
+def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon basis of the row space of a float64 matrix with
+    integer entries in [0, modulus), on which `_blocked` allows the kernel.
+
+    Returns (pivots, tail): row i of the basis is the unit vector at column
+    pivots[i] minus tail[i] spread over the non-pivot columns in increasing
+    order (tail has entries in [0, modulus)). Storing minus the free part keeps
+    every product of the merge step non-negative, and the identity block on
+    the pivot columns is never stored.
+
+    Recursive: eliminate the top half of the rows, then merge the bottom half
+    into that basis with `_extend`. Leaves of at most LEAF_ROWS rows go
+    through `_echelon` on their non-zero columns.
+    """
+    n_rows, n_cols = a.shape
+    if n_rows > LEAF_ROWS:
+        half = n_rows // 2
+        return _extend(*_rref(a[:half], modulus), a[half:], modulus)
+    live = np.flatnonzero(a.any(axis=0))
+    work = a[:, live].astype(np.int64)
+    found = _echelon(work, modulus, reduced=True)
+    basis = np.zeros((len(found), n_cols))
+    basis[:, live] = work[: len(found)]
+    pivots = live[found]
+    return pivots, -basis[:, _complement(pivots, n_cols)] % modulus
+
+
+def _complement(pivots: np.ndarray, n_cols: int) -> np.ndarray:
+    """The columns 0..n_cols-1 that are not pivots, in increasing order."""
+    return np.delete(np.arange(n_cols), pivots)
+
+
+def _reduce(
+    pivots: np.ndarray, tail: np.ndarray, rows: np.ndarray, modulus: int
+) -> np.ndarray:
+    """`rows` minus their combination of the basis (pivots, tail) that clears
+    the pivot columns, as a matrix on the non-pivot columns: one product,
+    one reduction mod p. Its rank is the rank `rows` add to the basis."""
+    free = _complement(pivots, rows.shape[1])
+    return _mod(rows[:, free] + rows[:, pivots] @ tail, modulus)
+
+
+def _rank(a: np.ndarray, modulus: int) -> int:
+    """Rank of a matrix in `_rref`'s input form: the rank of its top half
+    plus that of its bottom half reduced against the top half's basis, so
+    the basis of the whole is never back-substituted."""
+    if a.shape[0] <= LEAF_ROWS:
+        return len(_echelon(a.astype(np.int64), modulus))
+    half = a.shape[0] // 2
+    pivots, tail = _rref(a[:half], modulus)
+    return pivots.size + _rank(_reduce(pivots, tail, a[half:], modulus), modulus)
+
+
+def _extend(
+    pivots: np.ndarray, tail: np.ndarray, rows: np.ndarray, modulus: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon basis, in `_rref`'s form, of the row space of the
+    basis (pivots, tail) together with `rows`.
+
+    Reduce `rows` against the basis, eliminate that residual (already
+    compressed to the non-pivot columns) recursively, then clear its new
+    pivot columns from the old basis rows with a second product.
+    """
+    free = _complement(pivots, rows.shape[1])
+    new_pivots, new_tail = _rref(_reduce(pivots, tail, rows, modulus), modulus)
+    if new_pivots.size == 0:
+        return pivots, tail
+    keep = _complement(new_pivots, free.size)
+    top = _mod(tail[:, keep] + tail[:, new_pivots] @ new_tail, modulus)
+    return np.concatenate([pivots, free[new_pivots]]), np.vstack([top, new_tail])
+
+
+def _pair_ranks(slices: Iterator[np.ndarray], modulus: int) -> tuple[int, int, int]:
+    """Ranks of two integer matrices F and G, given one after the other by
+    `slices`, and of F and G stacked.
+
+    On the blocked route the stacked matrix is never built: its rank is
+    rank F plus the rank of G reduced against F's echelon basis, and only one
+    slice is held at a time.
+    """
+    slice_f = next(slices)
+    if not _blocked(slice_f.shape[1], modulus):
+        slice_g = next(slices)
+        return (
+            len(_echelon(slice_f % modulus, modulus)),
+            len(_echelon(slice_g % modulus, modulus)),
+            len(_echelon(np.vstack([slice_f, slice_g]) % modulus, modulus)),
+        )
+    pivots, tail = _rref((slice_f % modulus).astype(np.float64), modulus)
+    del slice_f
+    slice_g = (next(slices) % modulus).astype(np.float64)
+    rank_g = _rank(slice_g, modulus)
+    added = _rank(_reduce(pivots, tail, slice_g, modulus), modulus)
+    return pivots.size, rank_g, pivots.size + added
+
+
 def rank(rows: np.ndarray | Sequence[Sequence[int]], modulus: int) -> int:
-    """Exact rank of an integer matrix over GF(modulus); empty matrices have rank 0."""
+    """Exact rank of an integer matrix over GF(modulus); empty matrices have rank 0.
+
+    Wide matrices go through the blocked float64 kernel where `_blocked`
+    finds it exact, the rest through the int64 column loop `_echelon`; both
+    routes give the same rank.
+    """
     a = np.asarray(rows, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     if a.size == 0:
         return 0
+    if _blocked(a.shape[1], modulus):
+        return _rank((a % modulus).astype(np.float64), modulus)
     return len(_echelon(a % modulus, modulus))
 
 
@@ -173,7 +323,8 @@ def secant_trials(
     prime: int = DEFAULT_PRIME,
 ) -> list[SecantTrial]:
     """Run independent two-point trials: draw factor sets for two general points,
-    stack their degree-d tangent slices, and record all ranks.
+    rank their degree-d tangent slices and the two stacked, and record all
+    ranks (`_pair_ranks`; wide slices never build the stacked matrix).
 
     Per trial: dim_sigma2 = rank(stacked) - 1 and, through the dimension formula
     for a sum of subspaces, dim_IZ = dim_IF + dim_IG - rank(stacked). A slice
@@ -188,13 +339,11 @@ def secant_trials(
     out = []
     for t in range(trials):
         trial_seed = derive_seed(base_seed, t)
-        slice_f, slice_g = (
+        slices = (
             tangent_slice(_draw_cofactors(partition, derive_seed(trial_seed, k), prime), q.d)
             for k in (0, 1)
         )
-        rank_f = rank(slice_f, prime)
-        rank_g = rank(slice_g, prime)
-        rank_joint = rank(np.vstack([slice_f, slice_g]), prime)
+        rank_f, rank_g, rank_joint = _pair_ranks(slices, prime)
         if max(rank_f, rank_g) > generic_slice_dim:
             raise SemicontinuityError(
                 f"{partition}: trial rank above generic "

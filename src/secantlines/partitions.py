@@ -123,7 +123,8 @@ def enumerate_partitions(
     """
     if r_max is None:
         r_max = d_max
-    if d_max < 2 or r_min < 2 or r_min > r_max:
+    # r parts need total degree >= r, so r_min > d_max leaves nothing to yield.
+    if d_max < 2 or r_min < 2 or r_min > r_max or r_min > d_max:
         raise ValueError(
             f"invalid enumeration range: d_max={d_max}, r_min={r_min}, r_max={r_max}"
         )

@@ -80,6 +80,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "0,1")
         assert code == 2
 
+    def test_largest_benchmark_shape_output_bytes_are_pinned(self, capsys):
+        # [25,15] has 487x861 tangent slices stacked to 974x861, the largest
+        # matrices of the verify-large benchmark; the digest was taken from
+        # the column-by-column elimination before the blocked kernel existed.
+        code, out, _ = run(capsys, "verify", "25,15")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "99f038e683490990678ca3a9f28355662ddd2ae6d5af5b961969586cdde281e5"
+        )
+
     @pytest.mark.parametrize(
         "flag, value, reason",
         [
@@ -206,11 +216,14 @@ class TestSweep:
             ("sweep", "--d-max", "1"),
             ("sweep", "--r-min", "1"),
             ("sweep", "--d-max", "5", "--r-min", "4", "--r-max", "3"),
+            ("sweep", "--d-max", "3", "--r", "5"),
         ],
     )
     def test_invalid_ranges(self, capsys, argv):
-        code, _, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2
+        assert out == ""
+        assert "error: invalid enumeration range" in err
 
 
 class TestFigureData:

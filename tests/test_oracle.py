@@ -4,6 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secantlines.formulas import (
     dim_IZ_theory,
@@ -20,7 +21,13 @@ from secantlines.oracle import (
     VERDICT_ABOVE,
     VERDICT_BELOW,
     VERDICT_MATCH,
+    _blocked,
     _draw_cofactors,
+    _echelon,
+    _mod,
+    _rank,
+    _reduce,
+    _rref,
     _verdict,
     nullspace,
     oracle_dim_IF,
@@ -71,6 +78,87 @@ class TestRank:
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
             rank(np.array([1, 2, 3]), P)
+
+
+def low_rank(seed, n_rows, n_cols, r, modulus, zero_cols=0):
+    """A random n_rows x n_cols matrix of rank at most r mod `modulus`, built
+    one outer product at a time so int64 never overflows; its first
+    `zero_cols` columns are zero."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, modulus, (n_rows, r))
+    v = rng.integers(0, modulus, (r, n_cols))
+    v[:, :zero_cols] = 0
+    a = np.zeros((n_rows, n_cols), dtype=np.int64)
+    for k in range(r):
+        a = (a + np.outer(u[:, k], v[k]) % modulus) % modulus
+    return a
+
+
+PRIMES = st.sampled_from([7, P, 2**31 - 1])
+LEAF = oracle.LEAF_ROWS
+ROWS = st.integers(1, 4 * LEAF + 3)
+
+
+class TestBlockedElimination:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_rows=ROWS,
+        n_cols=st.integers(oracle.BLAS_MIN_COLS - 2, oracle.BLAS_MIN_COLS + 40),
+        r=st.integers(0, 4 * LEAF + 3),
+        modulus=PRIMES,
+    )
+    def test_rank_matches_column_loop(self, seed, n_rows, n_cols, r, modulus):
+        a = low_rank(seed, n_rows, n_cols, min(r, n_rows, n_cols), modulus)
+        assert rank(a, modulus) == len(_echelon(a % modulus, modulus))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_rows=ROWS,
+        n_cols=st.integers(1, 3 * LEAF),
+        r=st.integers(0, 4 * LEAF + 3),
+        zero_cols=st.integers(0, 4),
+        modulus=st.sampled_from([7, P]),
+    )
+    def test_kernel_basis_spans_row_space(self, seed, n_rows, n_cols, r, zero_cols, modulus):
+        a = low_rank(seed, n_rows, n_cols, min(r, n_rows, n_cols), modulus, zero_cols)
+        want = len(_echelon(a.copy(), modulus))
+        pivots, tail = _rref(a.astype(np.float64), modulus)
+        assert pivots.size == want == _rank(a.astype(np.float64), modulus)
+        assert tail.shape == (want, n_cols - want)
+        assert ((tail >= 0) & (tail < modulus) & (tail == np.floor(tail))).all()
+        # Every row of `a` lies in the span of the basis.
+        assert not _reduce(pivots, tail, a.astype(np.float64), modulus).any()
+
+    @pytest.mark.parametrize("modulus", [7, P, 2**31 - 1])
+    def test_mod_exact_at_the_float64_limit(self, modulus):
+        top = 2**53 - 1
+        multiple = top - top % modulus
+        values = [0, 1, -1, top, -top, modulus, -modulus, multiple, -multiple,
+                  multiple - 1, 1 - multiple, modulus - 1, 1 - modulus, 2**53 - modulus]
+        got = _mod(np.array(values, dtype=np.float64), modulus)
+        assert got.tolist() == [v % modulus for v in values]
+
+    def test_route(self):
+        width = oracle.BLAS_MIN_COLS
+        assert not _blocked(width, P) and _blocked(width + 1, P)
+        assert _blocked(9007, P) and not _blocked(9008, P)  # the 2**53 bound
+        assert not _blocked(width + 1, 2**31 - 1)
+
+    def test_guard_falls_back_at_largest_prime(self):
+        # Float64 products of entries near 2**31 are inexact, so wide slices
+        # at this prime must take the int64 route, joint rank included.
+        prime = 2**31 - 1
+        partition = Partition([9, 7])
+        (trial,) = secant_trials(partition, 1, SEED, prime=prime)
+        f, g = (
+            tangent_slice(_draw_cofactors(partition, derive_seed(trial.seed, k), prime), 16)
+            for k in (0, 1)
+        )
+        assert f.shape[1] == 153 > oracle.BLAS_MIN_COLS
+        want = (rank(f, prime), rank(g, prime), rank(np.vstack([f, g]), prime))
+        assert (trial.dim_IF, trial.dim_IG, trial.rank_joint) == want
 
 
 class TestNullspace:
@@ -180,21 +268,28 @@ class TestSecantMeasurements:
             assert t.dim_IZ == t.dim_IF + t.dim_IG - t.rank_joint
 
     @pytest.mark.parametrize(
-        "inflated, message",
-        [(9, "trial rank above generic"), (18, "sigma2 above the parameter count")],
-        ids=["slice", "stacked"],
+        "parts, inflated, message",
+        [
+            ([2, 1], (1, 0, 0), "trial rank above generic"),
+            ([2, 1], (0, 0, 1), "sigma2 above the parameter count"),
+            ([9, 7], (0, 1, 0), "trial rank above generic"),
+            ([9, 7], (0, 0, 1), "sigma2 above the parameter count"),
+        ],
+        ids=["slice", "stacked", "slice-blocked", "stacked-blocked"],
     )
-    def test_rank_above_generic_raises(self, monkeypatch, inflated, message):
-        # [2,1] has 9-row tangent slices and 18-row stacked pairs; a rank
-        # reported one too high on either must be refused, also under -O.
-        true_rank = oracle.rank
+    def test_rank_above_generic_raises(self, monkeypatch, parts, inflated, message):
+        # A slice rank or a stacked rank reported one too high must be
+        # refused, also under -O, on both elimination routes ([2,1] has 3
+        # columns, [9,7] has 153).
+        true_pair_ranks = oracle._pair_ranks
 
-        def over_reporting_rank(rows, modulus):
-            return true_rank(rows, modulus) + (len(rows) == inflated)
+        def over_reporting(slices, modulus):
+            ranks = true_pair_ranks(slices, modulus)
+            return tuple(r + extra for r, extra in zip(ranks, inflated))
 
-        monkeypatch.setattr(oracle, "rank", over_reporting_rank)
+        monkeypatch.setattr(oracle, "_pair_ranks", over_reporting)
         with pytest.raises(SemicontinuityError, match=message):
-            secant_trials(Partition([2, 1]), 1, SEED, prime=P)
+            secant_trials(Partition(parts), 1, SEED, prime=P)
 
 
 class TestSpecializationCheck:

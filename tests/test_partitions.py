@@ -137,7 +137,7 @@ class TestEnumeration:
             assert p.parts == tuple(sorted(p.parts, reverse=True))
 
     @pytest.mark.parametrize(
-        "args", [(1, 2, 2), (10, 1, 3), (10, 4, 3), (0, 2, 2)]
+        "args", [(1, 2, 2), (10, 1, 3), (10, 4, 3), (0, 2, 2), (3, 5, 5)]
     )
     def test_invalid_ranges(self, args):
         with pytest.raises(ValueError):
