@@ -120,13 +120,24 @@ def form_degree(f: np.ndarray) -> int:
     return degree
 
 
+@lru_cache(maxsize=None)
 def _grading(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Per graded-lex position of degree `degree`: t = b + c and the exponent c.
 
-    Position t(t+1)/2 + c holds x0^(degree-t) x1^(t-c) x2^c.
+    Position t(t+1)/2 + c holds x0^(degree-t) x1^(t-c) x2^c. Cached, so both
+    arrays are read-only.
     """
     t = np.repeat(np.arange(degree + 1), np.arange(1, degree + 2))
-    return t, np.arange(num_monomials(degree)) - t * (t + 1) // 2
+    c = np.arange(num_monomials(degree)) - t * (t + 1) // 2
+    t.setflags(write=False)
+    c.setflags(write=False)
+    return t, c
+
+
+def x0_codegree(degree: int) -> np.ndarray:
+    """Per graded-lex position of degree `degree`: the degree minus the
+    exponent of x0 (read-only). It never decreases along the order."""
+    return _grading(degree)[0]
 
 
 def product_index(m: int, n: int) -> np.ndarray:

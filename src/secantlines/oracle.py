@@ -3,9 +3,11 @@
 The oracle works over a large prime field: ranks of matrices specialized from
 a generic construction can only drop, never rise, so the maximum rank seen over
 a few random trials is a certified lower bound for the generic rank, and
-agreement with the closed-form value certifies both sides. Dually, the measured
-dimension of an intersection of row spaces can only rise under specialization,
-so those are aggregated by minimum.
+agreement with the closed-form value certifies both sides. The dimension of
+the intersection of two such row spaces is taken as 2m minus the rank of the
+two stacked, with m the largest single-slice rank seen: the stacked rank can
+only drop, so once m is generic that value can only sit at or above the
+generic intersection, and its minimum over trials is aggregated.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from .gfpoly import (
     PrimeField,
     cofactor_products,
     derive_seed,
+    form_degree,
     monomial_multiples,
     num_monomials,
     random_form,
+    x0_codegree,
 )
 from .partitions import Partition, derived
 
@@ -206,21 +210,40 @@ def _extend(
     return np.concatenate([pivots, free[new_pivots]]), np.vstack([top, new_tail])
 
 
+def _independent_rows(a: np.ndarray, modulus: int) -> np.ndarray:
+    """Row rank profile of an integer matrix: the indices, in increasing
+    order, of the rows that are independent of the rows above them mod
+    `modulus`. The number of them below k is the rank of the first k rows.
+
+    They are the pivot columns of the transpose, which is eliminated by the
+    blocked kernel where `_blocked` allows it for that many columns and by
+    `_echelon` otherwise. Both give the pivot columns of the reduced row
+    echelon form, which is unique.
+    """
+    at = np.ascontiguousarray(a.T) % modulus
+    if _blocked(at.shape[1], modulus):
+        return np.sort(_rref(at.astype(np.float64), modulus)[0])
+    return np.array(_echelon(at, modulus), dtype=np.int64)
+
+
 def _pair_ranks(slices: Iterator[np.ndarray], modulus: int) -> tuple[int, int, int]:
     """Ranks of two integer matrices F and G, given one after the other by
-    `slices`, and of F and G stacked.
+    `slices`, and of F and G stacked: two eliminations.
 
-    On the blocked route the stacked matrix is never built: its rank is
-    rank F plus the rank of G reduced against F's echelon basis, and only one
-    slice is held at a time.
+    On the narrow route, rank F and the stacked rank both come from the row
+    rank profile of the stacked matrix, and G gets its own `_echelon`. On the
+    blocked route the stacked matrix is never built: its rank is rank F plus
+    the rank of G reduced against F's echelon basis, and only one slice is
+    held at a time.
     """
     slice_f = next(slices)
     if not _blocked(slice_f.shape[1], modulus):
         slice_g = next(slices)
+        independent = _independent_rows(np.vstack([slice_f, slice_g]), modulus)
         return (
-            len(_echelon(slice_f % modulus, modulus)),
+            int(np.searchsorted(independent, slice_f.shape[0])),
             len(_echelon(slice_g % modulus, modulus)),
-            len(_echelon(np.vstack([slice_f, slice_g]) % modulus, modulus)),
+            independent.size,
         )
     pivots, tail = _rref((slice_f % modulus).astype(np.float64), modulus)
     del slice_f
@@ -296,11 +319,22 @@ def oracle_dim_IF(
 ) -> list[int]:
     """Measured dimensions of the degree-j slices of the tangent ideal, for
     j = 0..d, all at one random point. The Hilbert function value at j is
-    C(j+2,2) minus entry j; at j = d the generic value is C(d+2,2) - D."""
+    C(j+2,2) minus entry j; at j = d the generic value is C(d+2,2) - D.
+
+    One elimination of the degree-d slice gives them all. Its row m * G_i,
+    for a cofactor G_i of degree e and a monomial m of degree d - e, lies in
+    x0^(d-j) times the degree-j slice exactly when e plus the degree of m
+    in x1, x2 is at most j; multiplying by x0^(d-j) is injective, so the
+    degree-j dimension is the rank of those rows. Sorted stably by that key,
+    every slice is a prefix, and its rank is read off the row rank profile.
+    """
+    d = partition.d
     cofactors = _draw_cofactors(partition, seed, prime)
-    return [
-        rank(tangent_slice(cofactors, j), prime) for j in range(partition.d + 1)
-    ]
+    keys = np.concatenate([x0_codegree(d - e) + e for e in map(form_degree, cofactors)])
+    order = np.argsort(keys, kind="stable")
+    independent = _independent_rows(tangent_slice(cofactors, d)[order], prime)
+    prefixes = np.searchsorted(keys[order], np.arange(d + 1), side="right")
+    return np.searchsorted(independent, prefixes).tolist()
 
 
 @dataclass(frozen=True)
@@ -327,9 +361,11 @@ def secant_trials(
     ranks (`_pair_ranks`; wide slices never build the stacked matrix).
 
     Per trial: dim_sigma2 = rank(stacked) - 1 and, through the dimension formula
-    for a sum of subspaces, dim_IZ = dim_IF + dim_IG - rank(stacked). A slice
-    rank above its generic value, or a trial value of dim_sigma2 above the
-    parameter-count bound, is impossible and raises SemicontinuityError.
+    for a sum of subspaces, dim_IZ = dim_IF + dim_IG - rank(stacked). That
+    trial value falls below the generic one when either slice rank falls
+    short, so aggregates go through `_min_dim_IZ`. A slice rank above its
+    generic value, or a trial value of dim_sigma2 above the parameter-count
+    bound, is impossible and raises SemicontinuityError.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -367,6 +403,19 @@ def secant_trials(
     return out
 
 
+def _min_dim_IZ(trials: Sequence[SecantTrial], slice_rank: int = 0) -> int:
+    """Aggregate intersection dimension: the minimum over trials of 2m minus
+    the stacked rank, with m the largest degree-d slice rank among the
+    trials and `slice_rank`.
+
+    A stacked rank never exceeds its generic value, so whenever m is the
+    generic slice rank this cannot fall below the generic intersection
+    dimension, however unlucky some draws are.
+    """
+    m = max(slice_rank, *(max(t.dim_IF, t.dim_IG) for t in trials))
+    return min(2 * m - t.rank_joint for t in trials)
+
+
 def oracle_dim_IZ(
     partition: Partition,
     trials: int = DEFAULT_TRIALS,
@@ -374,11 +423,9 @@ def oracle_dim_IZ(
     *,
     prime: int = DEFAULT_PRIME,
 ) -> int:
-    """Measured dimension of the degree-d intersection of the two tangent ideals;
-    minimum over trials, since specialization only raises intersections."""
-    return min(
-        t.dim_IZ for t in secant_trials(partition, trials, base_seed, prime=prime)
-    )
+    """Measured dimension of the degree-d intersection of the two tangent
+    ideals, aggregated over trials by `_min_dim_IZ`."""
+    return _min_dim_IZ(secant_trials(partition, trials, base_seed, prime=prime))
 
 
 CHECK_RESIDUAL = "residual"
@@ -455,8 +502,8 @@ def specialization_check(
     trials_reduced = tuple(
         secant_trials(reduced, trials, derive_seed(seed, 1), prime=prime)
     )
-    dim_IZ = min(t.dim_IZ for t in trials_full)
-    dim_IZ_reduced = min(t.dim_IZ for t in trials_reduced)
+    dim_IZ = _min_dim_IZ(trials_full)
+    dim_IZ_reduced = _min_dim_IZ(trials_reduced)
     checks = []
     if applies_residual:
         checks.append(
@@ -523,8 +570,10 @@ def _verdict(measured: dict, predicted: dict) -> str:
     """Classify the measurement against the prediction, direction-aware.
 
     dim_IF_d and dim_sigma2 are ranks: they can only sit at or below the generic
-    value, so measured > predicted is the impossible side. Hilbert values and
-    dim_IZ are coranks/intersections: measured < predicted is impossible.
+    value, so measured > predicted is the impossible side. Hilbert values are
+    coranks: measured < predicted is impossible. dim_IZ below its prediction
+    is impossible only once a slice rank reached the generic value (see
+    `_min_dim_IZ`), so it counts as above only when dim_IF_d matches.
     """
     above = below = False
     for key in ("dim_IF_d", "dim_sigma2"):
@@ -537,9 +586,12 @@ def _verdict(measured: dict, predicted: dict) -> str:
             above = True
         elif m > pr:
             below = True
-    if measured["dim_IZ"] < predicted["dim_IZ"]:
+    if (
+        measured["dim_IZ"] < predicted["dim_IZ"]
+        and measured["dim_IF_d"] == predicted["dim_IF_d"]
+    ):
         above = True
-    elif measured["dim_IZ"] > predicted["dim_IZ"]:
+    elif measured["dim_IZ"] != predicted["dim_IZ"]:
         below = True
     if above:
         return VERDICT_ABOVE
@@ -576,7 +628,7 @@ def verify(
         "dim_IF_d": slice_dims[-1],
         "hilbert": [num_monomials(j) - dim for j, dim in enumerate(slice_dims)],
         "dim_sigma2": max(t.dim_sigma2 for t in trial_data),
-        "dim_IZ": min(t.dim_IZ for t in trial_data),
+        "dim_IZ": _min_dim_IZ(trial_data, slice_dims[-1]),
     }
     return OracleReport(
         partition=partition,

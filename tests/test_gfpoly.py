@@ -14,6 +14,7 @@ from secantlines.gfpoly import (
     num_monomials,
     product_index,
     random_form,
+    x0_codegree,
 )
 
 F = PrimeField()
@@ -118,6 +119,20 @@ class TestMonomialIndex:
             # ... and every degree-(m+n) monomial is some product
             assert set(positions.ravel().tolist()) == set(range(num_monomials(m + n)))
         np.testing.assert_array_equal(product_index(0, 9)[0], np.arange(num_monomials(9)))
+
+    def test_x0_codegree(self):
+        for degree in range(13):
+            want = [degree - a for a, _, _ in exponents(degree)]
+            np.testing.assert_array_equal(x0_codegree(degree), want)
+
+    def test_cached_grading_is_read_only(self):
+        assert x0_codegree(5) is x0_codegree(5)
+        with pytest.raises(ValueError):
+            x0_codegree(5)[0] = 1
+        # product_index builds new arrays from the cached ones.
+        positions = product_index(2, 3)
+        positions[0, 0] = -1
+        assert product_index(2, 3)[0, 0] == 0
 
     def test_bad_exponents(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,9 @@ from secantlines.oracle import (
     _blocked,
     _draw_cofactors,
     _echelon,
+    _independent_rows,
     _mod,
+    _pair_ranks,
     _rank,
     _reduce,
     _rref,
@@ -38,7 +40,7 @@ from secantlines.oracle import (
     tangent_slice,
     verify,
 )
-from secantlines.partitions import Partition, derived
+from secantlines.partitions import Partition, derived, enumerate_partitions
 
 P = 1_000_003
 SEED = 1234
@@ -80,14 +82,22 @@ class TestRank:
             rank(np.array([1, 2, 3]), P)
 
 
-def low_rank(seed, n_rows, n_cols, r, modulus, zero_cols=0):
+def low_rank(seed, n_rows, n_cols, r, modulus, zero_cols=0, staircase=False):
     """A random n_rows x n_cols matrix of rank at most r mod `modulus`, built
     one outer product at a time so int64 never overflows; its first
-    `zero_cols` columns are zero."""
+    `zero_cols` columns are zero.
+
+    With `staircase`, row i combines only the first g_i of the r vectors, for
+    a random non-decreasing g, so the independent rows are spread over the
+    whole matrix; and the first half of the columns involves only the later
+    vectors, so an elimination of the transpose meets them out of order."""
     rng = np.random.default_rng(seed)
     u = rng.integers(0, modulus, (n_rows, r))
     v = rng.integers(0, modulus, (r, n_cols))
     v[:, :zero_cols] = 0
+    if staircase:
+        v[: r // 2, : n_cols // 2] = 0
+        u[np.arange(r) >= np.sort(rng.integers(0, r + 1, n_rows))[:, None]] = 0
     a = np.zeros((n_rows, n_cols), dtype=np.int64)
     for k in range(r):
         a = (a + np.outer(u[:, k], v[k]) % modulus) % modulus
@@ -97,6 +107,11 @@ def low_rank(seed, n_rows, n_cols, r, modulus, zero_cols=0):
 PRIMES = st.sampled_from([7, P, 2**31 - 1])
 LEAF = oracle.LEAF_ROWS
 ROWS = st.integers(1, 4 * LEAF + 3)
+# Row counts on both sides of the width at which the transpose of a matrix
+# goes to the blocked kernel.
+ROWS_BOTH_ROUTES = st.one_of(
+    st.integers(1, 3 * LEAF), st.integers(oracle.BLAS_MIN_COLS + 1, oracle.BLAS_MIN_COLS + 40)
+)
 
 
 class TestBlockedElimination:
@@ -130,6 +145,36 @@ class TestBlockedElimination:
         assert ((tail >= 0) & (tail < modulus) & (tail == np.floor(tail))).all()
         # Every row of `a` lies in the span of the basis.
         assert not _reduce(pivots, tail, a.astype(np.float64), modulus).any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_rows=ROWS_BOTH_ROUTES,
+        n_cols=st.integers(1, 3 * LEAF),
+        r=st.integers(0, 3 * LEAF),
+        modulus=PRIMES,
+    )
+    def test_independent_rows_count_every_prefix_rank(self, seed, n_rows, n_cols, r, modulus):
+        a = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
+        independent = _independent_rows(a, modulus)
+        assert independent.tolist() == sorted(set(independent.tolist()))
+        for k in range(n_rows + 1):
+            assert np.searchsorted(independent, k) == rank(a[:k], modulus)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_rows=st.integers(1, 3 * LEAF),
+        n_cols=st.sampled_from([8, oracle.BLAS_MIN_COLS, oracle.BLAS_MIN_COLS + 20]),
+        r=st.integers(0, 3 * LEAF),
+        modulus=PRIMES,
+    )
+    def test_pair_ranks_match_separate_ranks(self, seed, n_rows, n_cols, r, modulus):
+        f = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
+        g = low_rank(seed + 1, n_rows + 3, n_cols, min(r, n_cols), modulus, staircase=True)
+        g[:n_rows:2] = f[::2]  # so that the row spaces meet
+        want = (rank(f, modulus), rank(g, modulus), rank(np.vstack([f, g]), modulus))
+        assert _pair_ranks(iter([f, g]), modulus) == want
 
     @pytest.mark.parametrize("modulus", [7, P, 2**31 - 1])
     def test_mod_exact_at_the_float64_limit(self, modulus):
@@ -189,7 +234,32 @@ class TestTangentSlice:
         assert tangent_slice(_draw_cofactors(Partition(parts), SEED, P), j).shape == shape
 
 
+SMALL_PARTITIONS = [p.parts for p in enumerate_partitions(12)]
+
+
+def slice_dims_one_degree_at_a_time(partition, seed, prime):
+    """The Hilbert loop that one elimination replaced: rank the tangent slice
+    of every degree j = 0..d separately, at the same point."""
+    cofactors = _draw_cofactors(partition, seed, prime)
+    return [rank(tangent_slice(cofactors, j), prime) for j in range(partition.d + 1)]
+
+
 class TestSliceDimensions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # [14,10,6] has a 214-row degree-d slice, so its transpose takes the
+        # blocked kernel at p = 7 and p = P; the others stay on `_echelon`.
+        parts=st.one_of(st.sampled_from(SMALL_PARTITIONS), st.sampled_from([(9, 7), (14, 10, 6)])),
+        seed=st.integers(0, 2**32),
+        prime=PRIMES,
+    )
+    def test_one_elimination_gives_every_degree(self, parts, seed, prime):
+        # p = 7 makes non-generic draws common, and the identity holds for
+        # those too.
+        partition = Partition(parts)
+        want = slice_dims_one_degree_at_a_time(partition, seed, prime)
+        assert oracle_dim_IF(partition, seed, prime=prime) == want
+
     @pytest.mark.parametrize(
         "parts, j, want",
         [([1, 1], 2, 5), ([2, 1], 3, 8), ([1, 1, 1], 3, 7)],
@@ -393,9 +463,35 @@ class TestVerdict:
         measured = dict(self.BASE_MEASURED, dim_IZ=3)
         assert _verdict(measured, self.BASE_MEASURED) == VERDICT_ABOVE
 
+    def test_intersection_shrinks_with_a_short_slice_rank_is_below(self):
+        # Below the generic slice rank, 2m - rank_joint can fall under the
+        # generic intersection: not the impossible side.
+        measured = dict(self.BASE_MEASURED, dim_IF_d=7, dim_IZ=3)
+        assert _verdict(measured, self.BASE_MEASURED) == VERDICT_BELOW
+
     def test_above_wins_over_below(self):
         measured = dict(self.BASE_MEASURED, dim_sigma2=10, dim_IZ=5)
         assert _verdict(measured, self.BASE_MEASURED) == VERDICT_ABOVE
+
+    def test_unlucky_small_prime_draw_is_not_above(self):
+        # At p = 2 the second trial of [2,1] has a slice of rank 3 of 8;
+        # rank_f + rank_g - rank_joint is 1 there, below the generic 6.
+        report = verify(Partition([2, 1]), prime=2, trials=3, base_seed=0)
+        unlucky = secant_trials(Partition([2, 1]), 3, 0, prime=2)[1]
+        assert (unlucky.dim_IF, unlucky.dim_IZ) == (3, 1)
+        assert report.measured["dim_IZ"] == report.predicted["dim_IZ"] == 6
+        assert report.verdict == VERDICT_MATCH
+
+    def test_no_impossible_verdict_at_small_primes(self):
+        # Semicontinuity makes ORACLE_ABOVE_THEORY a proof of an oracle
+        # fault, so no draw, however unlucky, may produce it.
+        above = [
+            (partition.parts, prime)
+            for prime in (2, 3, 5, 7, 11, 13)
+            for partition in enumerate_partitions(8)
+            if verify(partition, prime=prime).verdict == VERDICT_ABOVE
+        ]
+        assert above == []
 
     def test_replace_keeps_dataclass_frozen(self):
         report = verify(Partition([2, 1]), prime=P, trials=1, base_seed=SEED)
