@@ -234,11 +234,12 @@ def table_rows(name: str) -> list[dict]:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    rows = table_rows(args.name)
     mismatches = 0
-    if args.check:
+
+    def checked(rows: list[dict]) -> Iterator[dict]:
+        nonlocal mismatches
         for row in rows:
-            checked = []
+            checks = []
             for key, column in (("case", "exp_dim_IZ"), ("lambda", "dim_IZ"), ("lambda_reduced", "dim_IZ_reduced")):
                 if key not in row:
                     continue
@@ -249,11 +250,13 @@ def cmd_table(args: argparse.Namespace) -> int:
                     prime=args.prime,
                 )
                 row[f"oracle_{column}"] = measured
-                checked.append(measured == row[column])
-            row["match"] = all(checked)
-            if not row["match"]:
-                mismatches += 1
-    _emit(rows, args.format, sys.stdout)
+                checks.append(measured == row[column])
+            row["match"] = all(checks)
+            mismatches += not row["match"]
+            yield row
+
+    rows = table_rows(args.name)
+    _emit(checked(rows) if args.check else rows, args.format, sys.stdout)
     return 1 if mismatches else 0
 
 

@@ -3,18 +3,21 @@
 The oracle works over a large prime field: ranks of matrices specialized from
 a generic construction can only drop, never rise, so the maximum rank seen over
 a few random trials is a certified lower bound for the generic rank, and
-agreement with the closed-form value certifies both sides. The dimension of
-the intersection of two such row spaces is taken as 2m minus the rank of the
-two stacked, with m the largest single-slice rank seen: the stacked rank can
-only drop, so once m is generic that value can only sit at or above the
-generic intersection, and its minimum over trials is aggregated.
-"""
+agreement with the closed-form value certifies both sides. Each trial draws two
+points F and G and runs one elimination, of F's degree-d tangent slice with its
+rows sorted so that every smaller slice is a prefix. Its row rank profile gives
+F's whole Hilbert function, and the rank of F's and G's slices stacked (by
+Terracini's lemma, dim sigma2 plus one). The dimension of the intersection of
+the two row spaces is taken as 2m minus the stacked rank, with m the largest
+slice rank seen: the stacked rank can only drop, so once m is generic that
+value can only sit at or above the generic intersection, and its minimum over
+trials is aggregated."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,11 +49,11 @@ VERDICT_ABOVE = "ORACLE_ABOVE_THEORY"
 
 # Rows per leaf of the blocked kernel `_rref`.
 LEAF_ROWS = 16
-# Matrices with at most this many columns stay on `_echelon`. On real tangent
-# slices the kernel beats it from about 80 columns for a trial's pair of
-# slices and from about 190 for a single rank; below this width every verify
-# sweep to d = 14 keeps off BLAS and its buffer.
-BLAS_MIN_COLS = 128
+# Matrices with at most this many columns, the degree-10 slices, stay on
+# `_eliminate`. On a trial's pair of real tangent slices the kernel is ahead
+# from about 55 columns and 15-25% ahead at d = 11..13; at this width every
+# verify sweep to d = 10 keeps off BLAS and the 0.8 MB of its buffer.
+BLAS_MIN_COLS = 66
 
 
 class NotApplicableError(ValueError):
@@ -64,44 +67,37 @@ class SemicontinuityError(RuntimeError):
     """
 
 
-def _echelon(a: np.ndarray, modulus: int, reduced: bool = False) -> list[int]:
-    """In-place Gaussian elimination mod `modulus`, one column at a time;
-    returns the pivot columns.
+def _eliminate(work: np.ndarray, modulus: int) -> tuple[list[int], list[int]]:
+    """In-place Gaussian elimination mod `modulus` in row order, without row
+    swaps; returns the row rank profile and the pivot column of each of its
+    rows.
 
-    Entries must already be reduced to [0, modulus). With modulus < 2**31 every
-    intermediate product fits in int64, so the vectorized row updates are exact
-    at every allowed prime. With `reduced`, entries above each pivot are cleared
-    too, leaving the first len(pivots) rows in reduced row echelon form. This is
-    the exact route for small matrices and for primes too large for float64
-    products, and it eliminates the leaves of the blocked kernel `_rref`.
+    When a row's turn comes, every pivot so far has been cleared from it, so
+    it is non-zero exactly when it is independent of the rows above it. Then
+    its leading column becomes a pivot: the row is scaled to 1 there, and the
+    column is cleared from every other row with one outer product. The
+    independent rows end in reduced row echelon form up to their order, the
+    others at zero. Entries must be in [0, modulus); with modulus < 2**31
+    every intermediate fits in int64, so the updates are exact.
     """
-    n_rows, n_cols = a.shape
+    independent: list[int] = []
     pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        if row == n_rows:
-            break
-        hits = np.nonzero(a[row:, col])[0]
-        if hits.size == 0:
+    for i, row in enumerate(work):
+        nonzero = row.nonzero()[0]
+        if nonzero.size == 0:
             continue
-        top = row + int(hits[0])
-        if top != row:
-            a[[row, top]] = a[[top, row]]
-        inv = pow(int(a[row, col]), modulus - 2, modulus)
-        a[row, col:] = a[row, col:] * inv % modulus
-        below = np.nonzero(a[row + 1 :, col])[0]
-        if below.size:
-            rows = row + 1 + below
-            a[rows, col:] = (a[rows, col:] - np.outer(a[rows, col], a[row, col:])) % modulus
-        if reduced and row:
-            above = np.nonzero(a[:row, col])[0]
-            if above.size:
-                a[above, col:] = (
-                    a[above, col:] - np.outer(a[above, col], a[row, col:])
-                ) % modulus
+        col = int(nonzero[0])
+        row[col:] = row[col:] * pow(int(row[col]), modulus - 2, modulus) % modulus
+        column = work[:, col]
+        hits = column.nonzero()[0]
+        hits = hits[hits != i]
+        if hits.size:
+            work[hits, col:] = (
+                work[hits, col:] - np.multiply.outer(column[hits], row[col:])
+            ) % modulus
+        independent.append(i)
         pivots.append(col)
-        row += 1
-    return pivots
+    return independent, pivots
 
 
 def _mod(x: np.ndarray, modulus: int) -> np.ndarray:
@@ -126,43 +122,61 @@ def _mod(x: np.ndarray, modulus: int) -> np.ndarray:
 
 def _blocked(n_cols: int, modulus: int) -> bool:
     """The route for a matrix with `n_cols` columns: True for the blocked
-    float64 kernel, False for the int64 column loop `_echelon`.
+    float64 kernel, False for the int64 row loop `_eliminate`.
 
     The kernel is taken above BLAS_MIN_COLS columns, and only where it is
     exact. Each of its float64 products adds one entry in [0, modulus) to a
     sum of at most n_cols products of entries in [0, modulus), and float64
     holds every such partial sum exactly while n_cols * (modulus - 1)**2 +
     modulus - 1 < 2**53: up to 9007 columns at modulus 1,000,003, and never
-    for moduli above about 8.36 million.
+    for moduli above about 11.6 million.
     """
     return n_cols > BLAS_MIN_COLS and n_cols * (modulus - 1) ** 2 + modulus - 1 < 2**53
 
 
-def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduced row echelon basis of the row space of a float64 matrix with
-    integer entries in [0, modulus), on which `_blocked` allows the kernel.
+    integer entries in [0, modulus), on which `_blocked` allows the kernel,
+    and the matrix's row rank profile.
 
-    Returns (pivots, tail): row i of the basis is the unit vector at column
-    pivots[i] minus tail[i] spread over the non-pivot columns in increasing
-    order (tail has entries in [0, modulus)). Storing minus the free part keeps
-    every product of the merge step non-negative, and the identity block on
-    the pivot columns is never stored.
+    Returns (pivots, tail, independent). Row i of the basis is the unit
+    vector at column pivots[i] minus tail[i] spread over the non-pivot
+    columns in increasing order (tail has entries in [0, modulus)). Storing
+    minus the free part keeps every product of the merge step non-negative,
+    and the identity block on the pivot columns is never stored. independent
+    lists, in increasing order, the rows that are independent of the rows
+    above them.
 
-    Recursive: eliminate the top half of the rows, then merge the bottom half
-    into that basis with `_extend`. Leaves of at most LEAF_ROWS rows go
-    through `_echelon` on their non-zero columns.
+    Recursive: eliminate the top half of the rows, reduce the bottom half
+    against that basis with one product (`_reduce`), eliminate the residual,
+    which is already on the non-pivot columns, and clear its pivot columns
+    from the top basis with a second product. A residual row is non-zero
+    modulo the top half's span exactly when its row is independent of the
+    rows above it, so the profile is the top half's followed by the
+    residual's, shifted by the half. Leaves of at most LEAF_ROWS rows go
+    through `_eliminate`.
     """
     n_rows, n_cols = a.shape
-    if n_rows > LEAF_ROWS:
-        half = n_rows // 2
-        return _extend(*_rref(a[:half], modulus), a[half:], modulus)
-    live = np.flatnonzero(a.any(axis=0))
-    work = a[:, live].astype(np.int64)
-    found = _echelon(work, modulus, reduced=True)
-    basis = np.zeros((len(found), n_cols))
-    basis[:, live] = work[: len(found)]
-    pivots = live[found]
-    return pivots, -basis[:, _complement(pivots, n_cols)] % modulus
+    if n_rows <= LEAF_ROWS:
+        work = a.astype(np.int64)
+        independent, pivots = _eliminate(work, modulus)
+        pivots = np.array(pivots, dtype=np.int64)
+        tail = -work[independent][:, _complement(pivots, n_cols)] % modulus
+        return pivots, tail.astype(np.float64), np.array(independent, dtype=np.int64)
+    half = n_rows // 2
+    pivots, tail, top = _rref(a[:half], modulus)
+    new_pivots, new_tail, bottom = _rref(_reduce(pivots, tail, a[half:], modulus), modulus)
+    independent = np.concatenate([top, half + bottom])
+    if new_pivots.size == 0:
+        return pivots, tail, independent
+    free = _complement(pivots, n_cols)
+    keep = _complement(new_pivots, free.size)
+    tail = _mod(tail[:, keep] + tail[:, new_pivots] @ new_tail, modulus)
+    return (
+        np.concatenate([pivots, free[new_pivots]]),
+        np.vstack([tail, new_tail]),
+        independent,
+    )
 
 
 def _complement(pivots: np.ndarray, n_cols: int) -> np.ndarray:
@@ -185,29 +199,10 @@ def _rank(a: np.ndarray, modulus: int) -> int:
     plus that of its bottom half reduced against the top half's basis, so
     the basis of the whole is never back-substituted."""
     if a.shape[0] <= LEAF_ROWS:
-        return len(_echelon(a.astype(np.int64), modulus))
+        return len(_eliminate(a.astype(np.int64), modulus)[0])
     half = a.shape[0] // 2
-    pivots, tail = _rref(a[:half], modulus)
+    pivots, tail, _ = _rref(a[:half], modulus)
     return pivots.size + _rank(_reduce(pivots, tail, a[half:], modulus), modulus)
-
-
-def _extend(
-    pivots: np.ndarray, tail: np.ndarray, rows: np.ndarray, modulus: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon basis, in `_rref`'s form, of the row space of the
-    basis (pivots, tail) together with `rows`.
-
-    Reduce `rows` against the basis, eliminate that residual (already
-    compressed to the non-pivot columns) recursively, then clear its new
-    pivot columns from the old basis rows with a second product.
-    """
-    free = _complement(pivots, rows.shape[1])
-    new_pivots, new_tail = _rref(_reduce(pivots, tail, rows, modulus), modulus)
-    if new_pivots.size == 0:
-        return pivots, tail
-    keep = _complement(new_pivots, free.size)
-    top = _mod(tail[:, keep] + tail[:, new_pivots] @ new_tail, modulus)
-    return np.concatenate([pivots, free[new_pivots]]), np.vstack([top, new_tail])
 
 
 def _independent_rows(a: np.ndarray, modulus: int) -> np.ndarray:
@@ -215,49 +210,20 @@ def _independent_rows(a: np.ndarray, modulus: int) -> np.ndarray:
     order, of the rows that are independent of the rows above them mod
     `modulus`. The number of them below k is the rank of the first k rows.
 
-    They are the pivot columns of the transpose, which is eliminated by the
-    blocked kernel where `_blocked` allows it for that many columns and by
-    `_echelon` otherwise. Both give the pivot columns of the reduced row
-    echelon form, which is unique.
+    From the blocked kernel where `_blocked` allows it, otherwise from
+    `_eliminate` on the whole matrix.
     """
-    at = np.ascontiguousarray(a.T) % modulus
-    if _blocked(at.shape[1], modulus):
-        return np.sort(_rref(at.astype(np.float64), modulus)[0])
-    return np.array(_echelon(at, modulus), dtype=np.int64)
-
-
-def _pair_ranks(slices: Iterator[np.ndarray], modulus: int) -> tuple[int, int, int]:
-    """Ranks of two integer matrices F and G, given one after the other by
-    `slices`, and of F and G stacked: two eliminations.
-
-    On the narrow route, rank F and the stacked rank both come from the row
-    rank profile of the stacked matrix, and G gets its own `_echelon`. On the
-    blocked route the stacked matrix is never built: its rank is rank F plus
-    the rank of G reduced against F's echelon basis, and only one slice is
-    held at a time.
-    """
-    slice_f = next(slices)
-    if not _blocked(slice_f.shape[1], modulus):
-        slice_g = next(slices)
-        independent = _independent_rows(np.vstack([slice_f, slice_g]), modulus)
-        return (
-            int(np.searchsorted(independent, slice_f.shape[0])),
-            len(_echelon(slice_g % modulus, modulus)),
-            independent.size,
-        )
-    pivots, tail = _rref((slice_f % modulus).astype(np.float64), modulus)
-    del slice_f
-    slice_g = (next(slices) % modulus).astype(np.float64)
-    rank_g = _rank(slice_g, modulus)
-    added = _rank(_reduce(pivots, tail, slice_g, modulus), modulus)
-    return pivots.size, rank_g, pivots.size + added
+    work = a % modulus
+    if _blocked(a.shape[1], modulus):
+        return _rref(work.astype(np.float64), modulus)[2]
+    return np.array(_eliminate(work, modulus)[0], dtype=np.int64)
 
 
 def rank(rows: np.ndarray | Sequence[Sequence[int]], modulus: int) -> int:
     """Exact rank of an integer matrix over GF(modulus); empty matrices have rank 0.
 
     Wide matrices go through the blocked float64 kernel where `_blocked`
-    finds it exact, the rest through the int64 column loop `_echelon`; both
+    finds it exact, the rest through the int64 row loop `_eliminate`; both
     routes give the same rank.
     """
     a = np.asarray(rows, dtype=np.int64)
@@ -267,7 +233,7 @@ def rank(rows: np.ndarray | Sequence[Sequence[int]], modulus: int) -> int:
         return 0
     if _blocked(a.shape[1], modulus):
         return _rank((a % modulus).astype(np.float64), modulus)
-    return len(_echelon(a % modulus, modulus))
+    return len(_eliminate(a % modulus, modulus)[0])
 
 
 def nullspace(rows: np.ndarray, modulus: int) -> np.ndarray:
@@ -275,17 +241,11 @@ def nullspace(rows: np.ndarray, modulus: int) -> np.ndarray:
     a = np.array(rows, dtype=np.int64) % modulus
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    n_cols = a.shape[1]
-    if a.shape[0] == 0:
-        return np.eye(n_cols, dtype=np.int64)
-    pivots = _echelon(a, modulus, reduced=True)
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = np.zeros((len(free), n_cols), dtype=np.int64)
-    for k, free_col in enumerate(free):
-        basis[k, free_col] = 1
-        for pivot_row, pivot_col in enumerate(pivots):
-            basis[k, pivot_col] = (-int(a[pivot_row, free_col])) % modulus
+    independent, pivots = _eliminate(a, modulus)
+    free = _complement(np.array(pivots, dtype=np.int64), a.shape[1])
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -a[independent][:, free].T % modulus
     return basis
 
 
@@ -314,6 +274,24 @@ def _draw_cofactors(partition: Partition, seed: int, prime: int) -> list[np.ndar
     return cofactor_products(factors, prime)
 
 
+def _sorted_slice(cofactors: Sequence[np.ndarray], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-d tangent slice with its rows sorted so that, for every
+    j = 0..d, the rows spanning x0^(d-j) times the degree-j slice come first,
+    and the number of those rows for each j.
+
+    Row m * G_i, for a cofactor G_i of degree e and a monomial m of degree
+    d - e, lies in x0^(d-j) times the degree-j slice exactly when e plus the
+    degree of m in x1, x2 is at most j. The rows are sorted stably by that
+    key. Multiplying by x0^(d-j) is injective, so the rank of the first
+    count[j] rows is the dimension of the degree-j slice, for every draw and
+    every prime.
+    """
+    keys = np.concatenate([x0_codegree(d - e) + e for e in map(form_degree, cofactors)])
+    order = np.argsort(keys, kind="stable")
+    counts = np.searchsorted(keys[order], np.arange(d + 1), side="right")
+    return tangent_slice(cofactors, d)[order], counts
+
+
 def oracle_dim_IF(
     partition: Partition, seed: int, *, prime: int = DEFAULT_PRIME
 ) -> list[int]:
@@ -321,32 +299,64 @@ def oracle_dim_IF(
     j = 0..d, all at one random point. The Hilbert function value at j is
     C(j+2,2) minus entry j; at j = d the generic value is C(d+2,2) - D.
 
-    One elimination of the degree-d slice gives them all. Its row m * G_i,
-    for a cofactor G_i of degree e and a monomial m of degree d - e, lies in
-    x0^(d-j) times the degree-j slice exactly when e plus the degree of m
-    in x1, x2 is at most j; multiplying by x0^(d-j) is injective, so the
-    degree-j dimension is the rank of those rows. Sorted stably by that key,
-    every slice is a prefix, and its rank is read off the row rank profile.
+    One elimination of the degree-d slice, sorted by `_sorted_slice`, gives
+    them all: each is the rank of a prefix of the rows, read off the row
+    rank profile.
+    """
+    slice_d, counts = _sorted_slice(_draw_cofactors(partition, seed, prime), partition.d)
+    return np.searchsorted(_independent_rows(slice_d, prime), counts).tolist()
+
+
+def _trial_ranks(partition: Partition, seed: int, prime: int) -> tuple[list[int], int]:
+    """One trial's measurements from one elimination: the slice dimensions
+    j = 0..d at its first point F (as `oracle_dim_IF` at derive_seed(seed, 0)),
+    and the rank of the degree-d slices of F and of its second point G
+    stacked.
+
+    Below the blocked kernel's width, both come from the row rank profile of
+    F's sorted slice stacked over G's. On the blocked route the stacked
+    matrix is never built: F's elimination gives its profile and its basis,
+    the stacked rank is rank F plus the rank of G reduced against that
+    basis, and G is drawn only once F's slice is gone, so one slice is held
+    at a time.
     """
     d = partition.d
-    cofactors = _draw_cofactors(partition, seed, prime)
-    keys = np.concatenate([x0_codegree(d - e) + e for e in map(form_degree, cofactors)])
-    order = np.argsort(keys, kind="stable")
-    independent = _independent_rows(tangent_slice(cofactors, d)[order], prime)
-    prefixes = np.searchsorted(keys[order], np.arange(d + 1), side="right")
-    return np.searchsorted(independent, prefixes).tolist()
+    points = (_draw_cofactors(partition, derive_seed(seed, k), prime) for k in (0, 1))
+    slice_f, counts = _sorted_slice(next(points), d)
+    if _blocked(slice_f.shape[1], prime):
+        slice_f = slice_f.astype(np.float64)
+        pivots, tail, independent = _rref(slice_f, prime)
+        del slice_f
+        slice_g = tangent_slice(next(points), d).astype(np.float64)
+        rank_joint = pivots.size + _rank(_reduce(pivots, tail, slice_g, prime), prime)
+    else:
+        slice_g = tangent_slice(next(points), d)
+        independent = _independent_rows(np.vstack([slice_f, slice_g]), prime)
+        rank_joint = independent.size
+    return np.searchsorted(independent, counts).tolist(), rank_joint
 
 
 @dataclass(frozen=True)
 class SecantTrial:
-    """Measurements from one independent pair of factor draws."""
+    """Measurements from one independent pair of factor draws F and G.
+
+    slice_dims are the dimensions of F's degree-j tangent slices, j = 0..d;
+    dim_IZ is 2m - rank_joint, with m the largest degree-d slice rank over
+    the trials it was measured with.
+    """
 
     seed: int
-    dim_IF: int
-    dim_IG: int
+    slice_dims: tuple[int, ...]
     rank_joint: int
-    dim_sigma2: int
     dim_IZ: int
+
+    @property
+    def dim_IF(self) -> int:
+        return self.slice_dims[-1]
+
+    @property
+    def dim_sigma2(self) -> int:
+        return self.rank_joint - 1
 
 
 def secant_trials(
@@ -356,64 +366,46 @@ def secant_trials(
     *,
     prime: int = DEFAULT_PRIME,
 ) -> list[SecantTrial]:
-    """Run independent two-point trials: draw factor sets for two general points,
-    rank their degree-d tangent slices and the two stacked, and record all
-    ranks (`_pair_ranks`; wide slices never build the stacked matrix).
+    """Run independent two-point trials: draw factor sets for two general
+    points F and G, and measure, with one elimination per trial
+    (`_trial_ranks`), F's whole Hilbert function and the rank of the two
+    degree-d tangent slices stacked.
 
-    Per trial: dim_sigma2 = rank(stacked) - 1 and, through the dimension formula
-    for a sum of subspaces, dim_IZ = dim_IF + dim_IG - rank(stacked). That
-    trial value falls below the generic one when either slice rank falls
-    short, so aggregates go through `_min_dim_IZ`. A slice rank above its
-    generic value, or a trial value of dim_sigma2 above the parameter-count
-    bound, is impossible and raises SemicontinuityError.
+    Per trial: dim_sigma2 = rank(stacked) - 1 and, through the dimension
+    formula for a sum of subspaces, dim_IZ = 2m - rank(stacked), with m the
+    largest rank of F's degree-d slice over all trials. A stacked rank never
+    exceeds its generic value, so once m is generic no trial's dim_IZ falls
+    below the generic intersection dimension, however unlucky its draw. A
+    slice rank above its generic value, or a trial value of dim_sigma2 above
+    the parameter-count bound, is impossible and raises SemicontinuityError.
+    G's slice rank is not measured: G is drawn through the same code as F,
+    independently and with the same distribution, so any fault that could
+    push G's rank above generic shows in F's.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     q = derived(partition)
     generic_slice_dim = comb(q.d + 2, 2) - q.D
     sigma2_cap = min(expected_dim_sigma2(partition), q.N)
-    out = []
+    measured = []
     for t in range(trials):
         trial_seed = derive_seed(base_seed, t)
-        slices = (
-            tangent_slice(_draw_cofactors(partition, derive_seed(trial_seed, k), prime), q.d)
-            for k in (0, 1)
-        )
-        rank_f, rank_g, rank_joint = _pair_ranks(slices, prime)
-        if max(rank_f, rank_g) > generic_slice_dim:
+        slice_dims, rank_joint = _trial_ranks(partition, trial_seed, prime)
+        if slice_dims[-1] > generic_slice_dim:
             raise SemicontinuityError(
                 f"{partition}: trial rank above generic "
-                f"({rank_f}, {rank_g} > {generic_slice_dim})"
+                f"({slice_dims[-1]} > {generic_slice_dim})"
             )
-        dim_sigma2 = rank_joint - 1
-        if dim_sigma2 > sigma2_cap:
+        if rank_joint - 1 > sigma2_cap:
             raise SemicontinuityError(
-                f"{partition}: sigma2 above the parameter count ({dim_sigma2} > {sigma2_cap})"
+                f"{partition}: sigma2 above the parameter count ({rank_joint - 1} > {sigma2_cap})"
             )
-        out.append(
-            SecantTrial(
-                seed=trial_seed,
-                dim_IF=rank_f,
-                dim_IG=rank_g,
-                rank_joint=rank_joint,
-                dim_sigma2=dim_sigma2,
-                dim_IZ=rank_f + rank_g - rank_joint,
-            )
-        )
-    return out
-
-
-def _min_dim_IZ(trials: Sequence[SecantTrial], slice_rank: int = 0) -> int:
-    """Aggregate intersection dimension: the minimum over trials of 2m minus
-    the stacked rank, with m the largest degree-d slice rank among the
-    trials and `slice_rank`.
-
-    A stacked rank never exceeds its generic value, so whenever m is the
-    generic slice rank this cannot fall below the generic intersection
-    dimension, however unlucky some draws are.
-    """
-    m = max(slice_rank, *(max(t.dim_IF, t.dim_IG) for t in trials))
-    return min(2 * m - t.rank_joint for t in trials)
+        measured.append((trial_seed, tuple(slice_dims), rank_joint))
+    m = max(slice_dims[-1] for _, slice_dims, _ in measured)
+    return [
+        SecantTrial(seed, slice_dims, rank_joint, 2 * m - rank_joint)
+        for seed, slice_dims, rank_joint in measured
+    ]
 
 
 def oracle_dim_IZ(
@@ -424,8 +416,8 @@ def oracle_dim_IZ(
     prime: int = DEFAULT_PRIME,
 ) -> int:
     """Measured dimension of the degree-d intersection of the two tangent
-    ideals, aggregated over trials by `_min_dim_IZ`."""
-    return _min_dim_IZ(secant_trials(partition, trials, base_seed, prime=prime))
+    ideals: the minimum over trials of their dim_IZ (see `secant_trials`)."""
+    return min(t.dim_IZ for t in secant_trials(partition, trials, base_seed, prime=prime))
 
 
 CHECK_RESIDUAL = "residual"
@@ -502,8 +494,8 @@ def specialization_check(
     trials_reduced = tuple(
         secant_trials(reduced, trials, derive_seed(seed, 1), prime=prime)
     )
-    dim_IZ = _min_dim_IZ(trials_full)
-    dim_IZ_reduced = _min_dim_IZ(trials_reduced)
+    dim_IZ = min(t.dim_IZ for t in trials_full)
+    dim_IZ_reduced = min(t.dim_IZ for t in trials_reduced)
     checks = []
     if applies_residual:
         checks.append(
@@ -573,7 +565,7 @@ def _verdict(measured: dict, predicted: dict) -> str:
     value, so measured > predicted is the impossible side. Hilbert values are
     coranks: measured < predicted is impossible. dim_IZ below its prediction
     is impossible only once a slice rank reached the generic value (see
-    `_min_dim_IZ`), so it counts as above only when dim_IF_d matches.
+    `secant_trials`), so it counts as above only when dim_IF_d matches.
     """
     above = below = False
     for key in ("dim_IF_d", "dim_sigma2"):
@@ -607,11 +599,11 @@ def verify(
 ) -> OracleReport:
     """Measure every predicted dimension for one partition and compare.
 
-    Measures the full Hilbert function j = 0..d (whose j = d slice gives the
-    degree-d slice dimension), the secant-line dimension, and the intersection
-    dimension. The single-point measurements use the seed stream reserved at
-    index `trials`, so they never collide with the per-trial streams
-    0..trials-1.
+    Every measurement comes from the trials of `secant_trials`, one
+    elimination each: each slice dimension of the Hilbert function j = 0..d
+    (whose j = d entry is the degree-d slice dimension) is the max over the
+    trial points, the secant-line dimension the max over trials, and the
+    intersection dimension the min over trials of 2m - rank_joint.
     """
     q = derived(partition)
     d = q.d
@@ -621,14 +613,13 @@ def verify(
         "dim_sigma2": dim_sigma2_theory(partition),
         "dim_IZ": dim_IZ_theory(partition),
     }
-    point_seed = derive_seed(base_seed, trials)
     trial_data = secant_trials(partition, trials, base_seed, prime=prime)
-    slice_dims = oracle_dim_IF(partition, point_seed, prime=prime)
+    slice_dims = [max(dims) for dims in zip(*(t.slice_dims for t in trial_data))]
     measured = {
         "dim_IF_d": slice_dims[-1],
         "hilbert": [num_monomials(j) - dim for j, dim in enumerate(slice_dims)],
         "dim_sigma2": max(t.dim_sigma2 for t in trial_data),
-        "dim_IZ": _min_dim_IZ(trial_data, slice_dims[-1]),
+        "dim_IZ": min(t.dim_IZ for t in trial_data),
     }
     return OracleReport(
         partition=partition,

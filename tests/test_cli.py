@@ -128,6 +128,22 @@ class TestSweep:
         (record,) = json_lines(out)
         assert record["lambda"] == [1, 1]
 
+    @pytest.mark.slow
+    def test_verify_sweep_to_degree_16_all_match(self, capsys):
+        # Every partition up to d = 16 (the d = 11..16 slices take the
+        # blocked kernel) agrees with the closed forms. Several seconds, so
+        # it runs only with -m slow.
+        code, out, _ = run(capsys, "sweep", "--d-max", "16", "--mode", "verify")
+        assert code == 0
+        *records, last = json_lines(out)
+        assert all(r["verdict"] == "MATCH" for r in records)
+        assert last["summary"] == {
+            "partitions": len(records),
+            "matches": len(records),
+            "mismatches": 0,
+        }
+        assert len(records) == sum(1 for _ in cli.enumerate_partitions(16))
+
     def test_verify_mode_summary(self, capsys):
         code, out, _ = run(capsys, "sweep", "--d-max", "5", "--mode", "verify")
         assert code == 0
@@ -329,6 +345,38 @@ class TestTable:
         for record in json_lines(out):
             assert record["match"] is True
             assert record["oracle_dim_IZ"] == record["dim_IZ"]
+
+    @pytest.mark.parametrize("fmt, header", [("json", 0), ("csv", 1)])
+    def test_checked_rows_stream(self, monkeypatch, fmt, header):
+        # Each checked row must be written and flushed before the next row's
+        # oracle calls: lemma46 measures two partitions per row.
+        class FlushedOnly(io.StringIO):
+            flushed = ""
+
+            def flush(self):
+                self.flushed = self.getvalue()
+
+        stream = FlushedOnly()
+        seen = []
+        real_oracle_dim_IZ = cli.oracle_dim_IZ
+
+        def watched(partition, **kwargs):
+            seen.append(stream.flushed.count("\n"))
+            return real_oracle_dim_IZ(partition, **kwargs)
+
+        monkeypatch.setattr(sys, "stdout", stream)
+        monkeypatch.setattr(cli, "oracle_dim_IZ", watched)
+        code = main(["table", "lemma46", "--check", "--trials", "1", "--format", fmt])
+        assert code == 0
+        assert seen == [0, 0] + [row + header for row in range(1, 7) for _ in range(2)]
+
+    def test_checked_rows_count_mismatches(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "oracle_dim_IZ", lambda partition, **kwargs: 1)
+        code, out, _ = run(capsys, "table", "lemma46", "--check", "--format", "json")
+        assert code == 1
+        records = json_lines(out)
+        assert [r["match"] for r in records] == [r["exp_dim_IZ"] == 1 == r["dim_IZ_reduced"] for r in records]
+        assert not all(r["match"] for r in records)
 
     def test_unknown_table(self, capsys):
         code, _, _ = run(capsys, "table", "lemma99")

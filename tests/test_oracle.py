@@ -23,10 +23,8 @@ from secantlines.oracle import (
     VERDICT_MATCH,
     _blocked,
     _draw_cofactors,
-    _echelon,
     _independent_rows,
     _mod,
-    _pair_ranks,
     _rank,
     _reduce,
     _rref,
@@ -82,6 +80,27 @@ class TestRank:
             rank(np.array([1, 2, 3]), P)
 
 
+def column_loop_pivots(a, modulus):
+    """Pivot columns of `a` mod `modulus` by textbook Gaussian elimination,
+    one column at a time with row swaps: the reference the kernels are
+    checked against. Its count is the rank; on the transpose it lists the
+    rows independent of the rows above them."""
+    a = np.array(a, dtype=np.int64) % modulus
+    pivots, row = [], 0
+    for col in range(a.shape[1]):
+        if row == a.shape[0]:
+            break
+        hits = np.flatnonzero(a[row:, col])
+        if hits.size == 0:
+            continue
+        a[[row, row + hits[0]]] = a[[row + hits[0], row]]
+        a[row] = a[row] * pow(int(a[row, col]), modulus - 2, modulus) % modulus
+        a[row + 1 :] = (a[row + 1 :] - np.outer(a[row + 1 :, col], a[row])) % modulus
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
 def low_rank(seed, n_rows, n_cols, r, modulus, zero_cols=0, staircase=False):
     """A random n_rows x n_cols matrix of rank at most r mod `modulus`, built
     one outer product at a time so int64 never overflows; its first
@@ -107,9 +126,9 @@ def low_rank(seed, n_rows, n_cols, r, modulus, zero_cols=0, staircase=False):
 PRIMES = st.sampled_from([7, P, 2**31 - 1])
 LEAF = oracle.LEAF_ROWS
 ROWS = st.integers(1, 4 * LEAF + 3)
-# Row counts on both sides of the width at which the transpose of a matrix
-# goes to the blocked kernel.
-ROWS_BOTH_ROUTES = st.one_of(
+# Column counts on both sides of the width at which a matrix goes to the
+# blocked kernel.
+COLS_BOTH_ROUTES = st.one_of(
     st.integers(1, 3 * LEAF), st.integers(oracle.BLAS_MIN_COLS + 1, oracle.BLAS_MIN_COLS + 40)
 )
 
@@ -125,7 +144,7 @@ class TestBlockedElimination:
     )
     def test_rank_matches_column_loop(self, seed, n_rows, n_cols, r, modulus):
         a = low_rank(seed, n_rows, n_cols, min(r, n_rows, n_cols), modulus)
-        assert rank(a, modulus) == len(_echelon(a % modulus, modulus))
+        assert rank(a, modulus) == len(column_loop_pivots(a, modulus))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -138,9 +157,9 @@ class TestBlockedElimination:
     )
     def test_kernel_basis_spans_row_space(self, seed, n_rows, n_cols, r, zero_cols, modulus):
         a = low_rank(seed, n_rows, n_cols, min(r, n_rows, n_cols), modulus, zero_cols)
-        want = len(_echelon(a.copy(), modulus))
-        pivots, tail = _rref(a.astype(np.float64), modulus)
-        assert pivots.size == want == _rank(a.astype(np.float64), modulus)
+        want = len(column_loop_pivots(a, modulus))
+        pivots, tail, independent = _rref(a.astype(np.float64), modulus)
+        assert pivots.size == independent.size == want == _rank(a.astype(np.float64), modulus)
         assert tail.shape == (want, n_cols - want)
         assert ((tail >= 0) & (tail < modulus) & (tail == np.floor(tail))).all()
         # Every row of `a` lies in the span of the basis.
@@ -149,8 +168,38 @@ class TestBlockedElimination:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32),
-        n_rows=ROWS_BOTH_ROUTES,
-        n_cols=st.integers(1, 3 * LEAF),
+        n_rows=ROWS,
+        n_cols=st.integers(oracle.BLAS_MIN_COLS + 1, oracle.BLAS_MIN_COLS + 40),
+        r=st.integers(0, 3 * LEAF),
+        n_zero=st.integers(0, 6),
+        n_repeated=st.integers(0, 6),
+        modulus=st.sampled_from([7, P]),
+    )
+    def test_rref_row_profile_matches_column_loop(
+        self, seed, n_rows, n_cols, r, n_zero, n_repeated, modulus
+    ):
+        # The kernel's leaves eliminate in row order without swaps, so the
+        # rows it finds independent are those independent of the rows above
+        # them: the pivot columns of the transpose, and every prefix count
+        # is the rank of that prefix. Zero rows and copies of earlier rows
+        # are never independent.
+        a = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
+        rng = np.random.default_rng(seed)
+        a[rng.integers(0, n_rows, n_zero)] = 0
+        for row in rng.integers(0, n_rows, n_repeated):
+            a[row] = a[rng.integers(0, row + 1)]
+        assert _blocked(n_cols, modulus)
+        independent = _rref(a.astype(np.float64), modulus)[2]
+        assert independent.tolist() == column_loop_pivots(a.T, modulus)
+        assert independent.tolist() == _independent_rows(a, modulus).tolist()
+        for k in range(n_rows + 1):
+            assert np.searchsorted(independent, k) == rank(a[:k], modulus)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_rows=ROWS,
+        n_cols=COLS_BOTH_ROUTES,
         r=st.integers(0, 3 * LEAF),
         modulus=PRIMES,
     )
@@ -160,21 +209,6 @@ class TestBlockedElimination:
         assert independent.tolist() == sorted(set(independent.tolist()))
         for k in range(n_rows + 1):
             assert np.searchsorted(independent, k) == rank(a[:k], modulus)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32),
-        n_rows=st.integers(1, 3 * LEAF),
-        n_cols=st.sampled_from([8, oracle.BLAS_MIN_COLS, oracle.BLAS_MIN_COLS + 20]),
-        r=st.integers(0, 3 * LEAF),
-        modulus=PRIMES,
-    )
-    def test_pair_ranks_match_separate_ranks(self, seed, n_rows, n_cols, r, modulus):
-        f = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
-        g = low_rank(seed + 1, n_rows + 3, n_cols, min(r, n_cols), modulus, staircase=True)
-        g[:n_rows:2] = f[::2]  # so that the row spaces meet
-        want = (rank(f, modulus), rank(g, modulus), rank(np.vstack([f, g]), modulus))
-        assert _pair_ranks(iter([f, g]), modulus) == want
 
     @pytest.mark.parametrize("modulus", [7, P, 2**31 - 1])
     def test_mod_exact_at_the_float64_limit(self, modulus):
@@ -190,21 +224,6 @@ class TestBlockedElimination:
         assert not _blocked(width, P) and _blocked(width + 1, P)
         assert _blocked(9007, P) and not _blocked(9008, P)  # the 2**53 bound
         assert not _blocked(width + 1, 2**31 - 1)
-
-    def test_guard_falls_back_at_largest_prime(self):
-        # Float64 products of entries near 2**31 are inexact, so wide slices
-        # at this prime must take the int64 route, joint rank included.
-        prime = 2**31 - 1
-        partition = Partition([9, 7])
-        (trial,) = secant_trials(partition, 1, SEED, prime=prime)
-        f, g = (
-            tangent_slice(_draw_cofactors(partition, derive_seed(trial.seed, k), prime), 16)
-            for k in (0, 1)
-        )
-        assert f.shape[1] == 153 > oracle.BLAS_MIN_COLS
-        want = (rank(f, prime), rank(g, prime), rank(np.vstack([f, g]), prime))
-        assert (trial.dim_IF, trial.dim_IG, trial.rank_joint) == want
-
 
 class TestNullspace:
     def test_kernel_is_annihilated(self):
@@ -247,8 +266,9 @@ def slice_dims_one_degree_at_a_time(partition, seed, prime):
 class TestSliceDimensions:
     @settings(max_examples=60, deadline=None)
     @given(
-        # [14,10,6] has a 214-row degree-d slice, so its transpose takes the
-        # blocked kernel at p = 7 and p = P; the others stay on `_echelon`.
+        # Slices of d >= 11 (78 columns up, and [9,7] and [14,10,6] at 153
+        # and 496) take the blocked kernel at p = 7 and p = P; smaller ones
+        # stay on `_eliminate`, and so does every slice at p = 2**31 - 1.
         parts=st.one_of(st.sampled_from(SMALL_PARTITIONS), st.sampled_from([(9, 7), (14, 10, 6)])),
         seed=st.integers(0, 2**32),
         prime=PRIMES,
@@ -331,19 +351,48 @@ class TestSecantMeasurements:
         assert dim_intersection == dim_IZ_theory(partition)
 
     def test_trials_record_all_ranks(self):
-        trials = secant_trials(Partition([2, 2, 1]), 3, SEED, prime=P)
+        partition = Partition([2, 2, 1])
+        trials = secant_trials(partition, 3, SEED, prime=P)
         assert len(trials) == 3
+        m = max(t.dim_IF for t in trials)
         for t in trials:
             assert t.dim_sigma2 == t.rank_joint - 1
-            assert t.dim_IZ == t.dim_IF + t.dim_IG - t.rank_joint
+            assert t.dim_IF == t.slice_dims[-1]
+            assert t.dim_IZ == 2 * m - t.rank_joint
+        report = verify(partition, prime=P, trials=3, base_seed=SEED)
+        assert report.trial_dim_IZ == tuple(t.dim_IZ for t in trials)
+
+    @pytest.mark.parametrize(
+        "parts, prime, blocked",
+        [([5, 3], P, False), ([9, 7], P, True), ([9, 7], 2**31 - 1, False)],
+    )
+    def test_trial_matches_separate_eliminations(self, parts, prime, blocked):
+        # One elimination per trial gives F's slice dimensions for every j,
+        # rank F and the stacked rank; each must equal its own elimination,
+        # on both routes. Float64 products of entries near 2**31 are inexact,
+        # so [9,7] (153 columns) must take the int64 route at that prime.
+        partition = Partition(parts)
+        for trial in secant_trials(partition, 2, SEED, prime=prime):
+            f, g = (
+                tangent_slice(
+                    _draw_cofactors(partition, derive_seed(trial.seed, k), prime), partition.d
+                )
+                for k in (0, 1)
+            )
+            assert _blocked(f.shape[1], prime) == blocked
+            assert trial.dim_IF == rank(f, prime)
+            assert trial.rank_joint == rank(np.vstack([f, g]), prime)
+            assert list(trial.slice_dims) == oracle_dim_IF(
+                partition, derive_seed(trial.seed, 0), prime=prime
+            )
 
     @pytest.mark.parametrize(
         "parts, inflated, message",
         [
-            ([2, 1], (1, 0, 0), "trial rank above generic"),
-            ([2, 1], (0, 0, 1), "sigma2 above the parameter count"),
-            ([9, 7], (0, 1, 0), "trial rank above generic"),
-            ([9, 7], (0, 0, 1), "sigma2 above the parameter count"),
+            ([2, 1], (1, 0), "trial rank above generic"),
+            ([2, 1], (0, 1), "sigma2 above the parameter count"),
+            ([9, 7], (1, 0), "trial rank above generic"),
+            ([9, 7], (0, 1), "sigma2 above the parameter count"),
         ],
         ids=["slice", "stacked", "slice-blocked", "stacked-blocked"],
     )
@@ -351,13 +400,14 @@ class TestSecantMeasurements:
         # A slice rank or a stacked rank reported one too high must be
         # refused, also under -O, on both elimination routes ([2,1] has 3
         # columns, [9,7] has 153).
-        true_pair_ranks = oracle._pair_ranks
+        true_trial_ranks = oracle._trial_ranks
 
-        def over_reporting(slices, modulus):
-            ranks = true_pair_ranks(slices, modulus)
-            return tuple(r + extra for r, extra in zip(ranks, inflated))
+        def over_reporting(partition, seed, prime):
+            slice_dims, rank_joint = true_trial_ranks(partition, seed, prime)
+            extra_slice, extra_joint = inflated
+            return slice_dims[:-1] + [slice_dims[-1] + extra_slice], rank_joint + extra_joint
 
-        monkeypatch.setattr(oracle, "_pair_ranks", over_reporting)
+        monkeypatch.setattr(oracle, "_trial_ranks", over_reporting)
         with pytest.raises(SemicontinuityError, match=message):
             secant_trials(Partition(parts), 1, SEED, prime=P)
 
@@ -474,11 +524,14 @@ class TestVerdict:
         assert _verdict(measured, self.BASE_MEASURED) == VERDICT_ABOVE
 
     def test_unlucky_small_prime_draw_is_not_above(self):
-        # At p = 2 the second trial of [2,1] has a slice of rank 3 of 8;
-        # rank_f + rank_g - rank_joint is 1 there, below the generic 6.
+        # At p = 2 the second trial of [2,1] has a slice of rank 3 of 8. Its
+        # dim_IZ is 2m - rank_joint with m = 8 from the first trial, so it
+        # does not fall below the generic 6.
         report = verify(Partition([2, 1]), prime=2, trials=3, base_seed=0)
-        unlucky = secant_trials(Partition([2, 1]), 3, 0, prime=2)[1]
-        assert (unlucky.dim_IF, unlucky.dim_IZ) == (3, 1)
+        trials = secant_trials(Partition([2, 1]), 3, 0, prime=2)
+        unlucky = trials[1]
+        assert (unlucky.dim_IF, unlucky.dim_IZ) == (3, 6)
+        assert report.trial_dim_IZ == tuple(t.dim_IZ for t in trials) == (6, 6, 7)
         assert report.measured["dim_IZ"] == report.predicted["dim_IZ"] == 6
         assert report.verdict == VERDICT_MATCH
 
