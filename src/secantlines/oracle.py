@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -274,22 +274,22 @@ def _draw_cofactors(partition: Partition, seed: int, prime: int) -> list[np.ndar
     return cofactor_products(factors, prime)
 
 
-def _sorted_slice(cofactors: Sequence[np.ndarray], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The degree-d tangent slice with its rows sorted so that, for every
-    j = 0..d, the rows spanning x0^(d-j) times the degree-j slice come first,
-    and the number of those rows for each j.
+def _hilbert_order(cofactors: Sequence[np.ndarray], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order in which to take the rows of the degree-d tangent slice so
+    that, for every j = 0..d, the rows spanning x0^(d-j) times the degree-j
+    slice come first, and the number of those rows for each j.
 
     Row m * G_i, for a cofactor G_i of degree e and a monomial m of degree
     d - e, lies in x0^(d-j) times the degree-j slice exactly when e plus the
     degree of m in x1, x2 is at most j. The rows are sorted stably by that
     key. Multiplying by x0^(d-j) is injective, so the rank of the first
     count[j] rows is the dimension of the degree-j slice, for every draw and
-    every prime.
+    every prime. Both depend on the cofactor degrees only.
     """
     keys = np.concatenate([x0_codegree(d - e) + e for e in map(form_degree, cofactors)])
     order = np.argsort(keys, kind="stable")
     counts = np.searchsorted(keys[order], np.arange(d + 1), side="right")
-    return tangent_slice(cofactors, d)[order], counts
+    return order, counts
 
 
 def oracle_dim_IF(
@@ -299,40 +299,54 @@ def oracle_dim_IF(
     j = 0..d, all at one random point. The Hilbert function value at j is
     C(j+2,2) minus entry j; at j = d the generic value is C(d+2,2) - D.
 
-    One elimination of the degree-d slice, sorted by `_sorted_slice`, gives
+    One elimination of the degree-d slice, sorted by `_hilbert_order`, gives
     them all: each is the rank of a prefix of the rows, read off the row
     rank profile.
     """
-    slice_d, counts = _sorted_slice(_draw_cofactors(partition, seed, prime), partition.d)
+    cofactors = _draw_cofactors(partition, seed, prime)
+    order, counts = _hilbert_order(cofactors, partition.d)
+    slice_d = tangent_slice(cofactors, partition.d)[order]
     return np.searchsorted(_independent_rows(slice_d, prime), counts).tolist()
 
 
-def _trial_ranks(partition: Partition, seed: int, prime: int) -> tuple[list[int], int]:
-    """One trial's measurements from one elimination: the slice dimensions
-    j = 0..d at its first point F (as `oracle_dim_IF` at derive_seed(seed, 0)),
-    and the rank of the degree-d slices of F and of its second point G
-    stacked.
+def _pair_ranks(slices: Iterator[np.ndarray], modulus: int) -> tuple[np.ndarray, int]:
+    """Row rank profile of the first of two integer matrices F and G with
+    entries in [0, modulus), given one after the other by `slices`, and the
+    rank of F and G stacked: one elimination.
 
     Below the blocked kernel's width, both come from the row rank profile of
-    F's sorted slice stacked over G's. On the blocked route the stacked
-    matrix is never built: F's elimination gives its profile and its basis,
-    the stacked rank is rank F plus the rank of G reduced against that
-    basis, and G is drawn only once F's slice is gone, so one slice is held
-    at a time.
+    F stacked over G. On the blocked route the stacked matrix is never built:
+    F's elimination gives its profile and its basis, the stacked rank is
+    rank F plus the rank of G reduced against that basis, and G is taken
+    from `slices` only once F is gone, so one matrix is held at a time.
+    """
+    slice_f = next(slices)
+    if _blocked(slice_f.shape[1], modulus):
+        slice_f = slice_f.astype(np.float64)
+        pivots, tail, independent = _rref(slice_f, modulus)
+        del slice_f
+        slice_g = next(slices).astype(np.float64)
+        return independent, pivots.size + _rank(_reduce(pivots, tail, slice_g, modulus), modulus)
+    n_f = slice_f.shape[0]
+    independent = _independent_rows(np.vstack([slice_f, next(slices)]), modulus)
+    return independent[: np.searchsorted(independent, n_f)], independent.size
+
+
+def _trial_ranks(partition: Partition, seed: int, prime: int) -> tuple[list[int], int]:
+    """One trial's measurements from one elimination (`_pair_ranks`): the
+    slice dimensions j = 0..d at its first point F (as `oracle_dim_IF` at
+    derive_seed(seed, 0)), and the rank of the degree-d slices of F and of
+    its second point G stacked.
+
+    F's slice is sorted by `_hilbert_order`; G's rows stay in block order,
+    which leaves the stacked rank alone. Each slice is built only when
+    `_pair_ranks` asks for it.
     """
     d = partition.d
-    points = (_draw_cofactors(partition, derive_seed(seed, k), prime) for k in (0, 1))
-    slice_f, counts = _sorted_slice(next(points), d)
-    if _blocked(slice_f.shape[1], prime):
-        slice_f = slice_f.astype(np.float64)
-        pivots, tail, independent = _rref(slice_f, prime)
-        del slice_f
-        slice_g = tangent_slice(next(points), d).astype(np.float64)
-        rank_joint = pivots.size + _rank(_reduce(pivots, tail, slice_g, prime), prime)
-    else:
-        slice_g = tangent_slice(next(points), d)
-        independent = _independent_rows(np.vstack([slice_f, slice_g]), prime)
-        rank_joint = independent.size
+    f, g = (_draw_cofactors(partition, derive_seed(seed, k), prime) for k in (0, 1))
+    order, counts = _hilbert_order(f, d)
+    slices = (tangent_slice(c, d)[rows] for c, rows in ((f, order), (g, slice(None))))
+    independent, rank_joint = _pair_ranks(slices, prime)
     return np.searchsorted(independent, counts).tolist(), rank_joint
 
 

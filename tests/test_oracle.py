@@ -25,6 +25,7 @@ from secantlines.oracle import (
     _draw_cofactors,
     _independent_rows,
     _mod,
+    _pair_ranks,
     _rank,
     _reduce,
     _rref,
@@ -210,6 +211,22 @@ class TestBlockedElimination:
         for k in range(n_rows + 1):
             assert np.searchsorted(independent, k) == rank(a[:k], modulus)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_rows=st.integers(1, 3 * LEAF),
+        n_cols=st.sampled_from([8, oracle.BLAS_MIN_COLS, oracle.BLAS_MIN_COLS + 20]),
+        r=st.integers(0, 3 * LEAF),
+        modulus=PRIMES,
+    )
+    def test_pair_ranks_match_separate_ranks(self, seed, n_rows, n_cols, r, modulus):
+        f = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
+        g = low_rank(seed + 1, n_rows + 3, n_cols, min(r, n_cols), modulus, staircase=True)
+        g[:n_rows:2] = f[::2]  # so that the row spaces meet
+        independent, rank_joint = _pair_ranks(iter([f, g]), modulus)
+        assert independent.tolist() == _independent_rows(f, modulus).tolist()
+        assert (independent.size, rank_joint) == (rank(f, modulus), rank(np.vstack([f, g]), modulus))
+
     @pytest.mark.parametrize("modulus", [7, P, 2**31 - 1])
     def test_mod_exact_at_the_float64_limit(self, modulus):
         top = 2**53 - 1
@@ -224,6 +241,22 @@ class TestBlockedElimination:
         assert not _blocked(width, P) and _blocked(width + 1, P)
         assert _blocked(9007, P) and not _blocked(9008, P)  # the 2**53 bound
         assert not _blocked(width + 1, 2**31 - 1)
+
+    def test_guard_falls_back_at_largest_prime(self):
+        # Float64 products of entries near 2**31 are inexact, so wide slices
+        # at this prime must take the int64 route, joint rank included.
+        prime = 2**31 - 1
+        partition = Partition([9, 7])
+        (trial,) = secant_trials(partition, 1, SEED, prime=prime)
+        f, g = (
+            tangent_slice(_draw_cofactors(partition, derive_seed(trial.seed, k), prime), 16)
+            for k in (0, 1)
+        )
+        assert f.shape[1] == 153 > oracle.BLAS_MIN_COLS
+        assert not _blocked(f.shape[1], prime)
+        want = (rank(f, prime), rank(np.vstack([f, g]), prime))
+        assert (trial.dim_IF, trial.rank_joint) == want
+
 
 class TestNullspace:
     def test_kernel_is_annihilated(self):
