@@ -140,8 +140,26 @@ def x0_codegree(degree: int) -> np.ndarray:
     return _grading(degree)[0]
 
 
+def _product_index(m: int, n: int) -> np.ndarray:
+    t_m, c_m = _grading(m)
+    t_n, c_n = _grading(n)
+    t = t_m[:, None] + t_n[None, :]
+    index = t * (t + 1) // 2 + c_m[:, None] + c_n[None, :]
+    index.setflags(write=False)
+    return index
+
+
+# Tables of at most this many entries (32 KB) are cached, 128 of them at
+# most, so the cache never holds more than 4 MB. A sweep to d = 18 uses 187
+# tables of at most 3,025 entries, 1 MB together, and looks each up about a
+# thousand times. Larger tables come only with slices whose elimination costs
+# far more than building the table again.
+_CACHED_INDEX_ENTRIES = 4096
+_cached_product_index = lru_cache(maxsize=128)(_product_index)
+
+
 def product_index(m: int, n: int) -> np.ndarray:
-    """Positions, among degree-(m+n) monomials, of monomial products.
+    """Positions, among degree-(m+n) monomials, of monomial products (read-only).
 
     Entry (i, k) is the position of the product of the i-th degree-m monomial
     and the k-th degree-n monomial. Since t and c add under multiplication,
@@ -149,10 +167,9 @@ def product_index(m: int, n: int) -> np.ndarray:
     """
     if m < 0 or n < 0:
         raise ValueError(f"degrees must be >= 0, got {m} and {n}")
-    t_m, c_m = _grading(m)
-    t_n, c_n = _grading(n)
-    t = t_m[:, None] + t_n[None, :]
-    return t * (t + 1) // 2 + c_m[:, None] + c_n[None, :]
+    if num_monomials(m) * num_monomials(n) <= _CACHED_INDEX_ENTRIES:
+        return _cached_product_index(m, n)
+    return _product_index(m, n)
 
 
 def random_form(field: PrimeField, degree: int, seed: int) -> np.ndarray:

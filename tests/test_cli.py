@@ -2,8 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +22,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def python_process(*argv, **popen_kwargs):
+    """`python argv...` as a child process that imports the same copy of the
+    package as these tests."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.Popen([sys.executable, *argv], env=env, **popen_kwargs)
+
+
+@pytest.fixture
+def deadline():
+    """Turn a hang of more than 60 s into a TimeoutError in this process."""
+
+    def expired(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def json_lines(text):
@@ -194,29 +222,115 @@ class TestSweep:
         )
 
     @pytest.mark.parametrize("fmt, header", [("json", 0), ("csv", 1)])
-    def test_verify_records_stream(self, monkeypatch, fmt, header):
-        # Each record must be written and flushed before the next partition is
-        # verified: count the flushed lines when verify call k+1 starts.
-        class FlushedOnly(io.StringIO):
-            flushed = ""
+    def test_verify_records_stream(self, monkeypatch, deadline, fmt, header):
+        # Records come out in sweep order, each flushed once it and every
+        # earlier record are done, not when the sweep ends. The last partition
+        # runs in a later pool task than the second, so it can wait for the
+        # second record's flush; the Event is shared across the fork. The
+        # first partition is verified in this process, before the pool starts.
+        second_flushed = multiprocessing.get_context("fork").Event()
 
+        class Watched(io.StringIO):
             def flush(self):
-                self.flushed = self.getvalue()
+                if self.getvalue().count("\n") >= header + 2:
+                    second_flushed.set()
 
-        stream = FlushedOnly()
-        seen = []
+        partitions = list(cli.enumerate_partitions(6))
+        assert len(partitions) - 1 > cli.SWEEP_CHUNK
+        sweeper = os.getpid()
         real_verify = cli.verify
 
         def watched(partition, **kwargs):
-            seen.append(stream.flushed.count("\n"))
+            if partition == partitions[0] and os.getpid() != sweeper:
+                raise RuntimeError("the first partition was verified in a worker")
+            if partition == partitions[-1] and not second_flushed.wait(timeout=10):
+                raise RuntimeError("the second record was not flushed in time")
             return real_verify(partition, **kwargs)
 
+        stream = Watched()
         monkeypatch.setattr(sys, "stdout", stream)
         monkeypatch.setattr(cli, "verify", watched)
-        code = main(["sweep", "--d-max", "4", "--mode", "verify", "--format", fmt])
+        code = main(["sweep", "--d-max", "6", "--mode", "verify", "--format", fmt])
         assert code == 0
-        assert len(seen) == 7  # partitions of total degree 2..4
-        assert seen == [0] + [k + header for k in range(1, len(seen))]
+        lines = stream.getvalue().splitlines()[header : header + len(partitions)]
+        if fmt == "json":
+            got = [json.loads(line)["lambda"] for line in lines]
+        else:
+            got = [[int(x) for x in row[0].split(",")] for row in csv.reader(lines)]
+        assert got == [list(p.parts) for p in partitions]
+
+    def test_worker_error_exits_two_after_earlier_records(self, capsys, monkeypatch, deadline):
+        # A ValueError raised in a pool worker reaches main unchanged: exit 2
+        # with its message, every record before the failing partition already
+        # written, and no hang.
+        partitions = list(cli.enumerate_partitions(6))
+        failing = partitions[10]
+        real_verify = cli.verify
+
+        def doctored(partition, **kwargs):
+            if partition == failing:
+                raise ValueError(f"cannot verify {partition}")
+            return real_verify(partition, **kwargs)
+
+        monkeypatch.setattr(cli, "verify", doctored)
+        code, out, err = run(capsys, "sweep", "--d-max", "6", "--mode", "verify")
+        assert code == 2
+        assert err == f"error: cannot verify {failing}\n"
+        assert [r["lambda"] for r in json_lines(out)] == [list(p.parts) for p in partitions[:10]]
+
+    def test_one_cpu_output_bytes_are_pinned(self, capsys, monkeypatch):
+        # One CPU in the affinity mask gives a pool of one worker and the same
+        # bytes as the pin above.
+        asked = []
+
+        def one_cpu(pid):
+            asked.append(pid)
+            return {0}
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity", one_cpu)
+        code, out, _ = run(capsys, "sweep", "--d-max", "8", "--mode", "verify")
+        assert code == 0
+        assert asked == [0]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a272fc6ea34dabbe9403e2714ffbce66401b64ff81896e88552ac09cd346cff3"
+        )
+
+    def test_closed_stdout_is_no_mismatch(self):
+        # `sweep --mode verify | head -1`: the reader leaves after one line.
+        # The sweep stops its workers and exits 141 with nothing on stderr,
+        # not 1, which would claim a verified mismatch.
+        proc = python_process(
+            "-m", "secantlines", "sweep", "--d-max", "12", "--mode", "verify",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            first = json.loads(proc.stdout.readline())
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert first["lambda"] == [1, 1]
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    def test_only_verify_sweeps_import_multiprocessing(self):
+        # The pool's import is paid only by a verify sweep with more than one
+        # partition, not by classify, verify or a one-partition sweep.
+        script = (
+            "import sys\n"
+            "from secantlines.cli import main\n"
+            "for argv in (['classify', '1,1'], ['verify', '2,1'], ['sweep', '--d-max', '6'],\n"
+            "             ['sweep', '--d-max', '2', '--mode', 'verify']):\n"
+            "    main(argv)\n"
+            "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
+            "main(['sweep', '--d-max', '3', '--mode', 'verify'])\n"
+            "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = python_process("-c", script, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err.decode().split() == ["False", "True"]
 
     def test_csv_mode_summary_on_stderr(self, capsys):
         code, out, err = run(

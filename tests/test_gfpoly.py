@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from secantlines.gfpoly import (
+    _CACHED_INDEX_ENTRIES,
     DEFAULT_PRIME,
     PrimeField,
     SeedStream,
@@ -129,10 +130,15 @@ class TestMonomialIndex:
         assert x0_codegree(5) is x0_codegree(5)
         with pytest.raises(ValueError):
             x0_codegree(5)[0] = 1
-        # product_index builds new arrays from the cached ones.
-        positions = product_index(2, 3)
-        positions[0, 0] = -1
-        assert product_index(2, 3)[0, 0] == 0
+        # product_index caches small tables and hands out every table
+        # read-only, so no caller can corrupt another's positions.
+        assert product_index(2, 3) is product_index(2, 3)
+        big = product_index(30, 30)
+        assert big.size > _CACHED_INDEX_ENTRIES
+        assert big is not product_index(30, 30)
+        for positions in (product_index(2, 3), big):
+            with pytest.raises(ValueError):
+                positions[0, 0] = -1
 
     def test_bad_exponents(self):
         with pytest.raises(ValueError):
