@@ -1,6 +1,7 @@
 """Secant line varieties of reducible plane curves: closed-form classification
 plus an exact finite-field rank oracle that verifies every prediction."""
 
+import importlib
 import os
 
 # One OpenBLAS thread unless the caller set a count: the oracle's products are
@@ -8,6 +9,7 @@ import os
 # core. This must run before numpy is first imported.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, PrimeField, is_prime
 from .formulas import (
     CaseLabel,
     ClassificationReport,
@@ -25,38 +27,6 @@ from .formulas import (
     hilbert_function_theory,
     is_defective,
 )
-from .gfpoly import (
-    DEFAULT_PRIME,
-    PrimeField,
-    SeedStream,
-    cofactor_products,
-    derive_seed,
-    form_degree,
-    is_prime,
-    monomial_multiples,
-    multiply,
-    num_monomials,
-    product_index,
-    random_form,
-)
-from .oracle import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    BoundCheck,
-    NotApplicableError,
-    OracleReport,
-    SecantTrial,
-    SemicontinuityError,
-    SpecializationReport,
-    nullspace,
-    oracle_dim_IF,
-    oracle_dim_IZ,
-    rank,
-    secant_trials,
-    specialization_check,
-    tangent_slice,
-    verify,
-)
 from .partitions import (
     DerivedQuantities,
     EmptyPartitionError,
@@ -67,6 +37,54 @@ from .partitions import (
     derived,
     enumerate_partitions,
 )
+
+# The names that need numpy, by module. They resolve on first use, so the
+# closed forms import and run without loading numpy.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "SeedStream",
+            "cofactor_products",
+            "derive_seed",
+            "form_degree",
+            "monomial_multiples",
+            "multiply",
+            "num_monomials",
+            "product_index",
+            "random_form",
+        ),
+        "gfpoly",
+    ),
+    **dict.fromkeys(
+        (
+            "BoundCheck",
+            "NotApplicableError",
+            "OracleReport",
+            "SecantTrial",
+            "SemicontinuityError",
+            "SpecializationReport",
+            "nullspace",
+            "oracle_dim_IF",
+            "oracle_dim_IZ",
+            "rank",
+            "secant_trials",
+            "specialization_check",
+            "tangent_slice",
+            "verify",
+        ),
+        "oracle",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -2,9 +2,11 @@
 oracle, sweep ranges, and emit figure grids and fixture tables.
 
 Every setting is a flag. Records are written one at a time as they are
-computed. Exit codes: 0 success or MATCH, 1 verified mismatch, 2 usage or
-validation error, 141 stdout closed before the output was complete (as when
-piped into `head`).
+computed. Only the commands that run the rank oracle (`verify`, verify sweeps
+and `table --check`) load numpy. Exit codes: 0 success or MATCH, 1 verified
+mismatch, 2 usage or validation error, 3 a verify sweep's pool worker exited
+without finishing its partitions (killed, for example), 141 stdout closed
+before the output was complete (as when piped into `head`).
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import os
 import sys
 from contextlib import closing
 from functools import partial
-from itertools import chain
-from typing import Iterable, Iterator
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Iterable, Iterator
 
+from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, PrimeField
 from .formulas import (
     classify,
     classify_case,
@@ -26,15 +29,29 @@ from .formulas import (
     expected_dim_IZ,
     is_defective,
 )
-from .gfpoly import DEFAULT_PRIME, PrimeField
-from .oracle import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    VERDICT_MATCH,
-    oracle_dim_IZ,
-    verify,
-)
 from .partitions import Partition, PartitionError, derived, enumerate_partitions
+
+if TYPE_CHECKING:
+    from .oracle import OracleReport
+
+
+# The oracle loads numpy, so it is imported on the first oracle call, through
+# the two functions below. The commands look them up in this module at call
+# time, so a replacement made here reaches them, and a sweep's pool workers.
+
+
+def verify(partition: Partition, **options) -> OracleReport:
+    """`oracle.verify`."""
+    from .oracle import verify
+
+    return verify(partition, **options)
+
+
+def oracle_dim_IZ(partition: Partition, **options) -> int:
+    """`oracle.oracle_dim_IZ`."""
+    from .oracle import oracle_dim_IZ
+
+    return oracle_dim_IZ(partition, **options)
 
 
 def parse_partition(text: str) -> Partition:
@@ -104,6 +121,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import VERDICT_MATCH
+
     partition = parse_partition(args.partition)
     report = verify(partition, prime=args.prime, trials=args.trials, base_seed=args.seed)
     payload = report.to_dict()
@@ -113,27 +132,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.verdict == VERDICT_MATCH else 1
 
 
-def _pool_record(partition: Partition, **options) -> dict | Exception:
-    """One verify-sweep record, computed in a pool worker.
+def _verify_chunk(partitions: list[Partition], **options) -> list[dict | Exception]:
+    """The verify records of one pool task, computed in a pool worker.
 
     `verify` is looked up in this module at call time, so a replacement made
-    before the pool forks reaches the workers too. An exception is returned,
-    not raised, so that the records before it in the same task still arrive;
-    the sweep raises it in its turn. As with the pool's own errors, the
-    worker's traceback comes along as its cause.
+    before the pool forks reaches the workers too. An exception ends the task
+    and is returned, not raised, after the records before it, so that those
+    still arrive; the sweep raises it in its turn. As with the pool's own
+    errors, the worker's traceback comes along as its cause.
     """
-    try:
-        return verify(partition, **options).to_dict()
-    except Exception as exc:
-        from multiprocessing.pool import ExceptionWithTraceback
+    records: list[dict | Exception] = []
+    for partition in partitions:
+        try:
+            records.append(verify(partition, **options).to_dict())
+        except Exception as exc:
+            from multiprocessing.pool import ExceptionWithTraceback
 
-        return ExceptionWithTraceback(exc, exc.__traceback__)
+            records.append(ExceptionWithTraceback(exc, exc.__traceback__))
+            break
+    return records
 
 
 # Partitions per pool task. Larger tasks cost fewer round trips but balance
 # the last, largest partitions of a sweep worse. With 2 CPUs, 4 and 8 tied
 # for fastest of 1, 2, 4, 8 and 16 on `sweep --d-max 10` and `--d-max 18`.
 SWEEP_CHUNK = 4
+# Seconds a verify sweep waits for its next pool task before it checks that
+# no worker has died. A dead worker's task never completes.
+WORKER_CHECK_S = 1.0
+
+
+class WorkerLostError(RuntimeError):
+    """A verify sweep's pool worker exited without finishing its partitions."""
+
+
+def _chunks(items: Iterator[Partition], size: int) -> Iterator[list[Partition]]:
+    while chunk := list(islice(items, size)):
+        yield chunk
 
 
 def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict | Exception]:
@@ -141,10 +176,11 @@ def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict
 
     The first partition is verified in this process, so its record goes out
     before any worker starts. The rest run on a pool of one worker per CPU
-    this process may run on, and each result is yielded once it and every
-    earlier one are done. The workers are forked: they start without importing
-    numpy again, and this process runs no threads yet when it forks them.
-    Closing the generator stops the workers.
+    this process may run on, in tasks of SWEEP_CHUNK partitions, and each
+    result is yielded once it and every earlier one are done. The workers are
+    forked: they start without importing numpy again, and this process runs
+    no threads yet when it forks them. A worker that exits while the sweep
+    runs raises WorkerLostError. Closing the generator stops the workers.
     """
     first = next(partitions, None)
     if first is None:
@@ -157,8 +193,22 @@ def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict
 
     workers = len(os.sched_getaffinity(0))
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        job = partial(_pool_record, **options)
-        yield from pool.imap(job, chain([rest], partitions), chunksize=SWEEP_CHUNK)
+        started = {child.pid for child in multiprocessing.active_children()}
+        job = partial(_verify_chunk, **options)
+        tasks = pool.imap(job, _chunks(chain([rest], partitions), SWEEP_CHUNK))
+        while True:
+            try:
+                records = tasks.next(timeout=WORKER_CHECK_S)
+            except StopIteration:
+                return
+            except multiprocessing.TimeoutError:
+                alive = {child.pid for child in multiprocessing.active_children()}
+                if not started <= alive:
+                    raise WorkerLostError(
+                        "a pool worker exited without finishing its partitions"
+                    ) from None
+                continue
+            yield from records
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -167,6 +217,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.mode == "classify":
         _emit((classify(p).to_dict() for p in partitions), args.format, sys.stdout)
         return 0
+
+    from .oracle import VERDICT_MATCH
 
     mismatches = 0
 
@@ -217,7 +269,7 @@ def figure_records(r: int, max_part: int) -> list[dict]:
         representative = Partition([sum(tail), *tail])
         q = derived(representative)
         record: dict = {f"d{i + 2}": v for i, v in enumerate(tail)}
-        record["two_p_minus_three_s"] = 2 * q.p - 3 * q.s
+        record["two_p_minus_three_s"] = q.two_p_minus_three_s
         record["defective_unbalanced"] = is_defective(representative)
         record["case_label"] = classify_case(representative).value
         records.append(record)
@@ -351,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Partitions are comma-separated positive degrees, auto-sorted (e.g. 9,7,2). "
-            "Exit codes: 0 ok/MATCH, 1 mismatch, 2 usage, 141 stdout closed."
+            "Exit codes: 0 ok/MATCH, 1 mismatch, 2 usage, 3 verify-sweep worker lost, "
+            "141 stdout closed."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -395,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe.
 EXIT_BROKEN_PIPE = 141
+EXIT_WORKER_LOST = 3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -408,6 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PartitionError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WorkerLostError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER_LOST
     except BrokenPipeError:
         # The reader is gone (`... | head`), which is no mismatch. Point stdout
         # at /dev/null so the interpreter's final flush cannot fail again.

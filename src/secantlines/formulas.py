@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .partitions import Partition, derived
+from .partitions import DerivedQuantities, Partition, derived
 
 
 class NegativeDegreeError(ValueError):
@@ -30,19 +30,34 @@ def _check_agreement(name: str, partition: Partition, first, second) -> None:
         )
 
 
+# Each closed form is written once, in a private helper that takes the
+# quantities it depends on as arguments. `classify` computes every quantity
+# once and hands it on. A public function computes its ingredients through
+# the helpers too, but takes the quantities its check compares from the other
+# public functions: the defect in dim_IZ, the defect and dim_IZ in
+# dim_sigma2, and dim_sigma2 in fills_ambient.
+
+
+def _dim_variety(partition: Partition, q: DerivedQuantities) -> int:
+    value = sum(comb(di + 2, 2) for di in partition.parts) - partition.r
+    _check_agreement("dim_variety", partition, value, q.N - q.D)
+    return value
+
+
 def dim_variety(partition: Partition) -> int:
     """Dimension of the variety of plane curves splitting with the given factor
     degrees: sum_i [C(d_i + 2, 2) - 1], checked against C(d+2,2) - D - 1."""
-    q = derived(partition)
-    value = sum(comb(di + 2, 2) for di in partition.parts) - partition.r
-    _check_agreement("dim_variety", partition, value, comb(q.d + 2, 2) - q.D - 1)
-    return value
+    return _dim_variety(partition, derived(partition))
+
+
+def _expected_dim_sigma2(q: DerivedQuantities, dim_X: int) -> int:
+    return min(q.N, 2 * dim_X + 1)
 
 
 def expected_dim_sigma2(partition: Partition) -> int:
     """Parameter-count bound min{N, 2*dim_X + 1} for the secant line variety."""
     q = derived(partition)
-    return min(q.N, 2 * dim_variety(partition) + 1)
+    return _expected_dim_sigma2(q, _dim_variety(partition, q))
 
 
 def hilbert_function_theory(partition: Partition, j: int) -> int:
@@ -66,13 +81,34 @@ def hilbert_function_theory(partition: Partition, j: int) -> int:
     return value
 
 
+def _is_defective(partition: Partition, q: DerivedQuantities) -> bool:
+    return partition.parts[0] >= q.s and q.two_p_minus_three_s > 0
+
+
 def is_defective(partition: Partition) -> bool:
     """Whether the secant line variety falls short of its expected dimension.
 
     True exactly when the partition is unbalanced (d1 >= s) and 2p - 3s > 0.
     """
-    q = derived(partition)
-    return partition.parts[0] >= q.s and 2 * q.p - 3 * q.s > 0
+    return _is_defective(partition, derived(partition))
+
+
+def _unbalanced_dim_IZ(partition: Partition, q: DerivedQuantities) -> int:
+    # C(d1 - s + 2, 2), for d1 >= s - 1 only.
+    return comb(partition.parts[0] - q.s + 2, 2)
+
+
+def _defect(
+    partition: Partition, q: DerivedQuantities, defective: bool, exp_dim_IZ: int
+) -> int:
+    if not defective:
+        return 0
+    unbalanced = _unbalanced_dim_IZ(partition, q)
+    min_form = min(unbalanced, q.two_p_minus_three_s)
+    # exp_dim_IZ > 0 exactly when C(d+2,2) - 2D > 0.
+    branch_form = q.two_p_minus_three_s if exp_dim_IZ > 0 else unbalanced
+    _check_agreement("defect", partition, min_form, branch_form)
+    return min_form
 
 
 def defect(partition: Partition) -> int:
@@ -82,25 +118,29 @@ def defect(partition: Partition) -> int:
     coincide with the branch form: 2p - 3s when C(d+2,2) - 2D > 0, else
     C(d1 - s + 2, 2). Both are computed and checked equal.
     """
-    if not is_defective(partition):
-        return 0
     q = derived(partition)
-    d1 = partition.parts[0]
-    min_form = min(comb(d1 - q.s + 2, 2), 2 * q.p - 3 * q.s)
-    branch_form = (
-        2 * q.p - 3 * q.s
-        if comb(q.d + 2, 2) - 2 * q.D > 0
-        else comb(d1 - q.s + 2, 2)
-    )
-    _check_agreement("defect", partition, min_form, branch_form)
-    return min_form
+    return _defect(partition, q, _is_defective(partition, q), _expected_dim_IZ(q))
+
+
+def _expected_dim_IZ(q: DerivedQuantities) -> int:
+    return max(q.N + 1 - 2 * q.D, 0)
 
 
 def expected_dim_IZ(partition: Partition) -> int:
     """Expected dimension max{C(d+2,2) - 2D, 0} of the degree-d forms through
     the union of the two point sets cut out by two general factored forms."""
-    q = derived(partition)
-    return max(comb(q.d + 2, 2) - 2 * q.D, 0)
+    return _expected_dim_IZ(derived(partition))
+
+
+def _dim_IZ(
+    partition: Partition, q: DerivedQuantities, exp_dim_IZ: int, delta2: int
+) -> int:
+    value = exp_dim_IZ + delta2
+    if partition.parts[0] >= q.s - 1 and q.two_p_minus_three_s > 0:
+        _check_agreement(
+            "dim_IZ_theory", partition, value, _unbalanced_dim_IZ(partition, q)
+        )
+    return value
 
 
 def dim_IZ_theory(partition: Partition) -> int:
@@ -111,10 +151,14 @@ def dim_IZ_theory(partition: Partition) -> int:
     collapse to the closed form C(d1 - s + 2, 2); checked.
     """
     q = derived(partition)
-    value = expected_dim_IZ(partition) + defect(partition)
-    d1 = partition.parts[0]
-    if d1 >= q.s - 1 and 2 * q.p - 3 * q.s > 0:
-        _check_agreement("dim_IZ_theory", partition, value, comb(d1 - q.s + 2, 2))
+    return _dim_IZ(partition, q, _expected_dim_IZ(q), defect(partition))
+
+
+def _dim_sigma2(
+    partition: Partition, exp_dim_sigma2: int, delta2: int, dim_X: int, dim_IZ: int
+) -> int:
+    value = exp_dim_sigma2 - delta2
+    _check_agreement("dim_sigma2_theory", partition, value, 2 * dim_X + 1 - dim_IZ)
     return value
 
 
@@ -124,14 +168,21 @@ def dim_sigma2_theory(partition: Partition) -> int:
     Must agree with the span-of-two-tangent-spaces form
     2*dim_X + 1 - dim_IZ; checked.
     """
-    value = expected_dim_sigma2(partition) - defect(partition)
-    _check_agreement(
-        "dim_sigma2_theory",
+    q = derived(partition)
+    dim_X = _dim_variety(partition, q)
+    return _dim_sigma2(
         partition,
-        value,
-        2 * dim_variety(partition) + 1 - dim_IZ_theory(partition),
+        _expected_dim_sigma2(q, dim_X),
+        defect(partition),
+        dim_X,
+        dim_IZ_theory(partition),
     )
-    return value
+
+
+def _fills_ambient(partition: Partition, q: DerivedQuantities, dim_sigma2: int) -> bool:
+    flag = q.two_p_minus_three_s <= 0 or partition.parts == (2, 2, 2, 1)
+    _check_agreement("fills_ambient", partition, flag, dim_sigma2 == q.N)
+    return flag
 
 
 def fills_ambient(partition: Partition) -> bool:
@@ -140,10 +191,7 @@ def fills_ambient(partition: Partition) -> bool:
     True iff 3s - 2p >= 0 or the partition is exactly [2,2,2,1]; must agree with
     dim_sigma2_theory == N, checked.
     """
-    q = derived(partition)
-    flag = 3 * q.s - 2 * q.p >= 0 or partition.parts == (2, 2, 2, 1)
-    _check_agreement("fills_ambient", partition, flag, dim_sigma2_theory(partition) == q.N)
-    return flag
+    return _fills_ambient(partition, derived(partition), dim_sigma2_theory(partition))
 
 
 class CaseLabel(str, Enum):
@@ -209,13 +257,7 @@ _R4_ONES_TAILS = (
 )
 
 
-def classify_case(partition: Partition) -> CaseLabel:
-    """Which family the partition belongs to; exactly one label applies.
-
-    The family is determined by r and the tail (d2, ..., dr) alone, and its side
-    of the enumeration agrees with the sign of 2p - 3s (checked).
-    """
-    q = derived(partition)
+def _case_label(partition: Partition, q: DerivedQuantities) -> CaseLabel:
     parts = partition.parts
     r = partition.r
     if r == 2:
@@ -245,9 +287,18 @@ def classify_case(partition: Partition) -> CaseLabel:
     else:
         label = CaseLabel.R6PLUS
     _check_agreement(
-        "classify_case", partition, label.defective_side, 2 * q.p - 3 * q.s > 0
+        "classify_case", partition, label.defective_side, q.two_p_minus_three_s > 0
     )
     return label
+
+
+def classify_case(partition: Partition) -> CaseLabel:
+    """Which family the partition belongs to; exactly one label applies.
+
+    The family is determined by r and the tail (d2, ..., dr) alone, and its side
+    of the enumeration agrees with the sign of 2p - 3s (checked).
+    """
+    return _case_label(partition, derived(partition))
 
 
 @dataclass(frozen=True)
@@ -260,6 +311,7 @@ class ClassificationReport:
     N: int
     s: int
     p: int
+    two_p_minus_three_s: int
     dim_X: int
     exp_dim_sigma2: int
     exp_dim_IZ: int
@@ -279,7 +331,7 @@ class ClassificationReport:
             "N": self.N,
             "s": self.s,
             "p": self.p,
-            "two_p_minus_three_s": 2 * self.p - 3 * self.s,
+            "two_p_minus_three_s": self.two_p_minus_three_s,
             "dim_X": self.dim_X,
             "exp_dim_sigma2": self.exp_dim_sigma2,
             "exp_dim_IZ": self.exp_dim_IZ,
@@ -293,8 +345,16 @@ class ClassificationReport:
 
 
 def classify(partition: Partition) -> ClassificationReport:
-    """Evaluate every closed-form quantity for one partition."""
+    """Evaluate every closed-form quantity for one partition, each once, with
+    every check that the per-quantity functions run."""
     q = derived(partition)
+    dim_X = _dim_variety(partition, q)
+    exp_dim_sigma2 = _expected_dim_sigma2(q, dim_X)
+    exp_dim_IZ = _expected_dim_IZ(q)
+    defective = _is_defective(partition, q)
+    delta2 = _defect(partition, q, defective, exp_dim_IZ)
+    dim_IZ = _dim_IZ(partition, q, exp_dim_IZ, delta2)
+    dim_sigma2 = _dim_sigma2(partition, exp_dim_sigma2, delta2, dim_X, dim_IZ)
     return ClassificationReport(
         partition=partition,
         d=q.d,
@@ -302,13 +362,14 @@ def classify(partition: Partition) -> ClassificationReport:
         N=q.N,
         s=q.s,
         p=q.p,
-        dim_X=dim_variety(partition),
-        exp_dim_sigma2=expected_dim_sigma2(partition),
-        exp_dim_IZ=expected_dim_IZ(partition),
-        defective=is_defective(partition),
-        delta2=defect(partition),
-        dim_sigma2=dim_sigma2_theory(partition),
-        dim_IZ=dim_IZ_theory(partition),
-        fills_ambient=fills_ambient(partition),
-        case_label=classify_case(partition),
+        two_p_minus_three_s=q.two_p_minus_three_s,
+        dim_X=dim_X,
+        exp_dim_sigma2=exp_dim_sigma2,
+        exp_dim_IZ=exp_dim_IZ,
+        defective=defective,
+        delta2=delta2,
+        dim_sigma2=dim_sigma2,
+        dim_IZ=dim_IZ,
+        fills_ambient=_fills_ambient(partition, q, dim_sigma2),
+        case_label=_case_label(partition, q),
     )

@@ -16,20 +16,19 @@ trials is aggregated."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, PrimeField
 from .formulas import (
     dim_IZ_theory,
     dim_sigma2_theory,
+    dim_variety,
     expected_dim_sigma2,
     hilbert_function_theory,
 )
 from .gfpoly import (
-    DEFAULT_PRIME,
-    PrimeField,
     cofactor_products,
     derive_seed,
     form_degree,
@@ -39,9 +38,6 @@ from .gfpoly import (
     x0_codegree,
 )
 from .partitions import Partition, derived
-
-DEFAULT_TRIALS = 3
-DEFAULT_SEED = 0
 
 VERDICT_MATCH = "MATCH"
 VERDICT_BELOW = "ORACLE_BELOW_THEORY"
@@ -398,9 +394,9 @@ def secant_trials(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    q = derived(partition)
-    generic_slice_dim = comb(q.d + 2, 2) - q.D
-    sigma2_cap = min(expected_dim_sigma2(partition), q.N)
+    # A slice spans the tangent space to the affine cone over X at the point.
+    generic_slice_dim = dim_variety(partition) + 1
+    sigma2_cap = expected_dim_sigma2(partition)
     measured = []
     for t in range(trials):
         trial_seed = derive_seed(base_seed, t)
@@ -619,10 +615,9 @@ def verify(
     trial points, the secant-line dimension the max over trials, and the
     intersection dimension the min over trials of 2m - rank_joint.
     """
-    q = derived(partition)
-    d = q.d
+    d = partition.d
     predicted = {
-        "dim_IF_d": comb(d + 2, 2) - q.D,
+        "dim_IF_d": dim_variety(partition) + 1,
         "hilbert": [hilbert_function_theory(partition, j) for j in range(d + 1)],
         "dim_sigma2": dim_sigma2_theory(partition),
         "dim_IZ": dim_IZ_theory(partition),

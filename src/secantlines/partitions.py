@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
@@ -86,7 +84,8 @@ class DerivedQuantities:
     pairwise intersection points of general factors), and N = C(d+2,2) - 1 the
     dimension of the projective space of degree-d plane curves. s_e[i] is the sum
     of all degrees except the (i+1)-th, p_e[i] = D - d_i * s_e[i], and s, p are
-    the leading (e = 1) values.
+    the leading (e = 1) values. The sign of two_p_minus_three_s = 2p - 3s
+    decides which side of the classification the partition falls on.
     """
 
     d: int
@@ -96,20 +95,24 @@ class DerivedQuantities:
     p_e: tuple[int, ...]
     s: int
     p: int
+    two_p_minus_three_s: int
 
 
-@lru_cache(maxsize=None)
 def derived(partition: Partition) -> DerivedQuantities:
     """Compute all derived quantities exactly; values beyond 64-bit are rejected."""
     parts = partition.parts
     d = sum(parts)
-    D = sum(a * b for a, b in combinations(parts, 2))
+    # Sum over pairs i < j of d_i * d_j, from d^2 = sum d_i^2 + 2D.
+    D = (d * d - sum(di * di for di in parts)) // 2
     N = comb(d + 2, 2) - 1
     if N > INT64_MAX or D > INT64_MAX:
         raise OverflowError(f"derived quantities of {partition} exceed 64-bit range")
     s_e = tuple(d - di for di in parts)
     p_e = tuple(D - di * se for di, se in zip(parts, s_e))
-    return DerivedQuantities(d=d, D=D, N=N, s_e=s_e, p_e=p_e, s=s_e[0], p=p_e[0])
+    s, p = s_e[0], p_e[0]
+    return DerivedQuantities(
+        d=d, D=D, N=N, s_e=s_e, p_e=p_e, s=s, p=p, two_p_minus_three_s=2 * p - 3 * s
+    )
 
 
 def enumerate_partitions(

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -156,6 +157,25 @@ class TestSweep:
         (record,) = json_lines(out)
         assert record["lambda"] == [1, 1]
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # 28,597 records, every partition with d <= 30.
+            ((), "2b43718bed826bd9674b015f6e637c0c6c4a7b66184286715a2cf801f3b9b976"),
+            (
+                ("--d-max", "12", "--format", "csv"),
+                "c25589af1cad24adaa3f1e48632ae688be55b8e78a2461c9bf3f87b5027dea99",
+            ),
+        ],
+        ids=["json-d30", "csv-d12"],
+    )
+    def test_classify_sweep_output_bytes_are_pinned(self, capsys, argv, digest):
+        # The closed forms' output, byte for byte: any refactor of formulas or
+        # partitions must keep these digests.
+        code, out, _ = run(capsys, "sweep", "--d-max", "30", "--mode", "classify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.slow
     def test_verify_sweep_to_degree_16_all_match(self, capsys):
         # Every partition up to d = 16 (the d = 11..16 slices take the
@@ -278,6 +298,30 @@ class TestSweep:
         assert err == f"error: cannot verify {failing}\n"
         assert [r["lambda"] for r in json_lines(out)] == [list(p.parts) for p in partitions[:10]]
 
+    def test_killed_worker_exits_three(self, capsys, monkeypatch, deadline):
+        # A worker that dies without raising, as under the OOM killer, loses
+        # its task, which the pool never completes. The sweep notices within
+        # WORKER_CHECK_S, stops, and exits 3 with one error line and no
+        # traceback, after some of the records before the lost task.
+        partitions = list(cli.enumerate_partitions(6))
+        sweeper = os.getpid()
+        real_verify = cli.verify
+
+        def doctored(partition, **kwargs):
+            if partition.d == 5 and os.getpid() != sweeper:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_verify(partition, **kwargs)
+
+        monkeypatch.setattr(cli, "verify", doctored)
+        start = time.monotonic()
+        code, out, err = run(capsys, "sweep", "--d-max", "6", "--mode", "verify")
+        assert time.monotonic() - start < 10
+        assert code == cli.EXIT_WORKER_LOST == 3
+        assert err == "error: a pool worker exited without finishing its partitions\n"
+        got = [r["lambda"] for r in json_lines(out)]
+        assert got == [list(p.parts) for p in partitions[: len(got)]]
+        assert got and all(sum(parts) < 5 for parts in got)
+
     def test_one_cpu_output_bytes_are_pinned(self, capsys, monkeypatch):
         # One CPU in the affinity mask gives a pool of one worker and the same
         # bytes as the pin above.
@@ -331,6 +375,40 @@ class TestSweep:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0
         assert err.decode().split() == ["False", "True"]
+
+    def test_closed_forms_never_import_numpy(self):
+        # Only the oracle needs numpy; importing the CLI and every command
+        # that stays on the closed forms leaves it unloaded, and so does the
+        # parser's check of --prime.
+        script = (
+            "import sys\n"
+            "import secantlines.cli\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            "for argv in (['classify', '9,7,2'], ['sweep', '--mode', 'classify'],\n"
+            "             ['figure-data', '--r', '3'], ['table', 'lemma47', '--prime', '7']):\n"
+            "    secantlines.cli.main(argv)\n"
+            "    print('numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = python_process("-c", script, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err.decode().split() == ["False"] * 5
+
+    def test_lazy_numpy_keeps_one_blas_thread(self):
+        # The package sets OPENBLAS_NUM_THREADS at import, long before verify
+        # first loads numpy.
+        script = (
+            "import os, sys\n"
+            "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            "from secantlines.cli import main\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            "main(['verify', '2,1'])\n"
+            "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'], file=sys.stderr)\n"
+        )
+        proc = python_process("-c", script, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err.decode().split() == ["False", "True", "1"]
 
     def test_csv_mode_summary_on_stderr(self, capsys):
         code, out, err = run(
@@ -506,3 +584,17 @@ class TestConfigPrecedence:
         _, out1, _ = run(capsys, "verify", "2,2,1")
         _, out2, _ = run(capsys, "verify", "2,2,1")
         assert out1 == out2
+
+
+def test_package_exports_resolve():
+    # The oracle and gfpoly names resolve on first access, so the README's
+    # library example and every name in __all__ still import from the package.
+    import secantlines
+    from secantlines import Partition, classify, verify
+
+    for name in secantlines.__all__:
+        assert getattr(secantlines, name) is not None
+    assert classify(Partition([9, 7, 2])).delta2 == 1
+    assert verify(Partition([2, 1]), trials=1).verdict == "MATCH"
+    with pytest.raises(AttributeError):
+        secantlines.no_such_name

@@ -225,7 +225,7 @@ def test_wide_sweep_consistency():
 
 
 def _shifted(real):
-    return lambda partition: real(partition) + 1
+    return lambda *args: real(*args) + 1
 
 
 class TestDerivationChecks:
@@ -247,8 +247,74 @@ class TestDerivationChecks:
         with pytest.raises(DerivationMismatchError):
             check(Partition(parts))
 
+    # classify computes each ingredient once through the private helpers, not
+    # through the public functions above, so each of its six checks is broken
+    # through the helper that feeds it. [20,7,2] is defective with
+    # exp_dim_IZ = 77 > 0, so an exp_dim_IZ of 0 sends the defect's branch
+    # form to C(d1 - s + 2, 2) = 78, while its min form stays 2p - 3s = 1.
+    @pytest.mark.parametrize(
+        "target, broken, check, parts",
+        [
+            ("derived", lambda real: lambda p: replace(real(p), D=real(p).D + 1), "dim_variety", [2, 1]),
+            ("_expected_dim_IZ", lambda real: lambda *args: 0, "defect", [20, 7, 2]),
+            ("_defect", _shifted, "dim_IZ_theory", [9, 7, 2]),
+            ("_dim_IZ", _shifted, "dim_sigma2_theory", [9, 7, 2]),
+            ("_dim_sigma2", _shifted, "fills_ambient", [2, 2, 2, 1]),
+            ("_DEFECTIVE_SIDE", lambda real: frozenset(), "classify_case", [9, 7, 2]),
+        ],
+        ids=["dim_X", "defect", "dim_IZ", "dim_sigma2", "fills_ambient", "case_label"],
+    )
+    def test_classify_disagreement_raises(self, monkeypatch, target, broken, check, parts):
+        monkeypatch.setattr(formulas, target, broken(getattr(formulas, target)))
+        with pytest.raises(DerivationMismatchError, match=rf"^{check}\["):
+            classify(Partition(parts))
+
+    def test_classify_runs_each_check_once(self, monkeypatch):
+        # [9,7,2] is defective and in the unbalanced-positive regime, so all
+        # six checks apply; each runs once, on one derived() result.
+        checks, derivations = [], []
+        real_check, real_derived = formulas._check_agreement, formulas.derived
+
+        def counted_check(name, *args):
+            checks.append(name)
+            real_check(name, *args)
+
+        def counted_derived(partition):
+            derivations.append(partition)
+            return real_derived(partition)
+
+        monkeypatch.setattr(formulas, "_check_agreement", counted_check)
+        monkeypatch.setattr(formulas, "derived", counted_derived)
+        classify(Partition([9, 7, 2]))
+        assert checks == [
+            "dim_variety",
+            "defect",
+            "dim_IZ_theory",
+            "dim_sigma2_theory",
+            "fills_ambient",
+            "classify_case",
+        ]
+        assert derivations == [Partition([9, 7, 2])]
+
 
 class TestClassificationReport:
+    def test_fields_equal_the_per_quantity_functions(self):
+        # The one-pass classify against the public function of each field.
+        for p in enumerate_partitions(20):
+            report = classify(p)
+            q = derived(p)
+            assert (report.d, report.D, report.N, report.s, report.p) == (q.d, q.D, q.N, q.s, q.p)
+            assert report.two_p_minus_three_s == 2 * q.p - 3 * q.s
+            assert report.dim_X == dim_variety(p)
+            assert report.exp_dim_sigma2 == expected_dim_sigma2(p)
+            assert report.exp_dim_IZ == expected_dim_IZ(p)
+            assert report.defective == is_defective(p)
+            assert report.delta2 == defect(p)
+            assert report.dim_sigma2 == dim_sigma2_theory(p)
+            assert report.dim_IZ == dim_IZ_theory(p)
+            assert report.fills_ambient == fills_ambient(p)
+            assert report.case_label is classify_case(p)
+
     def test_invariants_hold_everywhere(self):
         for p in enumerate_partitions(12):
             report = classify(p)

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from secantlines.field import DEFAULT_PRIME, PrimeField, is_prime
 from secantlines.gfpoly import (
     _CACHED_INDEX_ENTRIES,
-    DEFAULT_PRIME,
-    PrimeField,
     SeedStream,
     cofactor_products,
     derive_seed,
     form_degree,
-    is_prime,
     monomial_multiples,
     multiply,
     num_monomials,
