@@ -43,8 +43,10 @@ VERDICT_MATCH = "MATCH"
 VERDICT_BELOW = "ORACLE_BELOW_THEORY"
 VERDICT_ABOVE = "ORACLE_ABOVE_THEORY"
 
-# Rows per leaf of the blocked kernel `_rref`.
-LEAF_ROWS = 16
+# Rows per leaf of the blocked kernel `_rref`, and columns per window of a
+# leaf (`_leaf`).
+LEAF_ROWS = 32
+LEAF_WINDOW = 32
 # Matrices with at most this many columns, the degree-10 slices, stay on
 # `_eliminate`. On a trial's pair of real tangent slices the kernel is ahead
 # from about 55 columns and 15-25% ahead at d = 11..13; at this width every
@@ -97,23 +99,48 @@ def _eliminate(work: np.ndarray, modulus: int) -> tuple[list[int], list[int]]:
 
 
 def _mod(x: np.ndarray, modulus: int) -> np.ndarray:
-    """x mod `modulus`, in [0, modulus), for a float64 array of integers with
-    |x| <= 2**53 - 1; exact.
+    """The balanced residue x - rint(x / p) * p of a float64 array of
+    integers x, for p = `modulus`: exact for |x| <= 2**52, where it is an
+    integer r congruent to x with |r| <= p/2 + 1, and r = 0 exactly when p
+    divides x.
 
-    floor(|x| / modulus) taken through the rounded reciprocal is off by at most
-    one either way, and when it is one too high, q * modulus <= |x| + 1 <= 2**53,
-    so every product and difference below is an exact integer. The kernel only
-    passes x >= 0. (np.fmod is exact too, but several times slower.)
+    Proof. fl(1/p) and the product x * fl(1/p) each carry a relative error of
+    at most 2**-53, so the computed quotient y is within |x|/p * 2**-52 *
+    (1 + 2**-54) of x/p, and q = rint(y) leaves |x - q p| <= p/2 + |x| *
+    2**-52 * (1 + 2**-54) < p/2 + 1 + 2**-53. That bounds the integer
+    x - q p by p/2 + 1, since p/2 + 1 is an integer or a half-integer. Then
+    |q p| <= 2**52 + p/2 + 1 < 2**53, so q * p and x - q * p are computed
+    exactly. If p divides x, y is within 1/2 of x/p (for p = 2 it equals
+    x/p, as 1/2 is exact), so q = x/p and r = 0.
+
+    The blocked kernel keeps every value it reduces in that range. With
+    h = p // 2 + 1, the bound on a balanced residue, every entry it stores is
+    an input entry in [0, p) or a balanced residue, so at most
+    M = max(p - 1, h), and every product it forms has one factor of at most
+    h and the other of at most M (an inverse in [1, p) counts as at most M):
+    - the `_reduce` product adds to an entry at most M one product of a row
+      (at most M) by the basis tail (balanced) per pivot, at most n of them,
+      n being the column count `_blocked` admitted: at most n M h + M;
+    - the merge product in `_rref` adds to a tail entry at most h one
+      product of two tails per new pivot: at most n h**2 + h;
+    - a leaf update (`_leaf`) adds to each entry of its window at most one
+      product of a balanced multiplier and a balanced pivot row per pivot,
+      and the window is reduced before it has more than LEAF_ROWS pivots:
+      at most LEAF_ROWS h**2 + M; a pivot row is reduced before it is
+      scaled by an inverse: at most M h;
+    - the window transform applies at most LEAF_ROWS balanced rows to
+      entries at most M: at most LEAF_ROWS M h.
+    Since h <= M and LEAF_ROWS < BLAS_MIN_COLS < n, each sum is at most
+    n M h + M. For p >= 3, h <= p - 1, so M = p - 1 and M h is about half
+    of (p - 1)**2. Small primes need the max: at p = 2, h = 2 exceeds
+    p - 1 = 1 (this is the one prime with p // 2 + 1 > p - 1), so M = 2.
+    `_blocked` admits the kernel only where n M h + M <= 2**52, and then
+    every partial sum is an exact float64 integer as well.
     """
-    a = np.abs(x)
-    r = np.floor(a * (1.0 / modulus))
-    r *= modulus
-    np.subtract(a, r, out=r)
-    r[r < 0] += modulus
-    r[r >= modulus] -= modulus
-    negative = (x < 0) & (r > 0)
-    r[negative] = modulus - r[negative]
-    return r
+    q = x * (1.0 / modulus)
+    np.rint(q, out=q)
+    q *= modulus
+    return np.subtract(x, q, out=q)
 
 
 def _blocked(n_cols: int, modulus: int) -> bool:
@@ -121,27 +148,27 @@ def _blocked(n_cols: int, modulus: int) -> bool:
     float64 kernel, False for the int64 row loop `_eliminate`.
 
     The kernel is taken above BLAS_MIN_COLS columns, and only where it is
-    exact. Each of its float64 products adds one entry in [0, modulus) to a
-    sum of at most n_cols products of entries in [0, modulus), and float64
-    holds every such partial sum exactly while n_cols * (modulus - 1)**2 +
-    modulus - 1 < 2**53: up to 9007 columns at modulus 1,000,003, and never
-    for moduli above about 11.6 million.
+    exact: where n_cols * M * h + M <= 2**52, with h = p // 2 + 1 and
+    M = max(p - 1, h) (see `_mod` for why that suffices). That allows up to
+    9007 columns at modulus 1,000,003, and never moduli above about
+    11.6 million.
     """
-    return n_cols > BLAS_MIN_COLS and n_cols * (modulus - 1) ** 2 + modulus - 1 < 2**53
+    half = modulus // 2 + 1
+    entry = max(modulus - 1, half)
+    return n_cols > BLAS_MIN_COLS and n_cols * entry * half + entry <= 2**52
 
 
 def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduced row echelon basis of the row space of a float64 matrix with
-    integer entries in [0, modulus), on which `_blocked` allows the kernel,
-    and the matrix's row rank profile.
+    integer entries in [0, modulus) or balanced residues (see `_mod`), on
+    which `_blocked` allows the kernel, and the matrix's row rank profile.
 
     Returns (pivots, tail, independent). Row i of the basis is the unit
     vector at column pivots[i] minus tail[i] spread over the non-pivot
-    columns in increasing order (tail has entries in [0, modulus)). Storing
-    minus the free part keeps every product of the merge step non-negative,
-    and the identity block on the pivot columns is never stored. independent
-    lists, in increasing order, the rows that are independent of the rows
-    above them.
+    columns in increasing order; tail holds balanced residues, and the
+    identity block on the pivot columns is never stored. independent lists,
+    in increasing order, the rows that are independent of the rows above
+    them.
 
     Recursive: eliminate the top half of the rows, reduce the bottom half
     against that basis with one product (`_reduce`), eliminate the residual,
@@ -150,15 +177,11 @@ def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     modulo the top half's span exactly when its row is independent of the
     rows above it, so the profile is the top half's followed by the
     residual's, shifted by the half. Leaves of at most LEAF_ROWS rows go
-    through `_eliminate`.
+    through `_leaf`.
     """
     n_rows, n_cols = a.shape
     if n_rows <= LEAF_ROWS:
-        work = a.astype(np.int64)
-        independent, pivots = _eliminate(work, modulus)
-        pivots = np.array(pivots, dtype=np.int64)
-        tail = -work[independent][:, _complement(pivots, n_cols)] % modulus
-        return pivots, tail.astype(np.float64), np.array(independent, dtype=np.int64)
+        return _leaf(a, modulus)
     half = n_rows // 2
     pivots, tail, top = _rref(a[:half], modulus)
     new_pivots, new_tail, bottom = _rref(_reduce(pivots, tail, a[half:], modulus), modulus)
@@ -173,6 +196,90 @@ def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         np.vstack([tail, new_tail]),
         independent,
     )
+
+
+def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_rref` of a matrix of at most LEAF_ROWS rows, one window of
+    LEAF_WINDOW columns at a time, in float64 throughout.
+
+    A row is live until it is found dependent, and pending while it is live
+    and not a pivot row. Each window starts at the first column on which a
+    pending row is non-zero; pending rows that are zero on every column from
+    there on are dependent and leave. The live rows' window, with the
+    identity appended, is eliminated as `_eliminate` does it, in row order
+    without swaps. A pending row's turn reduces that row; if it is non-zero
+    on the window, its first non-zero column there becomes a pivot, the row
+    is scaled to 1 at it and reduced again, and the reduced multiplier
+    column times the row is taken from every other live row, pivot rows of
+    earlier windows included. No other entry is reduced before the window
+    ends, so each takes at most one unreduced update per pivot (see `_mod`
+    for the bound). The transform accumulated on the identity then updates
+    the remaining columns with one product and one reduction. The profile is
+    sorted by row at the end.
+
+    Why this is the row rank profile: by induction on windows, after each
+    window the pivot rows are the rows independent of the rows above them
+    on the columns seen so far, and each pending row is its own row minus a
+    combination of pivot rows above it, zero on those columns. A pending row
+    is never reduced against a pivot row below it: it is zero on the window
+    from its turn on, so the later pivots' multipliers for it are zero. Nor
+    would that change anything, because such a pivot row is independent, on
+    the columns seen so far, of everything above it, so no combination that
+    uses it lies in the span of the rows above the pending row. Hence a
+    pending row lies in the span of the rows above it exactly when its
+    reduced form lies in the span of the reduced pending rows above it: the
+    pivot rows above it are independent on the columns seen so far, where
+    every reduced pending row is zero. The next window's elimination, which
+    clears from each pending row the window's pivots above it before its
+    turn, decides that on the window's columns, and every pending row is
+    zero on the columns before the window. The window's pivots also clear
+    their columns from the pivot rows of earlier windows, which changes no
+    column before the window, where they are zero, so the pivot rows end in
+    reduced row echelon form.
+    """
+    n_rows, n_cols = a.shape
+    work = a.copy()
+    live = np.ones(n_rows, dtype=bool)
+    is_pivot = np.zeros(n_rows, dtype=bool)
+    rows: list[int] = []
+    cols: list[int] = []
+    start = 0
+    while True:
+        pending = np.flatnonzero(live & ~is_pivot)
+        nonzero = work[pending, start:] != 0
+        live[pending[~nonzero.any(axis=1)]] = False
+        occupied = np.flatnonzero(nonzero.any(axis=0))
+        if occupied.size == 0:
+            break
+        start += int(occupied[0])
+        stop = min(start + LEAF_WINDOW, n_cols)
+        width = stop - start
+        members = np.flatnonzero(live)
+        block = np.hstack([work[members, start:stop], np.eye(members.size)])
+        for k, i in enumerate(members):
+            if is_pivot[i]:
+                continue
+            row = _mod(block[k], modulus)
+            hits = row[:width].nonzero()[0]
+            if hits.size == 0:
+                continue
+            col = int(hits[0])
+            row = block[k] = _mod(row * pow(int(row[col]), modulus - 2, modulus), modulus)
+            multipliers = _mod(block[:, col], modulus)
+            multipliers[k] = 0
+            block -= np.multiply.outer(multipliers, row)
+            is_pivot[i] = True
+            rows.append(i)
+            cols.append(start + col)
+        block = _mod(block, modulus)
+        work[members, start:stop] = block[:, :width]
+        if stop < n_cols:
+            work[members, stop:] = _mod(block[:, width:] @ work[members, stop:], modulus)
+        start = stop
+    order = np.argsort(rows)
+    independent = np.array(rows, dtype=np.int64)[order]
+    pivots = np.array(cols, dtype=np.int64)[order]
+    return pivots, -work[independent][:, _complement(pivots, n_cols)], independent
 
 
 def _complement(pivots: np.ndarray, n_cols: int) -> np.ndarray:
@@ -193,9 +300,10 @@ def _reduce(
 def _rank(a: np.ndarray, modulus: int) -> int:
     """Rank of a matrix in `_rref`'s input form: the rank of its top half
     plus that of its bottom half reduced against the top half's basis, so
-    the basis of the whole is never back-substituted."""
+    the basis of the whole is never back-substituted. Leaves of at most
+    LEAF_ROWS rows go through `_leaf`."""
     if a.shape[0] <= LEAF_ROWS:
-        return len(_eliminate(a.astype(np.int64), modulus)[0])
+        return _leaf(a, modulus)[0].size
     half = a.shape[0] // 2
     pivots, tail, _ = _rref(a[:half], modulus)
     return pivots.size + _rank(_reduce(pivots, tail, a[half:], modulus), modulus)

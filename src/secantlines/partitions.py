@@ -51,6 +51,14 @@ class Partition:
             )
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """A partition from a tuple that is already canonical and valid: no
+        sorting, no checks."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "parts", parts)
+        return partition
+
     @property
     def d(self) -> int:
         """Total degree of the product."""
@@ -133,16 +141,37 @@ def enumerate_partitions(
         )
     for d in range(2, d_max + 1):
         for r in range(r_min, min(r_max, d) + 1):
-            for parts in _descending_partitions(d, r, d):
-                yield Partition(parts)
+            for parts in _descending_partitions(d, r):
+                yield Partition._trusted(parts)
 
 
-def _descending_partitions(n: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing k-tuples of positive integers summing to n with first part <= cap."""
-    if k == 1:
-        if 1 <= n <= cap:
-            yield (n,)
-        return
-    for first in range(-(-n // k), min(cap, n - k + 1) + 1):
-        for rest in _descending_partitions(n - first, k - 1, first):
-            yield (first, *rest)
+def _descending_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing k-tuples of positive integers summing to n, k <= n, in
+    increasing lexicographic order.
+
+    The first spreads n as evenly as possible. Each next one raises by one
+    the last part that can be raised, keeping the tuple non-increasing and
+    leaving the parts after it at least 1 each and at most the raised part,
+    and spreads what is left over those parts as evenly as possible: the
+    smallest tuple that starts with the raised prefix.
+    """
+    parts = _even(n, k)
+    while True:
+        yield tuple(parts)
+        suffix = parts[-1]
+        for i in range(k - 2, -1, -1):
+            suffix += parts[i]
+            raised = parts[i] + 1
+            after = k - 1 - i
+            rest = suffix - raised
+            if (i == 0 or raised <= parts[i - 1]) and after <= rest <= after * raised:
+                parts[i:] = [raised, *_even(rest, after)]
+                break
+        else:
+            return
+
+
+def _even(n: int, k: int) -> list[int]:
+    """n spread over k non-increasing parts that differ by at most one."""
+    q, extra = divmod(n, k)
+    return [q + 1] * extra + [q] * (k - extra)

@@ -119,6 +119,16 @@ class TestVerify:
             "99f038e683490990678ca3a9f28355662ddd2ae6d5af5b961969586cdde281e5"
         )
 
+    def test_widest_kernel_shape_output_bytes_are_pinned(self, capsys):
+        # [30,20,10] has d = 60 and 1,891 columns, the widest matrices any
+        # command here eliminates, so its leaves take many windows; the
+        # digest was taken before the leaves moved to float64.
+        code, out, _ = run(capsys, "verify", "30,20,10")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "05ea4d634c494b9d1689f836425bb5dc5ae37c33ff86735552d63c8e1cd86748"
+        )
+
     @pytest.mark.parametrize(
         "flag, value, reason",
         [

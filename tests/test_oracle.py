@@ -1,6 +1,6 @@
 import json
 from dataclasses import replace
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from secantlines.formulas import (
     hilbert_function_theory,
 )
 import secantlines.oracle as oracle
+from secantlines.field import is_prime
 from secantlines.gfpoly import derive_seed, num_monomials
 from secantlines.oracle import (
     CHECK_RESIDUAL,
@@ -23,6 +24,7 @@ from secantlines.oracle import (
     VERDICT_MATCH,
     _blocked,
     _draw_cofactors,
+    _eliminate,
     _independent_rows,
     _mod,
     _pair_ranks,
@@ -126,6 +128,7 @@ def low_rank(seed, n_rows, n_cols, r, modulus, zero_cols=0, staircase=False):
 
 PRIMES = st.sampled_from([7, P, 2**31 - 1])
 LEAF = oracle.LEAF_ROWS
+WINDOW = oracle.LEAF_WINDOW
 ROWS = st.integers(1, 4 * LEAF + 3)
 # Column counts on both sides of the width at which a matrix goes to the
 # blocked kernel.
@@ -162,7 +165,14 @@ class TestBlockedElimination:
         pivots, tail, independent = _rref(a.astype(np.float64), modulus)
         assert pivots.size == independent.size == want == _rank(a.astype(np.float64), modulus)
         assert tail.shape == (want, n_cols - want)
-        assert ((tail >= 0) & (tail < modulus) & (tail == np.floor(tail))).all()
+        # The tail holds balanced residues of the reduced row echelon form,
+        # which `_eliminate` gives in [0, modulus).
+        assert ((tail == np.rint(tail)) & (np.abs(tail) <= modulus / 2 + 1)).all()
+        work = a % modulus
+        rows, cols = _eliminate(work, modulus)
+        free = np.delete(np.arange(n_cols), cols)
+        reference = {c: [-int(v) % modulus for v in work[i, free]] for i, c in zip(rows, cols)}
+        assert {int(c): [int(v) % modulus for v in t] for c, t in zip(pivots, tail)} == reference
         # Every row of `a` lies in the span of the basis.
         assert not _reduce(pivots, tail, a.astype(np.float64), modulus).any()
 
@@ -195,6 +205,61 @@ class TestBlockedElimination:
         assert independent.tolist() == _independent_rows(a, modulus).tolist()
         for k in range(n_rows + 1):
             assert np.searchsorted(independent, k) == rank(a[:k], modulus)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_rows=st.integers(1, 3 * LEAF),
+        lead=st.integers(0, 2 * WINDOW + 3),
+        width=st.integers(oracle.BLAS_MIN_COLS + 1, oracle.BLAS_MIN_COLS + 2 * WINDOW),
+        r=st.integers(0, 2 * LEAF),
+        late_row=st.integers(0, 3 * LEAF),
+        n_zero=st.integers(0, 4),
+        n_copies=st.integers(0, 4),
+        dependent_half=st.booleans(),
+        modulus=st.sampled_from([7, P]),
+    )
+    def test_windowed_leaf_profile_matches_column_loop(
+        self, seed, n_rows, lead, width, r, late_row, n_zero, n_copies, dependent_half, modulus
+    ):
+        # Leading zero columns, possibly more than a window's worth; a row
+        # that is zero on the first window but, most of the time, independent
+        # of the rows above it, so leaves find pivots out of row order; zero
+        # rows and copies of rows further down; and, with dependent_half, a
+        # bottom half in the span of the top half, so every leaf of the
+        # residual is entirely dependent.
+        n_cols = lead + width
+        a = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, lead, staircase=True)
+        rng = np.random.default_rng(seed)
+        if late_row < n_rows:
+            a[late_row, : lead + WINDOW] = 0
+            a[late_row, lead + WINDOW :] = rng.integers(0, modulus, width - WINDOW)
+        a[rng.integers(0, n_rows, n_zero)] = 0
+        for row in rng.integers(0, n_rows, n_copies):
+            a[row] = a[rng.integers(row, n_rows)]
+        if dependent_half:
+            half = n_rows // 2
+            a[half:] = rng.integers(0, modulus, (n_rows - half, half)) @ a[:half] % modulus
+        assert _blocked(n_cols, modulus)
+        want = column_loop_pivots(a.T, modulus)
+        pivots, tail, independent = _rref(a.astype(np.float64), modulus)
+        assert independent.tolist() == want
+        assert _rank(a.astype(np.float64), modulus) == len(want)
+        assert not _reduce(pivots, tail, a.astype(np.float64), modulus).any()
+
+    def test_largest_blocked_prime_matches_the_int64_route(self, monkeypatch):
+        # At the largest prime the kernel takes for [9,7]'s 153 columns its
+        # sums come closest to 2**52; the trials must equal those of the
+        # int64 route.
+        partition = Partition([9, 7])
+        n_cols = num_monomials(partition.d)
+        prime = isqrt(2**53 // n_cols) + 1
+        assert not _blocked(n_cols, prime)
+        while not (_blocked(n_cols, prime) and is_prime(prime)):
+            prime -= 1
+        blocked = secant_trials(partition, 2, SEED, prime=prime)
+        monkeypatch.setattr(oracle, "_blocked", lambda n_cols, modulus: False)
+        assert secant_trials(partition, 2, SEED, prime=prime) == blocked
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -229,17 +294,23 @@ class TestBlockedElimination:
 
     @pytest.mark.parametrize("modulus", [7, P, 2**31 - 1])
     def test_mod_exact_at_the_float64_limit(self, modulus):
+        # `_mod` is proven exact up to 2**52, the bound `_blocked` keeps the
+        # kernel under; at these primes it also holds up to 2**53 - 1.
         top = 2**53 - 1
         multiple = top - top % modulus
         values = [0, 1, -1, top, -top, modulus, -modulus, multiple, -multiple,
-                  multiple - 1, 1 - multiple, modulus - 1, 1 - modulus, 2**53 - modulus]
-        got = _mod(np.array(values, dtype=np.float64), modulus)
-        assert got.tolist() == [v % modulus for v in values]
+                  multiple - 1, 1 - multiple, modulus - 1, 1 - modulus, 2**53 - modulus,
+                  2**52, -(2**52)]
+        got = _mod(np.array(values, dtype=np.float64), modulus).tolist()
+        for value, residue in zip(values, got):
+            assert residue == int(residue)
+            assert (value - int(residue)) % modulus == 0
+            assert abs(residue) <= modulus / 2 + 1
 
     def test_route(self):
         width = oracle.BLAS_MIN_COLS
         assert not _blocked(width, P) and _blocked(width + 1, P)
-        assert _blocked(9007, P) and not _blocked(9008, P)  # the 2**53 bound
+        assert _blocked(9007, P) and not _blocked(9008, P)  # the 2**52 bound
         assert not _blocked(width + 1, 2**31 - 1)
 
     def test_guard_falls_back_at_largest_prime(self):

@@ -130,6 +130,27 @@ class TestEnumeration:
         keys = [(p.d, p.r, p.parts) for p in got]
         assert keys == sorted(keys)
 
+    def test_same_partitions_as_the_checked_constructor_in_order(self):
+        # Partitions are yielded without the constructor's sorting and checks;
+        # each must equal the one Partition(...) builds from its parts.
+        def descending(n, cap):
+            if n == 0:
+                return [()]
+            return [
+                (first, *rest)
+                for first in range(1, min(n, cap) + 1)
+                for rest in descending(n - first, first)
+            ]
+
+        want = sorted(
+            (d, len(parts), parts) for d in range(2, 21) for parts in descending(d, d)
+            if len(parts) >= 2
+        )
+        got = list(enumerate_partitions(20))
+        assert [(p.d, p.r, p.parts) for p in got] == want
+        assert got == [Partition(parts) for _, _, parts in want]
+        assert {hash(p) for p in got} == {hash(Partition(parts)) for _, _, parts in want}
+
     def test_all_canonical_and_in_range(self):
         for p in enumerate_partitions(9, 3, 5):
             assert 3 <= p.r <= 5
