@@ -32,10 +32,8 @@ def _check_agreement(name: str, partition: Partition, first, second) -> None:
 
 # Each closed form is written once, in a private helper that takes the
 # quantities it depends on as arguments. `classify` computes every quantity
-# once and hands it on. A public function computes its ingredients through
-# the helpers too, but takes the quantities its check compares from the other
-# public functions: the defect in dim_IZ, the defect and dim_IZ in
-# dim_sigma2, and dim_sigma2 in fills_ambient.
+# once through them and hands it on; each public per-quantity function reads
+# its field off `classify`, so it runs every check.
 
 
 def _dim_variety(partition: Partition, q: DerivedQuantities) -> int:
@@ -47,7 +45,7 @@ def _dim_variety(partition: Partition, q: DerivedQuantities) -> int:
 def dim_variety(partition: Partition) -> int:
     """Dimension of the variety of plane curves splitting with the given factor
     degrees: sum_i [C(d_i + 2, 2) - 1], checked against C(d+2,2) - D - 1."""
-    return _dim_variety(partition, derived(partition))
+    return classify(partition).dim_X
 
 
 def _expected_dim_sigma2(q: DerivedQuantities, dim_X: int) -> int:
@@ -56,8 +54,7 @@ def _expected_dim_sigma2(q: DerivedQuantities, dim_X: int) -> int:
 
 def expected_dim_sigma2(partition: Partition) -> int:
     """Parameter-count bound min{N, 2*dim_X + 1} for the secant line variety."""
-    q = derived(partition)
-    return _expected_dim_sigma2(q, _dim_variety(partition, q))
+    return classify(partition).exp_dim_sigma2
 
 
 def hilbert_function_theory(partition: Partition, j: int) -> int:
@@ -90,7 +87,7 @@ def is_defective(partition: Partition) -> bool:
 
     True exactly when the partition is unbalanced (d1 >= s) and 2p - 3s > 0.
     """
-    return _is_defective(partition, derived(partition))
+    return classify(partition).defective
 
 
 def _unbalanced_dim_IZ(partition: Partition, q: DerivedQuantities) -> int:
@@ -118,8 +115,7 @@ def defect(partition: Partition) -> int:
     coincide with the branch form: 2p - 3s when C(d+2,2) - 2D > 0, else
     C(d1 - s + 2, 2). Both are computed and checked equal.
     """
-    q = derived(partition)
-    return _defect(partition, q, _is_defective(partition, q), _expected_dim_IZ(q))
+    return classify(partition).delta2
 
 
 def _expected_dim_IZ(q: DerivedQuantities) -> int:
@@ -129,7 +125,7 @@ def _expected_dim_IZ(q: DerivedQuantities) -> int:
 def expected_dim_IZ(partition: Partition) -> int:
     """Expected dimension max{C(d+2,2) - 2D, 0} of the degree-d forms through
     the union of the two point sets cut out by two general factored forms."""
-    return _expected_dim_IZ(derived(partition))
+    return classify(partition).exp_dim_IZ
 
 
 def _dim_IZ(
@@ -150,8 +146,7 @@ def dim_IZ_theory(partition: Partition) -> int:
     In the unbalanced-positive regime (d1 >= s - 1 and 2p - 3s > 0) this must
     collapse to the closed form C(d1 - s + 2, 2); checked.
     """
-    q = derived(partition)
-    return _dim_IZ(partition, q, _expected_dim_IZ(q), defect(partition))
+    return classify(partition).dim_IZ
 
 
 def _dim_sigma2(
@@ -168,15 +163,7 @@ def dim_sigma2_theory(partition: Partition) -> int:
     Must agree with the span-of-two-tangent-spaces form
     2*dim_X + 1 - dim_IZ; checked.
     """
-    q = derived(partition)
-    dim_X = _dim_variety(partition, q)
-    return _dim_sigma2(
-        partition,
-        _expected_dim_sigma2(q, dim_X),
-        defect(partition),
-        dim_X,
-        dim_IZ_theory(partition),
-    )
+    return classify(partition).dim_sigma2
 
 
 def _fills_ambient(partition: Partition, q: DerivedQuantities, dim_sigma2: int) -> bool:
@@ -191,7 +178,7 @@ def fills_ambient(partition: Partition) -> bool:
     True iff 3s - 2p >= 0 or the partition is exactly [2,2,2,1]; must agree with
     dim_sigma2_theory == N, checked.
     """
-    return _fills_ambient(partition, derived(partition), dim_sigma2_theory(partition))
+    return classify(partition).fills_ambient
 
 
 class CaseLabel(str, Enum):
@@ -298,7 +285,7 @@ def classify_case(partition: Partition) -> CaseLabel:
     The family is determined by r and the tail (d2, ..., dr) alone, and its side
     of the enumeration agrees with the sign of 2p - 3s (checked).
     """
-    return _case_label(partition, derived(partition))
+    return classify(partition).case_label
 
 
 @dataclass(frozen=True)
@@ -345,8 +332,8 @@ class ClassificationReport:
 
 
 def classify(partition: Partition) -> ClassificationReport:
-    """Evaluate every closed-form quantity for one partition, each once, with
-    every check that the per-quantity functions run."""
+    """Evaluate every closed-form quantity for one partition, each once, and
+    check every quantity that has two derivations."""
     q = derived(partition)
     dim_X = _dim_variety(partition, q)
     exp_dim_sigma2 = _expected_dim_sigma2(q, dim_X)

@@ -309,20 +309,6 @@ def _rank(a: np.ndarray, modulus: int) -> int:
     return pivots.size + _rank(_reduce(pivots, tail, a[half:], modulus), modulus)
 
 
-def _independent_rows(a: np.ndarray, modulus: int) -> np.ndarray:
-    """Row rank profile of an integer matrix: the indices, in increasing
-    order, of the rows that are independent of the rows above them mod
-    `modulus`. The number of them below k is the rank of the first k rows.
-
-    From the blocked kernel where `_blocked` allows it, otherwise from
-    `_eliminate` on the whole matrix.
-    """
-    work = a % modulus
-    if _blocked(a.shape[1], modulus):
-        return _rref(work.astype(np.float64), modulus)[2]
-    return np.array(_eliminate(work, modulus)[0], dtype=np.int64)
-
-
 def rank(rows: np.ndarray | Sequence[Sequence[int]], modulus: int) -> int:
     """Exact rank of an integer matrix over GF(modulus); empty matrices have rank 0.
 
@@ -396,33 +382,17 @@ def _hilbert_order(cofactors: Sequence[np.ndarray], d: int) -> tuple[np.ndarray,
     return order, counts
 
 
-def oracle_dim_IF(
-    partition: Partition, seed: int, *, prime: int = DEFAULT_PRIME
-) -> list[int]:
-    """Measured dimensions of the degree-j slices of the tangent ideal, for
-    j = 0..d, all at one random point. The Hilbert function value at j is
-    C(j+2,2) minus entry j; at j = d the generic value is C(d+2,2) - D.
-
-    One elimination of the degree-d slice, sorted by `_hilbert_order`, gives
-    them all: each is the rank of a prefix of the rows, read off the row
-    rank profile.
-    """
-    cofactors = _draw_cofactors(partition, seed, prime)
-    order, counts = _hilbert_order(cofactors, partition.d)
-    slice_d = tangent_slice(cofactors, partition.d)[order]
-    return np.searchsorted(_independent_rows(slice_d, prime), counts).tolist()
-
-
 def _pair_ranks(slices: Iterator[np.ndarray], modulus: int) -> tuple[np.ndarray, int]:
     """Row rank profile of the first of two integer matrices F and G with
     entries in [0, modulus), given one after the other by `slices`, and the
     rank of F and G stacked: one elimination.
 
-    Below the blocked kernel's width, both come from the row rank profile of
-    F stacked over G. On the blocked route the stacked matrix is never built:
-    F's elimination gives its profile and its basis, the stacked rank is
-    rank F plus the rank of G reduced against that basis, and G is taken
-    from `slices` only once F is gone, so one matrix is held at a time.
+    Below the blocked kernel's width, both come from the row rank profile
+    `_eliminate` gives of F stacked over G. On the blocked route the stacked
+    matrix is never built: F's elimination gives its profile and its basis,
+    the stacked rank is rank F plus the rank of G reduced against that
+    basis, and G is taken from `slices` only once F is gone, so one matrix
+    is held at a time.
     """
     slice_f = next(slices)
     if _blocked(slice_f.shape[1], modulus):
@@ -432,14 +402,15 @@ def _pair_ranks(slices: Iterator[np.ndarray], modulus: int) -> tuple[np.ndarray,
         slice_g = next(slices).astype(np.float64)
         return independent, pivots.size + _rank(_reduce(pivots, tail, slice_g, modulus), modulus)
     n_f = slice_f.shape[0]
-    independent = _independent_rows(np.vstack([slice_f, next(slices)]), modulus)
+    stacked = np.vstack([slice_f, next(slices)])
+    independent = np.array(_eliminate(stacked, modulus)[0], dtype=np.int64)
     return independent[: np.searchsorted(independent, n_f)], independent.size
 
 
 def _trial_ranks(partition: Partition, seed: int, prime: int) -> tuple[list[int], int]:
     """One trial's measurements from one elimination (`_pair_ranks`): the
-    slice dimensions j = 0..d at its first point F (as `oracle_dim_IF` at
-    derive_seed(seed, 0)), and the rank of the degree-d slices of F and of
+    slice dimensions j = 0..d at its first point F, drawn at
+    derive_seed(seed, 0), and the rank of the degree-d slices of F and of
     its second point G stacked.
 
     F's slice is sorted by `_hilbert_order`; G's rows stay in block order,

@@ -21,8 +21,8 @@ from secantlines.formulas import (
 from secantlines.oracle import (
     VERDICT_ABOVE,
     VERDICT_MATCH,
-    oracle_dim_IF,
     oracle_dim_IZ,
+    secant_trials,
     specialization_check,
     verify,
 )
@@ -116,7 +116,7 @@ def test_criterion_2_hilbert_function_reproduction():
         # the oracle reproduces the formula at every degree for d <= 8
         for p in enumerate_partitions(8):
             point_seed = SEED + p.d
-            slice_dims = oracle_dim_IF(p, point_seed, prime=PRIME)
+            slice_dims = secant_trials(p, 1, point_seed, prime=PRIME)[0].slice_dims
             for j, dim in enumerate(slice_dims):
                 assert comb(j + 2, 2) - dim == hilbert_function_theory(p, j)
         ok = True

@@ -596,15 +596,52 @@ class TestConfigPrecedence:
         assert out1 == out2
 
 
+PACKAGE_EXPORTS = {
+    "ClassificationReport",
+    "DerivationMismatchError",
+    "EmptyPartitionError",
+    "NegativeDegreeError",
+    "NonPositivePartError",
+    "NotApplicableError",
+    "OracleReport",
+    "Partition",
+    "PartitionError",
+    "SemicontinuityError",
+    "TooFewPartsError",
+    "classify",
+    "verify",
+}
+ORACLE_EXPORTS = {"NotApplicableError", "OracleReport", "SemicontinuityError", "verify"}
+
+
 def test_package_exports_resolve():
-    # The oracle and gfpoly names resolve on first access, so the README's
-    # library example and every name in __all__ still import from the package.
+    # The package exports the README's library surface and the error types;
+    # the oracle names resolve on first access, so the README's library
+    # example and every name in __all__ import from the package.
     import secantlines
     from secantlines import Partition, classify, verify
 
+    assert sorted(secantlines.__all__) == sorted(PACKAGE_EXPORTS)
     for name in secantlines.__all__:
         assert getattr(secantlines, name) is not None
     assert classify(Partition([9, 7, 2])).delta2 == 1
     assert verify(Partition([2, 1]), trials=1).verdict == "MATCH"
     with pytest.raises(AttributeError):
         secantlines.no_such_name
+
+
+def test_closed_form_exports_never_import_numpy():
+    # Every package name outside the oracle resolves without loading numpy.
+    script = (
+        "import sys\n"
+        "import secantlines\n"
+        f"oracle_names = {sorted(ORACLE_EXPORTS)!r}\n"
+        "for name in secantlines.__all__:\n"
+        "    if name not in oracle_names:\n"
+        "        getattr(secantlines, name)\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = python_process("-c", script, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err.decode().split() == ["False"]

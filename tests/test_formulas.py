@@ -230,14 +230,15 @@ def _shifted(real):
 
 class TestDerivationChecks:
     # Each case replaces one ingredient of a quantity so that its two
-    # derivations disagree; the check must raise, also under python -O.
+    # derivations disagree; the check must raise, also under python -O. The
+    # public functions read `classify`, so the ingredients are its helpers.
     @pytest.mark.parametrize(
         "target, broken, check, parts",
         [
             ("derived", lambda real: lambda p: replace(real(p), D=real(p).D + 1), dim_variety, [2, 1]),
-            ("dim_IZ_theory", _shifted, dim_sigma2_theory, [9, 7, 2]),
-            ("defect", _shifted, dim_IZ_theory, [9, 7, 2]),
-            ("dim_sigma2_theory", _shifted, fills_ambient, [2, 2, 2, 1]),
+            ("_dim_IZ", _shifted, dim_sigma2_theory, [9, 7, 2]),
+            ("_defect", _shifted, dim_IZ_theory, [9, 7, 2]),
+            ("_dim_sigma2", _shifted, fills_ambient, [2, 2, 2, 1]),
             ("_DEFECTIVE_SIDE", lambda real: frozenset(), classify_case, [9, 7, 2]),
         ],
         ids=["dim_variety", "dim_sigma2", "dim_IZ", "fills_ambient", "case_label"],
@@ -247,11 +248,11 @@ class TestDerivationChecks:
         with pytest.raises(DerivationMismatchError):
             check(Partition(parts))
 
-    # classify computes each ingredient once through the private helpers, not
-    # through the public functions above, so each of its six checks is broken
-    # through the helper that feeds it. [20,7,2] is defective with
-    # exp_dim_IZ = 77 > 0, so an exp_dim_IZ of 0 sends the defect's branch
-    # form to C(d1 - s + 2, 2) = 78, while its min form stays 2p - 3s = 1.
+    # classify computes each ingredient once through the private helpers, so
+    # each of its six checks is broken through the helper that feeds it.
+    # [20,7,2] is defective with exp_dim_IZ = 77 > 0, so an exp_dim_IZ of 0
+    # sends the defect's branch form to C(d1 - s + 2, 2) = 78, while its min
+    # form stays 2p - 3s = 1.
     @pytest.mark.parametrize(
         "target, broken, check, parts",
         [

@@ -25,15 +25,14 @@ from secantlines.oracle import (
     _blocked,
     _draw_cofactors,
     _eliminate,
-    _independent_rows,
     _mod,
     _pair_ranks,
     _rank,
     _reduce,
     _rref,
+    _trial_ranks,
     _verdict,
     nullspace,
-    oracle_dim_IF,
     oracle_dim_IZ,
     rank,
     secant_trials,
@@ -49,7 +48,7 @@ SEED = 1234
 
 def hilbert(partition, seed):
     """Measured Hilbert function j = 0..d at one random point."""
-    dims = oracle_dim_IF(partition, seed, prime=P)
+    dims = _trial_ranks(partition, seed, P)[0]
     return [num_monomials(j) - dim for j, dim in enumerate(dims)]
 
 
@@ -202,7 +201,6 @@ class TestBlockedElimination:
         assert _blocked(n_cols, modulus)
         independent = _rref(a.astype(np.float64), modulus)[2]
         assert independent.tolist() == column_loop_pivots(a.T, modulus)
-        assert independent.tolist() == _independent_rows(a, modulus).tolist()
         for k in range(n_rows + 1):
             assert np.searchsorted(independent, k) == rank(a[:k], modulus)
 
@@ -271,7 +269,7 @@ class TestBlockedElimination:
     )
     def test_independent_rows_count_every_prefix_rank(self, seed, n_rows, n_cols, r, modulus):
         a = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
-        independent = _independent_rows(a, modulus)
+        independent = np.array(_eliminate(a % modulus, modulus)[0], dtype=np.int64)
         assert independent.tolist() == sorted(set(independent.tolist()))
         for k in range(n_rows + 1):
             assert np.searchsorted(independent, k) == rank(a[:k], modulus)
@@ -289,7 +287,7 @@ class TestBlockedElimination:
         g = low_rank(seed + 1, n_rows + 3, n_cols, min(r, n_cols), modulus, staircase=True)
         g[:n_rows:2] = f[::2]  # so that the row spaces meet
         independent, rank_joint = _pair_ranks(iter([f, g]), modulus)
-        assert independent.tolist() == _independent_rows(f, modulus).tolist()
+        assert independent.tolist() == column_loop_pivots(f.T, modulus)
         assert (independent.size, rank_joint) == (rank(f, modulus), rank(np.vstack([f, g]), modulus))
 
     @pytest.mark.parametrize("modulus", [7, P, 2**31 - 1])
@@ -381,15 +379,15 @@ class TestSliceDimensions:
         # p = 7 makes non-generic draws common, and the identity holds for
         # those too.
         partition = Partition(parts)
-        want = slice_dims_one_degree_at_a_time(partition, seed, prime)
-        assert oracle_dim_IF(partition, seed, prime=prime) == want
+        want = slice_dims_one_degree_at_a_time(partition, derive_seed(seed, 0), prime)
+        assert _trial_ranks(partition, seed, prime)[0] == want
 
     @pytest.mark.parametrize(
         "parts, j, want",
         [([1, 1], 2, 5), ([2, 1], 3, 8), ([1, 1, 1], 3, 7)],
     )
     def test_examples(self, parts, j, want):
-        assert oracle_dim_IF(Partition(parts), SEED, prime=P)[j] == want
+        assert _trial_ranks(Partition(parts), SEED, P)[0][j] == want
 
     def test_hilbert_examples(self):
         assert hilbert(Partition([1, 1, 1]), SEED)[1] == 3
@@ -486,8 +484,8 @@ class TestSecantMeasurements:
             assert _blocked(f.shape[1], prime) == blocked
             assert trial.dim_IF == rank(f, prime)
             assert trial.rank_joint == rank(np.vstack([f, g]), prime)
-            assert list(trial.slice_dims) == oracle_dim_IF(
-                partition, derive_seed(trial.seed, 0), prime=prime
+            assert list(trial.slice_dims) == slice_dims_one_degree_at_a_time(
+                partition, derive_seed(trial.seed, 0), prime
             )
 
     @pytest.mark.parametrize(
