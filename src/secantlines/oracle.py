@@ -47,11 +47,14 @@ VERDICT_ABOVE = "ORACLE_ABOVE_THEORY"
 # leaf (`_leaf`).
 LEAF_ROWS = 32
 LEAF_WINDOW = 32
-# Matrices with at most this many columns, the degree-10 slices, stay on
-# `_eliminate`. On a trial's pair of real tangent slices the kernel is ahead
-# from about 55 columns and 15-25% ahead at d = 11..13; at this width every
-# verify sweep to d = 10 keeps off BLAS and the 0.8 MB of its buffer.
-BLAS_MIN_COLS = 66
+# A partition's t trials are eliminated as one stack while t * cols**2 is at
+# most this, cols being the slice width C(d+2, 2): at t = 3 that is d <= 23.
+# Stacking three trials against running them one at a time, one in-process
+# verify: d = 20 ([12,8]) 0.006 s against 0.010 s and 1.4 MB more peak RSS,
+# d = 30 ([18,12]) 0.017 against 0.025 s and 6 MB more, d = 40 ([25,15])
+# 18.6 MB more on 40 MB. So wide slices, verify-large's among them, go one
+# trial at a time.
+BATCH_CELLS = 300_000
 
 
 class NotApplicableError(ValueError):
@@ -63,6 +66,11 @@ class SemicontinuityError(RuntimeError):
 
     No unlucky draw can cause this; it means the oracle itself is wrong.
     """
+
+
+class _Diverged(Exception):
+    """Two matrices of a stack disagreed on a live-row or pivot decision, so
+    they cannot share one elimination."""
 
 
 def _eliminate(work: np.ndarray, modulus: int) -> tuple[list[int], list[int]]:
@@ -120,22 +128,22 @@ def _mod(x: np.ndarray, modulus: int) -> np.ndarray:
     h and the other of at most M (an inverse in [1, p) counts as at most M):
     - the `_reduce` product adds to an entry at most M one product of a row
       (at most M) by the basis tail (balanced) per pivot, at most n of them,
-      n being the column count `_blocked` admitted: at most n M h + M;
-    - the merge product in `_rref` adds to a tail entry at most h one
-      product of two tails per new pivot: at most n h**2 + h;
+      n being the column count `_blocked` admitted: at most n M h + M; the
+      merge in `_rref` is such a product, on the top basis's tail;
     - a leaf update (`_leaf`) adds to each entry of its window at most one
       product of a balanced multiplier and a balanced pivot row per pivot,
       and the window is reduced before it has more than LEAF_ROWS pivots:
       at most LEAF_ROWS h**2 + M; a pivot row is reduced before it is
       scaled by an inverse: at most M h;
     - the window transform applies at most LEAF_ROWS balanced rows to
-      entries at most M: at most LEAF_ROWS M h.
-    Since h <= M and LEAF_ROWS < BLAS_MIN_COLS < n, each sum is at most
-    n M h + M. For p >= 3, h <= p - 1, so M = p - 1 and M h is about half
-    of (p - 1)**2. Small primes need the max: at p = 2, h = 2 exceeds
-    p - 1 = 1 (this is the one prime with p // 2 + 1 > p - 1), so M = 2.
-    `_blocked` admits the kernel only where n M h + M <= 2**52, and then
-    every partial sum is an exact float64 integer as well.
+      entries at most M: at most LEAF_ROWS M h, however few columns the
+      matrix has.
+    Since h <= M, each sum is at most max(n, LEAF_ROWS) M h + M. For p >= 3,
+    h <= p - 1, so M = p - 1 and M h is about half of (p - 1)**2. Small
+    primes need the max: at p = 2, h = 2 exceeds p - 1 = 1 (this is the one
+    prime with p // 2 + 1 > p - 1), so M = 2. `_blocked` admits the kernel
+    only where max(n, LEAF_ROWS) M h + M <= 2**52, and then every partial
+    sum is an exact float64 integer as well.
     """
     q = x * (1.0 / modulus)
     np.rint(q, out=q)
@@ -144,31 +152,33 @@ def _mod(x: np.ndarray, modulus: int) -> np.ndarray:
 
 
 def _blocked(n_cols: int, modulus: int) -> bool:
-    """The route for a matrix with `n_cols` columns: True for the blocked
-    float64 kernel, False for the int64 row loop `_eliminate`.
-
-    The kernel is taken above BLAS_MIN_COLS columns, and only where it is
-    exact: where n_cols * M * h + M <= 2**52, with h = p // 2 + 1 and
-    M = max(p - 1, h) (see `_mod` for why that suffices). That allows up to
-    9007 columns at modulus 1,000,003, and never moduli above about
-    11.6 million.
+    """Whether the blocked float64 kernel is exact on matrices with `n_cols`
+    columns mod `modulus`: where max(n_cols, LEAF_ROWS) * M * h + M <= 2**52,
+    with h = p // 2 + 1 and M = max(p - 1, h) (see `_mod` for why that
+    suffices). That allows up to 9007 columns at modulus 1,000,003, and
+    never moduli above about 16.8 million. Where it is not, only the int64
+    row loop `_eliminate` is exact.
     """
     half = modulus // 2 + 1
     entry = max(modulus - 1, half)
-    return n_cols > BLAS_MIN_COLS and n_cols * entry * half + entry <= 2**52
+    return max(n_cols, LEAF_ROWS) * entry * half + entry <= 2**52
 
 
 def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced row echelon basis of the row space of a float64 matrix with
-    integer entries in [0, modulus) or balanced residues (see `_mod`), on
-    which `_blocked` allows the kernel, and the matrix's row rank profile.
+    """Reduced row echelon bases of the row spaces of a stack of float64
+    matrices, shape (t, rows, cols), with integer entries in [0, modulus) or
+    balanced residues (see `_mod`), on which `_blocked` allows the kernel,
+    and their row rank profile. Every step serves the whole stack; a stack
+    of one is the unbatched case.
 
-    Returns (pivots, tail, independent). Row i of the basis is the unit
-    vector at column pivots[i] minus tail[i] spread over the non-pivot
-    columns in increasing order; tail holds balanced residues, and the
-    identity block on the pivot columns is never stored. independent lists,
-    in increasing order, the rows that are independent of the rows above
-    them.
+    Returns (pivots, tail, independent). Row i of matrix b's basis is the
+    unit vector at column pivots[i] minus tail[b, i] spread over the
+    non-pivot columns in increasing order; tail holds balanced residues, and
+    the identity block on the pivot columns is never stored. independent
+    lists, in increasing order, the rows that are independent of the rows
+    above them. pivots and independent are shared: the matrices run in
+    lockstep, and `_Diverged` is raised at the first live-row or pivot
+    decision on which they disagree (never for a stack of one).
 
     Recursive: eliminate the top half of the rows, reduce the bottom half
     against that basis with one product (`_reduce`), eliminate the residual,
@@ -179,43 +189,50 @@ def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     residual's, shifted by the half. Leaves of at most LEAF_ROWS rows go
     through `_leaf`.
     """
-    n_rows, n_cols = a.shape
+    n_rows = a.shape[1]
     if n_rows <= LEAF_ROWS:
         return _leaf(a, modulus)
     half = n_rows // 2
-    pivots, tail, top = _rref(a[:half], modulus)
-    new_pivots, new_tail, bottom = _rref(_reduce(pivots, tail, a[half:], modulus), modulus)
+    pivots, tail, top = _rref(a[:, :half], modulus)
+    new_pivots, new_tail, bottom = _rref(_reduce(pivots, tail, a[:, half:], modulus), modulus)
     independent = np.concatenate([top, half + bottom])
     if new_pivots.size == 0:
         return pivots, tail, independent
-    free = _complement(pivots, n_cols)
-    keep = _complement(new_pivots, free.size)
-    tail = _mod(tail[:, keep] + tail[:, new_pivots] @ new_tail, modulus)
+    free = _complement(pivots, a.shape[2])
     return (
         np.concatenate([pivots, free[new_pivots]]),
-        np.vstack([tail, new_tail]),
+        np.concatenate([_reduce(new_pivots, new_tail, tail, modulus), new_tail], axis=1),
         independent,
     )
 
 
 def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_rref` of a matrix of at most LEAF_ROWS rows, one window of
-    LEAF_WINDOW columns at a time, in float64 throughout.
+    """`_rref` of a stack of matrices of at most LEAF_ROWS rows, one window
+    of LEAF_WINDOW columns at a time, in float64 throughout.
 
     A row is live until it is found dependent, and pending while it is live
     and not a pivot row. Each window starts at the first column on which a
-    pending row is non-zero; pending rows that are zero on every column from
-    there on are dependent and leave. The live rows' window, with the
-    identity appended, is eliminated as `_eliminate` does it, in row order
-    without swaps. A pending row's turn reduces that row; if it is non-zero
-    on the window, its first non-zero column there becomes a pivot, the row
-    is scaled to 1 at it and reduced again, and the reduced multiplier
-    column times the row is taken from every other live row, pivot rows of
-    earlier windows included. No other entry is reduced before the window
-    ends, so each takes at most one unreduced update per pivot (see `_mod`
-    for the bound). The transform accumulated on the identity then updates
-    the remaining columns with one product and one reduction. The profile is
-    sorted by row at the end.
+    pending row of the stack is non-zero; pending rows that are zero on
+    every column from there on are dependent and leave. The live rows'
+    window, with the identity appended, is eliminated as `_eliminate` does
+    it, in row order without swaps. A pending row's turn reduces that row;
+    if it is non-zero on the window, its first non-zero column there becomes
+    a pivot, the row is scaled to 1 at it and reduced again, and the reduced
+    multiplier column times the row is taken from every other live row,
+    pivot rows of earlier windows included. No other entry is reduced before
+    the window ends, so each takes at most one unreduced update per pivot
+    (see `_mod` for the bound). The transform accumulated on the identity
+    then updates the remaining columns with one product and one reduction.
+    The profile is sorted by row at the end.
+
+    The stack shares every decision: which rows leave, and each pivot. The
+    first matrix makes them, and any other that would decide otherwise
+    raises `_Diverged`. The rows that leave are compared once per window; at
+    each turn the other reduced rows must be zero before the first one's
+    pivot column and non-zero on it, or zero on the whole window if it has
+    no pivot there. A window may start before a matrix's own first non-zero
+    pending column; its pending rows are zero there and find no pivot, so
+    nothing changes.
 
     Why this is the row rank profile: by induction on windows, after each
     window the pivot rows are the rows independent of the rows above them
@@ -237,7 +254,7 @@ def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     column before the window, where they are zero, so the pivot rows end in
     reduced row echelon form.
     """
-    n_rows, n_cols = a.shape
+    t, n_rows, n_cols = a.shape
     work = a.copy()
     live = np.ones(n_rows, dtype=bool)
     is_pivot = np.zeros(n_rows, dtype=bool)
@@ -246,40 +263,57 @@ def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     start = 0
     while True:
         pending = np.flatnonzero(live & ~is_pivot)
-        nonzero = work[pending, start:] != 0
-        live[pending[~nonzero.any(axis=1)]] = False
-        occupied = np.flatnonzero(nonzero.any(axis=0))
+        nonzero = work[:, pending, start:] != 0
+        occupied_rows = nonzero.any(axis=2)
+        if t > 1 and (occupied_rows != occupied_rows[0]).any():
+            raise _Diverged
+        live[pending[~occupied_rows[0]]] = False
+        occupied = np.flatnonzero(nonzero.any(axis=(0, 1)))
         if occupied.size == 0:
             break
         start += int(occupied[0])
         stop = min(start + LEAF_WINDOW, n_cols)
         width = stop - start
         members = np.flatnonzero(live)
-        block = np.hstack([work[members, start:stop], np.eye(members.size)])
+        identity = np.eye(members.size)[None].repeat(t, axis=0)
+        block = np.concatenate([work[:, members, start:stop], identity], axis=2)
+        # The stack's rows one after another: a column of it is one strided
+        # vector, which numpy reduces faster than a (t, members) view.
+        stacked_rows = block.reshape(t * members.size, -1)
         for k, i in enumerate(members):
             if is_pivot[i]:
                 continue
-            row = _mod(block[k], modulus)
-            hits = row[:width].nonzero()[0]
+            row = _mod(block[:, k], modulus)
+            hits = row[0, :width].nonzero()[0]
             if hits.size == 0:
+                if t > 1 and row[:, :width].any():
+                    raise _Diverged
                 continue
             col = int(hits[0])
-            row = block[k] = _mod(row * pow(int(row[col]), modulus - 2, modulus), modulus)
-            multipliers = _mod(block[:, col], modulus)
-            multipliers[k] = 0
-            block -= np.multiply.outer(multipliers, row)
+            if t == 1:
+                scale = pow(int(row[0, col]), modulus - 2, modulus)
+            else:
+                values = row[:, col].tolist()
+                if 0 in values or row[:, :col].any():
+                    raise _Diverged
+                scale = np.array([[pow(int(v), modulus - 2, modulus)] for v in values])
+            row = _mod(row * scale, modulus)
+            # Row k takes its own update too, and is then set to the pivot row.
+            multipliers = _mod(stacked_rows[:, col], modulus)
+            block -= multipliers.reshape(t, -1, 1) * row[:, None, :]
+            block[:, k] = row
             is_pivot[i] = True
             rows.append(i)
             cols.append(start + col)
         block = _mod(block, modulus)
-        work[members, start:stop] = block[:, :width]
+        work[:, members, start:stop] = block[:, :, :width]
         if stop < n_cols:
-            work[members, stop:] = _mod(block[:, width:] @ work[members, stop:], modulus)
+            work[:, members, stop:] = _mod(block[:, :, width:] @ work[:, members, stop:], modulus)
         start = stop
     order = np.argsort(rows)
     independent = np.array(rows, dtype=np.int64)[order]
     pivots = np.array(cols, dtype=np.int64)[order]
-    return pivots, -work[independent][:, _complement(pivots, n_cols)], independent
+    return pivots, -work[:, independent[:, None], _complement(pivots, n_cols)], independent
 
 
 def _complement(pivots: np.ndarray, n_cols: int) -> np.ndarray:
@@ -291,30 +325,39 @@ def _reduce(
     pivots: np.ndarray, tail: np.ndarray, rows: np.ndarray, modulus: int
 ) -> np.ndarray:
     """`rows` minus their combination of the basis (pivots, tail) that clears
-    the pivot columns, as a matrix on the non-pivot columns: one product,
-    one reduction mod p. Its rank is the rank `rows` add to the basis."""
-    free = _complement(pivots, rows.shape[1])
-    return _mod(rows[:, free] + rows[:, pivots] @ tail, modulus)
+    the pivot columns, as matrices on the non-pivot columns, for a stack of
+    bases and rows: one product and one reduction mod p. Its rank is the
+    rank `rows` add to the basis.
+
+    Each column of `rows` is copied once: the pivot columns into the
+    product's operand, the others into a sum formed in the product's own
+    buffer. One gather of all of them, pivots first, does the same work in
+    an array twice the size; on a 487 x 861 reduction its fresh pages cost
+    1,583 page faults a call against 24, and doubled the time.
+    """
+    out = rows[..., pivots] @ tail
+    out += rows[..., _complement(pivots, rows.shape[-1])]
+    return _mod(out, modulus)
 
 
 def _rank(a: np.ndarray, modulus: int) -> int:
-    """Rank of a matrix in `_rref`'s input form: the rank of its top half
-    plus that of its bottom half reduced against the top half's basis, so
-    the basis of the whole is never back-substituted. Leaves of at most
-    LEAF_ROWS rows go through `_leaf`."""
-    if a.shape[0] <= LEAF_ROWS:
+    """Rank shared by a stack of matrices in `_rref`'s input form: the rank
+    of their top half plus that of their bottom half reduced against the top
+    half's basis, so the basis of the whole is never back-substituted.
+    Leaves of at most LEAF_ROWS rows go through `_leaf`."""
+    if a.shape[1] <= LEAF_ROWS:
         return _leaf(a, modulus)[0].size
-    half = a.shape[0] // 2
-    pivots, tail, _ = _rref(a[:half], modulus)
-    return pivots.size + _rank(_reduce(pivots, tail, a[half:], modulus), modulus)
+    half = a.shape[1] // 2
+    pivots, tail, _ = _rref(a[:, :half], modulus)
+    return pivots.size + _rank(_reduce(pivots, tail, a[:, half:], modulus), modulus)
 
 
 def rank(rows: np.ndarray | Sequence[Sequence[int]], modulus: int) -> int:
     """Exact rank of an integer matrix over GF(modulus); empty matrices have rank 0.
 
-    Wide matrices go through the blocked float64 kernel where `_blocked`
-    finds it exact, the rest through the int64 row loop `_eliminate`; both
-    routes give the same rank.
+    Matrices go through the blocked float64 kernel, as a stack of one,
+    where `_blocked` finds it exact, the rest through the int64 row loop
+    `_eliminate`; both routes give the same rank.
     """
     a = np.asarray(rows, dtype=np.int64)
     if a.ndim != 2:
@@ -322,7 +365,7 @@ def rank(rows: np.ndarray | Sequence[Sequence[int]], modulus: int) -> int:
     if a.size == 0:
         return 0
     if _blocked(a.shape[1], modulus):
-        return _rank((a % modulus).astype(np.float64), modulus)
+        return _rank((a % modulus).astype(np.float64)[None], modulus)
     return len(_eliminate(a % modulus, modulus)[0])
 
 
@@ -339,35 +382,48 @@ def nullspace(rows: np.ndarray, modulus: int) -> np.ndarray:
     return basis
 
 
-def tangent_slice(cofactors: Sequence[np.ndarray], j: int) -> np.ndarray:
+def tangent_slice(
+    cofactors: Sequence[np.ndarray], j: int, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Rows spanning the degree-j piece of the ideal generated by the
-    all-but-one factor products of one factored form.
+    all-but-one factor products of one factored form, as a float64 matrix;
+    a stack of them, one per form, when the cofactors carry a leading axis.
 
     One block of rows per cofactor: all its monomial multiples of degree j.
-    Cofactors of degree above j contribute no rows. At j = d the row span is
-    the affine cone over the tangent space of the variety of split forms at
-    that point.
+    Row k of the blocks, taken in turn, is row rows[k] of the slice (k by
+    default), so a reordered slice is built in place. Cofactors of degree
+    above j contribute no rows. At j = d the row span is the affine cone
+    over the tangent space of the variety of split forms at that point.
     """
     if j < 0:
         raise ValueError(f"degree must be >= 0, got {j}")
-    return np.vstack([monomial_multiples(c, j) for c in cofactors])
+    sizes = [num_monomials(j - e) if e <= j else 0 for e in map(form_degree, cofactors)]
+    out = np.zeros(cofactors[0].shape[:-1] + (sum(sizes), num_monomials(j)))
+    if rows is None:
+        rows = np.arange(sum(sizes))
+    start = 0
+    for cofactor, size in zip(cofactors, sizes):
+        monomial_multiples(cofactor, j, out, rows[start : start + size])
+        start += size
+    return out
 
 
-def _draw_cofactors(partition: Partition, seed: int, prime: int) -> list[np.ndarray]:
-    """Cofactor products of one random point: one factor per degree, each
-    drawn from its own derived seed stream."""
+def _draw_cofactors(partition: Partition, seeds: Sequence[int], prime: int) -> list[np.ndarray]:
+    """Cofactor products of one random point per seed, stacked along a
+    leading axis: one factor per degree, each drawn from its own derived
+    seed stream."""
     field = PrimeField(prime)
     factors = [
-        random_form(field, di, derive_seed(seed, i))
+        np.array([random_form(field, di, derive_seed(seed, i)) for seed in seeds])
         for i, di in enumerate(partition.parts)
     ]
     return cofactor_products(factors, prime)
 
 
 def _hilbert_order(cofactors: Sequence[np.ndarray], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order in which to take the rows of the degree-d tangent slice so
-    that, for every j = 0..d, the rows spanning x0^(d-j) times the degree-j
-    slice come first, and the number of those rows for each j.
+    """The row of the degree-d tangent slice that each row of its blocks
+    moves to, so that, for every j = 0..d, the rows spanning x0^(d-j) times
+    the degree-j slice come first, and the number of those rows for each j.
 
     Row m * G_i, for a cofactor G_i of degree e and a monomial m of degree
     d - e, lies in x0^(d-j) times the degree-j slice exactly when e plus the
@@ -379,50 +435,75 @@ def _hilbert_order(cofactors: Sequence[np.ndarray], d: int) -> tuple[np.ndarray,
     keys = np.concatenate([x0_codegree(d - e) + e for e in map(form_degree, cofactors)])
     order = np.argsort(keys, kind="stable")
     counts = np.searchsorted(keys[order], np.arange(d + 1), side="right")
-    return order, counts
+    return np.argsort(order), counts
 
 
 def _pair_ranks(slices: Iterator[np.ndarray], modulus: int) -> tuple[np.ndarray, int]:
-    """Row rank profile of the first of two integer matrices F and G with
-    entries in [0, modulus), given one after the other by `slices`, and the
-    rank of F and G stacked: one elimination.
+    """Row rank profile of a stack of matrices F and the rank of each F
+    stacked over its G, for stacks F and G of float64 matrices with entries
+    in [0, modulus) given one after the other by `slices`, on which
+    `_blocked` allows the kernel: one elimination, shared by the stack (see
+    `_rref`, which raises `_Diverged` where it cannot be).
 
-    Below the blocked kernel's width, both come from the row rank profile
-    `_eliminate` gives of F stacked over G. On the blocked route the stacked
-    matrix is never built: F's elimination gives its profile and its basis,
-    the stacked rank is rank F plus the rank of G reduced against that
-    basis, and G is taken from `slices` only once F is gone, so one matrix
-    is held at a time.
+    The stacked matrices are never built: F's elimination gives its profile
+    and its basis, the stacked rank is rank F plus the rank of G reduced
+    against that basis, and G is taken from `slices` only once F is gone, so
+    one stack is held at a time.
     """
     slice_f = next(slices)
-    if _blocked(slice_f.shape[1], modulus):
-        slice_f = slice_f.astype(np.float64)
-        pivots, tail, independent = _rref(slice_f, modulus)
-        del slice_f
-        slice_g = next(slices).astype(np.float64)
-        return independent, pivots.size + _rank(_reduce(pivots, tail, slice_g, modulus), modulus)
-    n_f = slice_f.shape[0]
-    stacked = np.vstack([slice_f, next(slices)])
-    independent = np.array(_eliminate(stacked, modulus)[0], dtype=np.int64)
-    return independent[: np.searchsorted(independent, n_f)], independent.size
+    pivots, tail, independent = _rref(slice_f, modulus)
+    del slice_f
+    return independent, pivots.size + _rank(_reduce(pivots, tail, next(slices), modulus), modulus)
 
 
-def _trial_ranks(partition: Partition, seed: int, prime: int) -> tuple[list[int], int]:
-    """One trial's measurements from one elimination (`_pair_ranks`): the
-    slice dimensions j = 0..d at its first point F, drawn at
-    derive_seed(seed, 0), and the rank of the degree-d slices of F and of
-    its second point G stacked.
+def _trial_ranks(
+    partition: Partition, seeds: Sequence[int], prime: int
+) -> list[tuple[list[int], int]]:
+    """Each trial's measurements, one elimination per trial or per stack of
+    trials: for each trial seed, the slice dimensions j = 0..d at its first
+    point F, drawn at derive_seed(seed, 0), and the rank of the degree-d
+    slices of F and of its second point G, drawn at derive_seed(seed, 1),
+    stacked.
 
-    F's slice is sorted by `_hilbert_order`; G's rows stay in block order,
-    which leaves the stacked rank alone. Each slice is built only when
-    `_pair_ranks` asks for it.
+    Every trial's points are drawn at once, so each cofactor product is one
+    call for all of them. F's slices are built in Hilbert order
+    (`_hilbert_order`); G's rows stay in block order, which leaves the
+    stacked rank alone. The trials go through `_pair_ranks` as one stack
+    while trials * cols**2 <= BATCH_CELLS, else one at a time, and a stack
+    whose matrices diverge runs again one trial at a time; so each trial's
+    ranks are those of its own elimination. Where `_blocked` rejects the
+    prime, each trial's F stacked over G goes through the int64 row loop
+    `_eliminate`, whose profile is cut at F's rows.
     """
     d = partition.d
-    f, g = (_draw_cofactors(partition, derive_seed(seed, k), prime) for k in (0, 1))
-    order, counts = _hilbert_order(f, d)
-    slices = (tangent_slice(c, d)[rows] for c, rows in ((f, order), (g, slice(None))))
-    independent, rank_joint = _pair_ranks(slices, prime)
-    return np.searchsorted(independent, counts).tolist(), rank_joint
+    f, g = (_draw_cofactors(partition, [derive_seed(s, k) for s in seeds], prime) for k in (0, 1))
+    hilbert_rows, counts = _hilbert_order(f, d)
+    n_cols = num_monomials(d)
+    blocked = _blocked(n_cols, prime)
+
+    def ranks(trials: slice) -> tuple[np.ndarray, int]:
+        slices = (
+            tangent_slice([c[trials] for c in cofactors], d, rows)
+            for cofactors, rows in ((f, hilbert_rows), (g, None))
+        )
+        if blocked:
+            return _pair_ranks(slices, prime)
+        (stacked,) = np.concatenate(list(slices), axis=1).astype(np.int64)
+        independent = np.array(_eliminate(stacked, prime)[0], dtype=np.int64)
+        return independent[: np.searchsorted(independent, hilbert_rows.size)], independent.size
+
+    measured = None
+    if blocked and len(seeds) * n_cols**2 <= BATCH_CELLS:
+        try:
+            measured = [ranks(slice(None))] * len(seeds)
+        except _Diverged:
+            pass
+    if measured is None:
+        measured = [ranks(slice(k, k + 1)) for k in range(len(seeds))]
+    return [
+        (np.searchsorted(independent, counts).tolist(), rank_joint)
+        for independent, rank_joint in measured
+    ]
 
 
 @dataclass(frozen=True)
@@ -456,9 +537,9 @@ def secant_trials(
     prime: int = DEFAULT_PRIME,
 ) -> list[SecantTrial]:
     """Run independent two-point trials: draw factor sets for two general
-    points F and G, and measure, with one elimination per trial
-    (`_trial_ranks`), F's whole Hilbert function and the rank of the two
-    degree-d tangent slices stacked.
+    points F and G, and measure, with one elimination per trial or per stack
+    of trials (`_trial_ranks`), F's whole Hilbert function and the rank of
+    the two degree-d tangent slices stacked.
 
     Per trial: dim_sigma2 = rank(stacked) - 1 and, through the dimension
     formula for a sum of subspaces, dim_IZ = 2m - rank(stacked), with m the
@@ -476,10 +557,9 @@ def secant_trials(
     # A slice spans the tangent space to the affine cone over X at the point.
     generic_slice_dim = dim_variety(partition) + 1
     sigma2_cap = expected_dim_sigma2(partition)
-    measured = []
-    for t in range(trials):
-        trial_seed = derive_seed(base_seed, t)
-        slice_dims, rank_joint = _trial_ranks(partition, trial_seed, prime)
+    seeds = [derive_seed(base_seed, t) for t in range(trials)]
+    measured = _trial_ranks(partition, seeds, prime)
+    for slice_dims, rank_joint in measured:
         if slice_dims[-1] > generic_slice_dim:
             raise SemicontinuityError(
                 f"{partition}: trial rank above generic "
@@ -489,11 +569,10 @@ def secant_trials(
             raise SemicontinuityError(
                 f"{partition}: sigma2 above the parameter count ({rank_joint - 1} > {sigma2_cap})"
             )
-        measured.append((trial_seed, tuple(slice_dims), rank_joint))
-    m = max(slice_dims[-1] for _, slice_dims, _ in measured)
+    m = max(slice_dims[-1] for slice_dims, _ in measured)
     return [
-        SecantTrial(seed, slice_dims, rank_joint, 2 * m - rank_joint)
-        for seed, slice_dims, rank_joint in measured
+        SecantTrial(seed, tuple(slice_dims), rank_joint, 2 * m - rank_joint)
+        for seed, (slice_dims, rank_joint) in zip(seeds, measured)
     ]
 
 

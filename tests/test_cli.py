@@ -240,6 +240,47 @@ class TestSweep:
             "a272fc6ea34dabbe9403e2714ffbce66401b64ff81896e88552ac09cd346cff3"
         )
 
+    def test_benchmark_verify_sweep_output_bytes_are_pinned(self, capsys):
+        # The benchmark's sweep-verify workload: 128 partitions, each run as
+        # one stack of its three trials. Digest taken before the trials were
+        # stacked and before the degree-10 slices left the int64 route.
+        code, out, _ = run(capsys, "sweep", "--d-max", "10", "--mode", "verify")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "15e968763f252d3c990631bfe4fabc67ada8e536bcbd951cc6a4e0aa1231ef07"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--d-max", "6", "--prime", "7"),
+                "d411f499598663efe271527cbb8c22992007f3328059740ee338bf89a34e913d",
+            ),
+            (
+                ("--d-max", "8", "--prime", "2"),
+                "4731e4fa2fe929dcf006e53b27fc48aceb4bbc00f6d4c1f918b32ec9d25c0a2c",
+            ),
+        ],
+        ids=["p7-d6", "p2-d8"],
+    )
+    def test_small_prime_verify_sweep_output_bytes_are_pinned(self, capsys, argv, digest):
+        # At these primes every partition's stack of trials diverges and
+        # re-runs one trial at a time; some records are mismatches (exit 1).
+        # Digests taken before the trials were stacked.
+        code, out, _ = run(capsys, "sweep", "--mode", "verify", *argv)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.slow
+    def test_verify_sweep_to_degree_14_output_bytes_are_pinned(self, capsys):
+        # 493 partitions, each still one stack of its trials (d <= 23 is).
+        code, out, _ = run(capsys, "sweep", "--d-max", "14", "--mode", "verify")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f04310207369d47bf0fa177b0c8ea002fa4f664e4aa24b308980712e9c914d4f"
+        )
+
     def test_csv_verify_sweep_output_bytes_are_pinned(self, capsys):
         # The CSV twin of the pin above: 14 lines (header plus 13 partitions).
         code, out, err = run(

@@ -212,6 +212,17 @@ class TestMultiply:
         f, g = random_form(field, m, 1), random_form(field, n, 2)
         assert multiply(f, g, field.modulus).tolist() == schoolbook(f, g, field.modulus)
 
+    def test_stack_matches_each_form(self):
+        # Leading axes broadcast: one call multiplies every form of a stack,
+        # also by a single form, exactly as form by form.
+        f = np.array([random_form(F, 4, seed) for seed in range(3)])
+        g = np.array([random_form(F, 2, seed) for seed in range(3, 6)])
+        h = random_form(F, 3, 6)
+        assert multiply(f, g, P).shape == (3, num_monomials(6))
+        for k in range(3):
+            np.testing.assert_array_equal(multiply(f, g, P)[k], multiply(f[k], g[k], P))
+            np.testing.assert_array_equal(multiply(f, h, P)[k], multiply(f[k], h, P))
+
     def test_degree_cap(self):
         # There is no cap on product degrees: degree 33 times degree 33 works.
         f = random_form(F, 33, 0)
@@ -249,6 +260,16 @@ class TestCofactorProducts:
         for factor, cofactor in zip(factors, cofactors):
             np.testing.assert_array_equal(multiply(factor, cofactor, P), full)
 
+    def test_stack_matches_each_point(self):
+        factors = [
+            np.array([random_form(F, deg, 10 * point + i) for point in range(4)])
+            for i, deg in enumerate((3, 2, 2, 1))
+        ]
+        stacked = cofactor_products(factors, P)
+        for point in range(4):
+            alone = cofactor_products([f[point] for f in factors], P)
+            assert_forms_equal([c[point] for c in stacked], alone)
+
     def test_too_few(self):
         with pytest.raises(ValueError):
             cofactor_products([random_form(F, 1, 0)], P)
@@ -272,6 +293,17 @@ class TestMonomialMultiples:
         # row i is the i-th degree-2 monomial times f
         for row, (a, b, c) in zip(got, exponents(2)):
             np.testing.assert_array_equal(row, multiply(monomial(a, b, c), f, P))
+
+    def test_stack_written_into_given_rows(self):
+        # A stack of forms, each block written into chosen rows of a given
+        # array: row rows[k] of each matrix is the k-th multiple of its form.
+        f = np.array([random_form(F, 2, seed) for seed in range(2)])
+        out = np.zeros((2, 8, num_monomials(4)))
+        rows = np.array([7, 0, 3, 5, 1, 6])
+        assert monomial_multiples(f, 4, out, rows) is out
+        for k in range(2):
+            np.testing.assert_array_equal(out[k][rows], monomial_multiples(f[k], 4))
+        assert not out[:, [2, 4]].any()
 
     def test_below_degree_is_empty(self):
         assert monomial_multiples(random_form(F, 3, 4), 2).shape == (0, num_monomials(2))

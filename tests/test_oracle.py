@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import replace
 from math import comb, isqrt
@@ -23,6 +24,7 @@ from secantlines.oracle import (
     VERDICT_BELOW,
     VERDICT_MATCH,
     _blocked,
+    _Diverged,
     _draw_cofactors,
     _eliminate,
     _mod,
@@ -48,7 +50,7 @@ SEED = 1234
 
 def hilbert(partition, seed):
     """Measured Hilbert function j = 0..d at one random point."""
-    dims = _trial_ranks(partition, seed, P)[0]
+    dims = _trial_ranks(partition, [seed], P)[0][0]
     return [num_monomials(j) - dim for j, dim in enumerate(dims)]
 
 
@@ -129,11 +131,24 @@ PRIMES = st.sampled_from([7, P, 2**31 - 1])
 LEAF = oracle.LEAF_ROWS
 WINDOW = oracle.LEAF_WINDOW
 ROWS = st.integers(1, 4 * LEAF + 3)
-# Column counts on both sides of the width at which a matrix goes to the
-# blocked kernel.
-COLS_BOTH_ROUTES = st.one_of(
-    st.integers(1, 3 * LEAF), st.integers(oracle.BLAS_MIN_COLS + 1, oracle.BLAS_MIN_COLS + 40)
-)
+# Column counts within one leaf window and across several; the prime, not
+# the width, picks the route (the kernel at 7 and P, `_eliminate` at
+# 2**31 - 1).
+COLS_BOTH_ROUTES = st.one_of(st.integers(1, 3 * LEAF), st.integers(66, 106))
+
+
+def largest_blocked_prime(n_cols):
+    """The largest prime at which `_blocked` admits `n_cols` columns."""
+    prime = isqrt(2**53 // max(n_cols, LEAF)) + 1
+    assert not _blocked(n_cols, prime)
+    while not (_blocked(n_cols, prime) and is_prime(prime)):
+        prime -= 1
+    return prime
+
+
+def stack(*matrices):
+    """Integer matrices of one shape as the kernel's float64 stack."""
+    return np.stack(matrices).astype(np.float64)
 
 
 class TestBlockedElimination:
@@ -141,7 +156,7 @@ class TestBlockedElimination:
     @given(
         seed=st.integers(0, 2**32),
         n_rows=ROWS,
-        n_cols=st.integers(oracle.BLAS_MIN_COLS - 2, oracle.BLAS_MIN_COLS + 40),
+        n_cols=st.integers(1, 3 * WINDOW + 10),
         r=st.integers(0, 4 * LEAF + 3),
         modulus=PRIMES,
     )
@@ -161,9 +176,10 @@ class TestBlockedElimination:
     def test_kernel_basis_spans_row_space(self, seed, n_rows, n_cols, r, zero_cols, modulus):
         a = low_rank(seed, n_rows, n_cols, min(r, n_rows, n_cols), modulus, zero_cols)
         want = len(column_loop_pivots(a, modulus))
-        pivots, tail, independent = _rref(a.astype(np.float64), modulus)
-        assert pivots.size == independent.size == want == _rank(a.astype(np.float64), modulus)
-        assert tail.shape == (want, n_cols - want)
+        pivots, tail, independent = _rref(stack(a), modulus)
+        assert pivots.size == independent.size == want == _rank(stack(a), modulus)
+        assert tail.shape == (1, want, n_cols - want)
+        (tail,) = tail
         # The tail holds balanced residues of the reduced row echelon form,
         # which `_eliminate` gives in [0, modulus).
         assert ((tail == np.rint(tail)) & (np.abs(tail) <= modulus / 2 + 1)).all()
@@ -173,13 +189,13 @@ class TestBlockedElimination:
         reference = {c: [-int(v) % modulus for v in work[i, free]] for i, c in zip(rows, cols)}
         assert {int(c): [int(v) % modulus for v in t] for c, t in zip(pivots, tail)} == reference
         # Every row of `a` lies in the span of the basis.
-        assert not _reduce(pivots, tail, a.astype(np.float64), modulus).any()
+        assert not _reduce(pivots, tail[None], stack(a), modulus).any()
 
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32),
         n_rows=ROWS,
-        n_cols=st.integers(oracle.BLAS_MIN_COLS + 1, oracle.BLAS_MIN_COLS + 40),
+        n_cols=st.integers(1, 3 * WINDOW + 10),
         r=st.integers(0, 3 * LEAF),
         n_zero=st.integers(0, 6),
         n_repeated=st.integers(0, 6),
@@ -199,7 +215,7 @@ class TestBlockedElimination:
         for row in rng.integers(0, n_rows, n_repeated):
             a[row] = a[rng.integers(0, row + 1)]
         assert _blocked(n_cols, modulus)
-        independent = _rref(a.astype(np.float64), modulus)[2]
+        independent = _rref(stack(a), modulus)[2]
         assert independent.tolist() == column_loop_pivots(a.T, modulus)
         for k in range(n_rows + 1):
             assert np.searchsorted(independent, k) == rank(a[:k], modulus)
@@ -209,7 +225,7 @@ class TestBlockedElimination:
         seed=st.integers(0, 2**32),
         n_rows=st.integers(1, 3 * LEAF),
         lead=st.integers(0, 2 * WINDOW + 3),
-        width=st.integers(oracle.BLAS_MIN_COLS + 1, oracle.BLAS_MIN_COLS + 2 * WINDOW),
+        width=st.integers(WINDOW + 1, 4 * WINDOW),
         r=st.integers(0, 2 * LEAF),
         late_row=st.integers(0, 3 * LEAF),
         n_zero=st.integers(0, 4),
@@ -240,21 +256,17 @@ class TestBlockedElimination:
             a[half:] = rng.integers(0, modulus, (n_rows - half, half)) @ a[:half] % modulus
         assert _blocked(n_cols, modulus)
         want = column_loop_pivots(a.T, modulus)
-        pivots, tail, independent = _rref(a.astype(np.float64), modulus)
+        pivots, tail, independent = _rref(stack(a), modulus)
         assert independent.tolist() == want
-        assert _rank(a.astype(np.float64), modulus) == len(want)
-        assert not _reduce(pivots, tail, a.astype(np.float64), modulus).any()
+        assert _rank(stack(a), modulus) == len(want)
+        assert not _reduce(pivots, tail, stack(a), modulus).any()
 
     def test_largest_blocked_prime_matches_the_int64_route(self, monkeypatch):
         # At the largest prime the kernel takes for [9,7]'s 153 columns its
         # sums come closest to 2**52; the trials must equal those of the
         # int64 route.
         partition = Partition([9, 7])
-        n_cols = num_monomials(partition.d)
-        prime = isqrt(2**53 // n_cols) + 1
-        assert not _blocked(n_cols, prime)
-        while not (_blocked(n_cols, prime) and is_prime(prime)):
-            prime -= 1
+        prime = largest_blocked_prime(num_monomials(partition.d))
         blocked = secant_trials(partition, 2, SEED, prime=prime)
         monkeypatch.setattr(oracle, "_blocked", lambda n_cols, modulus: False)
         assert secant_trials(partition, 2, SEED, prime=prime) == blocked
@@ -278,17 +290,83 @@ class TestBlockedElimination:
     @given(
         seed=st.integers(0, 2**32),
         n_rows=st.integers(1, 3 * LEAF),
-        n_cols=st.sampled_from([8, oracle.BLAS_MIN_COLS, oracle.BLAS_MIN_COLS + 20]),
+        n_cols=st.sampled_from([8, 66, 86]),
         r=st.integers(0, 3 * LEAF),
-        modulus=PRIMES,
+        modulus=st.sampled_from([2, 7, P]),
     )
     def test_pair_ranks_match_separate_ranks(self, seed, n_rows, n_cols, r, modulus):
+        # `_pair_ranks` is the kernel's, so it is checked at primes the
+        # kernel admits; `test_guard_falls_back_at_largest_prime` covers the
+        # int64 route of a trial.
         f = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
         g = low_rank(seed + 1, n_rows + 3, n_cols, min(r, n_cols), modulus, staircase=True)
         g[:n_rows:2] = f[::2]  # so that the row spaces meet
-        independent, rank_joint = _pair_ranks(iter([f, g]), modulus)
+        independent, rank_joint = _pair_ranks(iter([stack(f), stack(g)]), modulus)
         assert independent.tolist() == column_loop_pivots(f.T, modulus)
         assert (independent.size, rank_joint) == (rank(f, modulus), rank(np.vstack([f, g]), modulus))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_rows=st.integers(1, 3 * LEAF),
+        n_cols=st.integers(1, 3 * WINDOW),
+        member_ranks=st.lists(st.integers(0, 3 * LEAF), min_size=2, max_size=4),
+        equivalent=st.booleans(),
+        modulus=st.sampled_from([2, 3, 7, P]),
+    )
+    def test_stack_matches_each_matrix_alone(
+        self, seed, n_rows, n_cols, member_ranks, equivalent, modulus
+    ):
+        # A stack shares one elimination only while its matrices agree on
+        # every decision. Independent members of other ranks, zero members
+        # (rank 0) and small primes make it diverge, and then it must raise
+        # `_Diverged`, never return a profile that is wrong for one of its
+        # matrices. Members a @ U, for unit upper triangular U, reduce to
+        # the reduced rows of a times U at every step, so they agree on
+        # every decision and must share one elimination.
+        rng = np.random.default_rng(seed)
+        a = low_rank(seed, n_rows, n_cols, min(member_ranks[0], n_cols), modulus, staircase=True)
+        members = [a]
+        for b, r in enumerate(member_ranks[1:], 1):
+            if equivalent:
+                u = np.triu(rng.integers(0, modulus, (n_cols, n_cols)), 1)
+                members.append(a @ (u + np.eye(n_cols, dtype=np.int64)) % modulus)
+            else:
+                r = min(r, n_cols)
+                members.append(low_rank(seed + b, n_rows, n_cols, r, modulus, staircase=True))
+        alone = [_rref(stack(m), modulus) for m in members]
+        try:
+            pivots, tail, independent = _rref(stack(*members), modulus)
+        except _Diverged:
+            assert not equivalent
+        else:
+            for b, (pivots_b, tail_b, independent_b) in enumerate(alone):
+                assert pivots.tolist() == pivots_b.tolist()
+                assert independent.tolist() == independent_b.tolist()
+                assert not ((tail[b] - tail_b[0]) % modulus).any()
+        try:
+            shared_rank = _rank(stack(*members), modulus)
+        except _Diverged:
+            assert not equivalent
+        else:
+            assert all(shared_rank == result[0].size for result in alone)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 7, P])
+    def test_disagreeing_stacks_diverge(self, modulus):
+        # A zero member, a member whose first row alone is zero, and a row
+        # that is zero on the first window in one member but not in the
+        # other: the last pair would agree on every later decision and on
+        # the rank, yet their pivot columns differ (35 against 0).
+        a = low_rank(SEED, 2 * LEAF + 5, 40, 20, modulus)
+        assert _rref(stack(a, a), modulus)[0].size == _rref(stack(a), modulus)[0].size > 0
+        first_row_zero = a.copy()
+        first_row_zero[0] = 0
+        late, early = np.zeros((2, 1, 40), dtype=np.int64)
+        late[0, WINDOW + 3] = early[0, WINDOW + 3] = early[0, 0] = 1
+        pairs = [(a, np.zeros_like(a)), (np.zeros_like(a), a), (a, a, first_row_zero), (late, early)]
+        for members in pairs:
+            with pytest.raises(_Diverged):
+                _rref(stack(*members), modulus)
 
     @pytest.mark.parametrize("modulus", [7, P, 2**31 - 1])
     def test_mod_exact_at_the_float64_limit(self, modulus):
@@ -306,10 +384,38 @@ class TestBlockedElimination:
             assert abs(residue) <= modulus / 2 + 1
 
     def test_route(self):
-        width = oracle.BLAS_MIN_COLS
-        assert not _blocked(width, P) and _blocked(width + 1, P)
+        # Every width takes the kernel at P, the degree-10 slices' 66
+        # columns included; widths below LEAF_ROWS are bounded as LEAF_ROWS
+        # columns, since a leaf's window transform sums that many terms.
+        assert _blocked(1, P) and _blocked(66, P) and _blocked(67, P)
         assert _blocked(9007, P) and not _blocked(9008, P)  # the 2**52 bound
-        assert not _blocked(width + 1, 2**31 - 1)
+        assert not _blocked(67, 2**31 - 1)
+        prime = largest_blocked_prime(LEAF)
+        assert largest_blocked_prime(1) == prime < 2**24
+        assert all(_blocked(width, prime) for width in range(1, LEAF + 1))
+        assert not _blocked(LEAF + 1, prime)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_rows=st.integers(LEAF, 3 * LEAF + 3),
+        n_cols=st.integers(1, LEAF - 1),
+        r=st.integers(0, LEAF),
+        zero_cols=st.integers(0, 2),
+    )
+    def test_narrow_kernel_at_largest_prime_matches_int64_profile(
+        self, seed, n_rows, n_cols, r, zero_cols
+    ):
+        # Below LEAF_ROWS columns the leaf's sums still run over up to
+        # LEAF_ROWS rows, so `_blocked` bounds them as LEAF_ROWS columns;
+        # at the largest prime it then admits, the kernel stays exact.
+        modulus = largest_blocked_prime(n_cols)
+        a = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, zero_cols, staircase=True)
+        pivots, tail, independent = _rref(stack(a), modulus)
+        want_rows, want_cols = _eliminate(a % modulus, modulus)
+        assert independent.tolist() == want_rows
+        assert sorted(pivots.tolist()) == sorted(want_cols)
+        assert _rank(stack(a), modulus) == len(want_rows)
 
     def test_guard_falls_back_at_largest_prime(self):
         # Float64 products of entries near 2**31 are inexact, so wide slices
@@ -318,10 +424,10 @@ class TestBlockedElimination:
         partition = Partition([9, 7])
         (trial,) = secant_trials(partition, 1, SEED, prime=prime)
         f, g = (
-            tangent_slice(_draw_cofactors(partition, derive_seed(trial.seed, k), prime), 16)
+            tangent_slice(_draw_cofactors(partition, [derive_seed(trial.seed, k)], prime), 16)[0]
             for k in (0, 1)
         )
-        assert f.shape[1] == 153 > oracle.BLAS_MIN_COLS
+        assert f.shape[1] == 153
         assert not _blocked(f.shape[1], prime)
         want = (rank(f, prime), rank(np.vstack([f, g]), prime))
         assert (trial.dim_IF, trial.rank_joint) == want
@@ -352,7 +458,8 @@ class TestTangentSlice:
         ],
     )
     def test_shapes(self, parts, j, shape):
-        assert tangent_slice(_draw_cofactors(Partition(parts), SEED, P), j).shape == shape
+        (matrix,) = tangent_slice(_draw_cofactors(Partition(parts), [SEED], P), j)
+        assert matrix.shape == shape
 
 
 SMALL_PARTITIONS = [p.parts for p in enumerate_partitions(12)]
@@ -361,16 +468,16 @@ SMALL_PARTITIONS = [p.parts for p in enumerate_partitions(12)]
 def slice_dims_one_degree_at_a_time(partition, seed, prime):
     """The Hilbert loop that one elimination replaced: rank the tangent slice
     of every degree j = 0..d separately, at the same point."""
-    cofactors = _draw_cofactors(partition, seed, prime)
-    return [rank(tangent_slice(cofactors, j), prime) for j in range(partition.d + 1)]
+    cofactors = _draw_cofactors(partition, [seed], prime)
+    return [rank(tangent_slice(cofactors, j)[0], prime) for j in range(partition.d + 1)]
 
 
 class TestSliceDimensions:
     @settings(max_examples=60, deadline=None)
     @given(
-        # Slices of d >= 11 (78 columns up, and [9,7] and [14,10,6] at 153
-        # and 496) take the blocked kernel at p = 7 and p = P; smaller ones
-        # stay on `_eliminate`, and so does every slice at p = 2**31 - 1.
+        # Every slice ([9,7] and [14,10,6] at 153 and 496 columns included)
+        # takes the blocked kernel at p = 7 and p = P, and `_eliminate` at
+        # p = 2**31 - 1.
         parts=st.one_of(st.sampled_from(SMALL_PARTITIONS), st.sampled_from([(9, 7), (14, 10, 6)])),
         seed=st.integers(0, 2**32),
         prime=PRIMES,
@@ -380,14 +487,14 @@ class TestSliceDimensions:
         # those too.
         partition = Partition(parts)
         want = slice_dims_one_degree_at_a_time(partition, derive_seed(seed, 0), prime)
-        assert _trial_ranks(partition, seed, prime)[0] == want
+        assert _trial_ranks(partition, [seed], prime)[0][0] == want
 
     @pytest.mark.parametrize(
         "parts, j, want",
         [([1, 1], 2, 5), ([2, 1], 3, 8), ([1, 1, 1], 3, 7)],
     )
     def test_examples(self, parts, j, want):
-        assert _trial_ranks(Partition(parts), SEED, P)[0][j] == want
+        assert _trial_ranks(Partition(parts), [SEED], P)[0][0][j] == want
 
     def test_hilbert_examples(self):
         assert hilbert(Partition([1, 1, 1]), SEED)[1] == 3
@@ -443,8 +550,10 @@ class TestSecantMeasurements:
     def test_grassmann_identity_via_orthogonal_complements(self, parts):
         # Independent route: dim(U cap V) = ncols - rank([ker(A); ker(B)]).
         partition = Partition(parts)
-        a = tangent_slice(_draw_cofactors(partition, derive_seed(77, 0), P), partition.d)
-        b = tangent_slice(_draw_cofactors(partition, derive_seed(77, 1), P), partition.d)
+        a, b = (
+            tangent_slice(_draw_cofactors(partition, [derive_seed(77, k)], P), partition.d)[0]
+            for k in (0, 1)
+        )
         rank_a, rank_b = rank(a, P), rank(b, P)
         rank_joint = rank(np.vstack([a, b]), P)
         complements = np.vstack([nullspace(a, P), nullspace(b, P)])
@@ -466,19 +575,23 @@ class TestSecantMeasurements:
 
     @pytest.mark.parametrize(
         "parts, prime, blocked",
-        [([5, 3], P, False), ([9, 7], P, True), ([9, 7], 2**31 - 1, False)],
+        [([5, 3], P, True), ([9, 7], P, True), ([9, 7], 2**31 - 1, False)],
+        # The first id dates from when [5,3]'s 45 columns took the int64
+        # route at P; with no width floor it takes the kernel.
+        ids=["parts0-1000003-False", "parts1-1000003-True", "parts2-2147483647-False"],
     )
     def test_trial_matches_separate_eliminations(self, parts, prime, blocked):
-        # One elimination per trial gives F's slice dimensions for every j,
-        # rank F and the stacked rank; each must equal its own elimination,
-        # on both routes. Float64 products of entries near 2**31 are inexact,
-        # so [9,7] (153 columns) must take the int64 route at that prime.
+        # One elimination per trial, or per stack of trials, gives F's slice
+        # dimensions for every j, rank F and the stacked rank; each must
+        # equal its own elimination, on both routes. Float64 products of
+        # entries near 2**31 are inexact, so [9,7] (153 columns) must take
+        # the int64 route at that prime.
         partition = Partition(parts)
         for trial in secant_trials(partition, 2, SEED, prime=prime):
             f, g = (
                 tangent_slice(
-                    _draw_cofactors(partition, derive_seed(trial.seed, k), prime), partition.d
-                )
+                    _draw_cofactors(partition, [derive_seed(trial.seed, k)], prime), partition.d
+                )[0]
                 for k in (0, 1)
             )
             assert _blocked(f.shape[1], prime) == blocked
@@ -487,6 +600,37 @@ class TestSecantMeasurements:
             assert list(trial.slice_dims) == slice_dims_one_degree_at_a_time(
                 partition, derive_seed(trial.seed, 0), prime
             )
+
+    @pytest.mark.parametrize("prime", [2, 3, 7, P])
+    @pytest.mark.parametrize("parts", [[2, 1], [5, 3], [4, 3, 2, 1], [9, 7]])
+    def test_trials_agree_whatever_the_batch_size(self, monkeypatch, parts, prime):
+        # Each trial keeps its own seed stream, so the first trials of runs
+        # of 1, 3 and 5 trials are the same trials, measured in stacks of
+        # 1, 3 and 5, or one at a time when no stack fits BATCH_CELLS. At the
+        # small primes every stack here diverges and re-runs one trial at a
+        # time; at P each is one elimination.
+        partition = Partition(parts)
+        stack_sizes = []
+        true_pair_ranks = oracle._pair_ranks
+
+        def recording(slices, modulus):
+            first = next(slices)
+            stack_sizes.append(len(first))
+            return true_pair_ranks(itertools.chain([first], slices), modulus)
+
+        def measured(trials):
+            stack_sizes.clear()
+            got = secant_trials(partition, trials, SEED, prime=prime)
+            return [(t.slice_dims, t.rank_joint) for t in got], list(stack_sizes)
+
+        monkeypatch.setattr(oracle, "_pair_ranks", recording)
+        runs = {trials: measured(trials) for trials in (1, 3, 5)}
+        monkeypatch.setattr(oracle, "BATCH_CELLS", 0)
+        alone, sizes_alone = measured(5)
+        assert sizes_alone == [1] * 5
+        for trials, (got, sizes) in runs.items():
+            assert got == alone[:trials]
+            assert sizes == ([trials] if prime == P or trials == 1 else [trials] + [1] * trials)
 
     @pytest.mark.parametrize(
         "parts, inflated, message",
@@ -504,10 +648,12 @@ class TestSecantMeasurements:
         # columns, [9,7] has 153).
         true_trial_ranks = oracle._trial_ranks
 
-        def over_reporting(partition, seed, prime):
-            slice_dims, rank_joint = true_trial_ranks(partition, seed, prime)
+        def over_reporting(partition, seeds, prime):
             extra_slice, extra_joint = inflated
-            return slice_dims[:-1] + [slice_dims[-1] + extra_slice], rank_joint + extra_joint
+            return [
+                (slice_dims[:-1] + [slice_dims[-1] + extra_slice], rank_joint + extra_joint)
+                for slice_dims, rank_joint in true_trial_ranks(partition, seeds, prime)
+            ]
 
         monkeypatch.setattr(oracle, "_trial_ranks", over_reporting)
         with pytest.raises(SemicontinuityError, match=message):
