@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -82,13 +83,17 @@ def _flatten(record: dict, prefix: str = "") -> dict:
     return flat
 
 
+# `json.dumps` with these separators, without building an encoder per record.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _emit(records: Iterable[dict], output_format: str, stream) -> None:
     """Write records one at a time, flushing after each, as JSON Lines or as CSV
     with LF endings and a header row taken from the first record."""
     writer = None
     for record in records:
         if output_format == "json":
-            stream.write(json.dumps(record, separators=(",", ":")) + "\n")
+            stream.write(_encode_json(record) + "\n")
         else:
             row = _flatten(record)
             if writer is None:
@@ -472,5 +477,25 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BROKEN_PIPE
 
 
+def run() -> None:
+    """The process entry point (`python -m secantlines`, the `secantlines`
+    script): `main()` on the command line, then exit with its code.
+
+    Before it exits it freezes the heap. The interpreter's final collections
+    skip frozen objects; otherwise they walk every tracked object, numpy's
+    included, after the last record is out (about 15 ms after `classify 1,1`
+    and 35 ms after `verify 25,15` on a 2-vCPU VM). The atexit handlers and
+    the final flush of stdout and stderr still run, and objects outside
+    reference cycles are still freed. Frozen objects in cycles are never
+    collected, so their finalizers do not run at exit; no command holds a
+    resource that needs one (a sweep's pool is closed before `main`
+    returns). `main` itself never freezes, so in-process callers keep their
+    collector.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

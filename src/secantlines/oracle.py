@@ -93,7 +93,7 @@ def _eliminate(work: np.ndarray, modulus: int) -> tuple[list[int], list[int]]:
         if nonzero.size == 0:
             continue
         col = int(nonzero[0])
-        row[col:] = row[col:] * pow(int(row[col]), modulus - 2, modulus) % modulus
+        row[col:] = row[col:] * pow(int(row[col]), -1, modulus) % modulus
         column = work[:, col]
         hits = column.nonzero()[0]
         hits = hits[hits != i]
@@ -291,12 +291,12 @@ def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
                 continue
             col = int(hits[0])
             if t == 1:
-                scale = pow(int(row[0, col]), modulus - 2, modulus)
+                scale = pow(int(row[0, col]), -1, modulus)
             else:
                 values = row[:, col].tolist()
                 if 0 in values or row[:, :col].any():
                     raise _Diverged
-                scale = np.array([[pow(int(v), modulus - 2, modulus)] for v in values])
+                scale = np.array([[pow(int(v), -1, modulus)] for v in values])
             row = _mod(row * scale, modulus)
             # Row k takes its own update too, and is then set to the pivot row.
             multipliers = _mod(stacked_rows[:, col], modulus)

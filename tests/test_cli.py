@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -635,6 +636,56 @@ class TestConfigPrecedence:
         _, out1, _ = run(capsys, "verify", "2,2,1")
         _, out2, _ = run(capsys, "verify", "2,2,1")
         assert out1 == out2
+
+
+class TestProcessEntryPoint:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["classify", "9,7,2"], 0),
+            (["sweep", "--d-max", "6", "--mode", "verify", "--prime", "7"], 1),
+            (["classify", "2,0"], 2),
+        ],
+    )
+    def test_process_matches_in_process_main(self, capsys, argv, code):
+        # `run()` freezes the heap between `main` and the exit; the process
+        # still writes the same bytes and exits with the same code.
+        proc = python_process(
+            "-m", "secantlines", *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        out, err = proc.communicate(timeout=60)
+        expected_code, expected_out, expected_err = run(capsys, *argv)
+        assert proc.returncode == expected_code == code
+        assert out == expected_out.encode()
+        assert err.decode() == expected_err
+
+    def test_main_does_not_freeze(self):
+        # Only the process entry point freezes; in-process callers keep
+        # their collector.
+        before = gc.get_freeze_count()
+        main(["verify", "2,1"])
+        assert gc.get_freeze_count() == before
+
+    def test_module_run_freezes_before_atexit(self):
+        # `python -m secantlines` goes through `run()`: the heap is frozen by
+        # the time the atexit handlers run, and they still run.
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "sys.argv = ['secantlines', 'classify', '1,1']\n"
+            "runpy.run_module('secantlines', run_name='__main__')\n"
+        )
+        proc = python_process("-c", script, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert json.loads(out)["lambda"] == [1, 1]
+        assert err.decode().split() == ["True"]
+
+    def test_console_script_is_run(self):
+        # Plain text, since tomllib is not in Python 3.10.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = pyproject.read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.split("\n") == ['secantlines = "secantlines.cli:run"', ""]
 
 
 PACKAGE_EXPORTS = {
