@@ -649,7 +649,7 @@ def specialization_check(
         raise NotApplicableError(
             f"factor {e} of {partition} has degree 1; no line can be split off"
         )
-    applies_residual = d_e < q.s_e[e - 1]
+    applies_residual = d_e < q.d - d_e
     applies_plus_points = e == 1 and partition.parts[0] >= q.s - 1
     if not (applies_residual or applies_plus_points):
         raise NotApplicableError(

@@ -90,17 +90,14 @@ class DerivedQuantities:
 
     d is the total degree, D the sum of pairwise degree products (the number of
     pairwise intersection points of general factors), and N = C(d+2,2) - 1 the
-    dimension of the projective space of degree-d plane curves. s_e[i] is the sum
-    of all degrees except the (i+1)-th, p_e[i] = D - d_i * s_e[i], and s, p are
-    the leading (e = 1) values. The sign of two_p_minus_three_s = 2p - 3s
-    decides which side of the classification the partition falls on.
+    dimension of the projective space of degree-d plane curves. s = d - d1, and
+    p = D - d1 * s sums the pairwise products of d2, ..., dr. The sign of
+    two_p_minus_three_s = 2p - 3s decides the partition's side of the case list.
     """
 
     d: int
     D: int
     N: int
-    s_e: tuple[int, ...]
-    p_e: tuple[int, ...]
     s: int
     p: int
     two_p_minus_three_s: int
@@ -115,12 +112,9 @@ def derived(partition: Partition) -> DerivedQuantities:
     N = comb(d + 2, 2) - 1
     if N > INT64_MAX or D > INT64_MAX:
         raise OverflowError(f"derived quantities of {partition} exceed 64-bit range")
-    s_e = tuple(d - di for di in parts)
-    p_e = tuple(D - di * se for di, se in zip(parts, s_e))
-    s, p = s_e[0], p_e[0]
-    return DerivedQuantities(
-        d=d, D=D, N=N, s_e=s_e, p_e=p_e, s=s, p=p, two_p_minus_three_s=2 * p - 3 * s
-    )
+    s = d - parts[0]
+    p = D - parts[0] * s
+    return DerivedQuantities(d=d, D=D, N=N, s=s, p=p, two_p_minus_three_s=2 * p - 3 * s)
 
 
 def enumerate_partitions(

@@ -75,7 +75,7 @@ def specialization_reports():
             d_e = p.parts[e - 1]
             if d_e < 2:
                 continue
-            if d_e < q.s_e[e - 1] or (e == 1 and p.parts[0] >= q.s - 1):
+            if d_e < q.d - d_e or (e == 1 and p.parts[0] >= q.s - 1):
                 reports.append(
                     specialization_check(p, e, SEED, prime=PRIME, trials=TRIALS)
                 )

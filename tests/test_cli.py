@@ -171,7 +171,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            # 28,597 records, every partition with d <= 30.
+            # 28,598 records, every partition with d <= 30.
             ((), "2b43718bed826bd9674b015f6e637c0c6c4a7b66184286715a2cf801f3b9b976"),
             (
                 ("--d-max", "12", "--format", "csv"),
@@ -391,24 +391,89 @@ class TestSweep:
             "a272fc6ea34dabbe9403e2714ffbce66401b64ff81896e88552ac09cd346cff3"
         )
 
-    def test_closed_stdout_is_no_mismatch(self):
-        # `sweep --mode verify | head -1`: the reader leaves after one line.
-        # The sweep stops its workers and exits 141 with nothing on stderr,
-        # not 1, which would claim a verified mismatch.
+    @staticmethod
+    def read_one_line(*argv):
+        """`secantlines argv... | head -1`: the first record, the exit code
+        and stderr of a process whose reader leaves after one line."""
         proc = python_process(
-            "-m", "secantlines", "sweep", "--d-max", "12", "--mode", "verify",
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            "-m", "secantlines", *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE
         )
         try:
             first = json.loads(proc.stdout.readline())
             proc.stdout.close()
             code = proc.wait(timeout=60)
+            err = proc.stderr.read()
         finally:
             proc.kill()
+            proc.stderr.close()
+        return first, code, err
+
+    def test_closed_stdout_is_no_mismatch(self):
+        # `sweep --mode verify | head -1`: the sweep stops its workers and
+        # exits 141 with nothing on stderr, not 1, which would claim a
+        # verified mismatch.
+        first, code, err = self.read_one_line("sweep", "--d-max", "12", "--mode", "verify")
         assert first["lambda"] == [1, 1]
         assert code == cli.EXIT_BROKEN_PIPE == 141
-        assert proc.stderr.read() == b""
-        proc.stderr.close()
+        assert err == b""
+
+    @pytest.mark.parametrize(
+        "argv, header",
+        [(("--d-max", "30"), 0), (("--d-max", "12", "--format", "csv"), 1)],
+        ids=["json-d30", "csv-d12"],
+    )
+    def test_classify_sweep_writes_blocks_of_whole_records(self, monkeypatch, argv, header):
+        # The first record goes out alone (with the CSV header), the rest in
+        # blocks of whole records no longer than BLOCK_CHARS unless one record
+        # is, each write followed by a flush.
+        calls = []  # each write's text, and None for each flush
+
+        class Recorded(io.StringIO):
+            def write(self, text):
+                calls.append(text)
+                return super().write(text)
+
+            def flush(self):
+                calls.append(None)
+
+        stream = Recorded()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["sweep", *argv]) == 0
+        out = stream.getvalue()
+        writes = calls[::2]
+        assert calls[1::2] == [None] * len(writes)  # one flush after each write
+        assert writes[0] == "".join(out.splitlines(keepends=True)[: header + 1])
+        block = cli.BLOCK_CHARS
+        for text in writes:
+            assert text.endswith("\n")
+            assert len(text) <= block or text.count("\n") == 1
+        assert len(writes) <= -(-len(out) // block) + 2
+
+    def test_classify_sweep_error_keeps_earlier_records(self, capsys, monkeypatch):
+        # Records held for a block are still written when a later partition
+        # fails: exit 2 with its message, and every record before it out.
+        partitions = list(cli.enumerate_partitions(20))
+        failing = partitions[1000]
+        real_classify = cli.classify
+
+        def doctored(partition):
+            if partition == failing:
+                raise ValueError(f"cannot classify {partition}")
+            return real_classify(partition)
+
+        monkeypatch.setattr(cli, "classify", doctored)
+        code, out, err = run(capsys, "sweep", "--d-max", "20")
+        assert code == 2
+        assert err == f"error: cannot classify {failing}\n"
+        assert [r["lambda"] for r in json_lines(out)] == [list(p.parts) for p in partitions[:1000]]
+
+    def test_closed_stdout_ends_classify_sweep(self):
+        # `sweep --d-max 30 | head -1`: the closed pipe surfaces in a block
+        # write, and the sweep exits 141 with nothing on stderr.
+        first, code, err = self.read_one_line("sweep", "--d-max", "30")
+        assert first["lambda"] == [1, 1]
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""
 
     def test_only_verify_sweeps_import_multiprocessing(self):
         # The pool's import is paid only by a verify sweep with more than one

@@ -88,18 +88,16 @@ class TestDerived:
         assert (q.d, q.D, q.N, q.s, q.p) == (d, D, N, s, p)
 
     def test_pairwise_identity_everywhere(self):
-        # D = d_e * s_e + p_e for every e, and 2D = d^2 - sum d_i^2
+        # D = d1 * s + p, and 2D = d^2 - sum d_i^2
         for part in enumerate_partitions(12):
             q = derived(part)
-            for di, se, pe in zip(part.parts, q.s_e, q.p_e):
-                assert q.D == di * se + pe
+            assert q.D == part.parts[0] * q.s + q.p
             assert 2 * q.D == q.d**2 - sum(di**2 for di in part.parts)
 
     def test_p_e_zero_iff_two_parts(self):
         for part in enumerate_partitions(10):
             q = derived(part)
-            for pe in q.p_e:
-                assert (pe == 0) == (part.r == 2)
+            assert (q.p == 0) == (part.r == 2)
 
     def test_overflow_rejected(self):
         with pytest.raises(OverflowError):
