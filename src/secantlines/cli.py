@@ -4,10 +4,12 @@ oracle, sweep ranges, and emit figure grids and fixture tables.
 Every setting is a flag. Only the commands that run the rank oracle
 (`verify`, verify sweeps and `table --check`) load numpy; they flush each
 record once it is computed, while closed-form output goes out in blocks after
-its first record. Exit codes: 0 success or MATCH, 1 verified mismatch, 2 usage
-or validation error, 3 a verify sweep's pool worker exited without finishing
-its partitions (killed, for example), 141 stdout closed before the output was
-complete (as when piped into `head`).
+its first record. Classify records are written as JSON from one fixed
+template (`ClassificationReport.json_line`), every other record through the
+JSON encoder; both give compact `json.dumps` bytes. Exit codes: 0 success or
+MATCH, 1 verified mismatch, 2 usage or validation error, 3 a verify sweep's
+pool worker exited without finishing its partitions (killed, for example),
+141 stdout closed before the output was complete (as when piped into `head`).
 """
 
 from __future__ import annotations
@@ -25,14 +27,8 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, PrimeField
-from .formulas import (
-    classify,
-    classify_case,
-    dim_IZ_theory,
-    expected_dim_IZ,
-    is_defective,
-)
-from .partitions import Partition, PartitionError, derived, enumerate_partitions
+from .formulas import ClassificationReport, classify, dim_IZ_theory, expected_dim_IZ
+from .partitions import Partition, PartitionError, enumerate_partitions
 
 if TYPE_CHECKING:
     from .oracle import OracleReport
@@ -94,20 +90,23 @@ _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 BLOCK_CHARS = 32 * 1024
 
 
-def _emit(records: Iterable[dict], output_format: str, stream, *, blocks: bool = False) -> None:
+def _emit(records: Iterable[dict | ClassificationReport], output_format: str, stream, *, blocks: bool = False) -> None:
     """Write records as JSON Lines, or as CSV with LF endings and a header row
-    from the first record. Each record is written and flushed once it is ready;
-    with `blocks` only the first is, and the rest go out in blocks of whole
-    records of at most BLOCK_CHARS characters, also if `records` raises."""
+    from the first record. A ClassificationReport's JSON line comes from its
+    own template (`json_line`), every other record's from the JSON encoder.
+    Each record is written and flushed once it is ready; with `blocks` only
+    the first is, and the rest go out in blocks of whole records of at most
+    BLOCK_CHARS characters, also if `records` raises."""
     block = io.StringIO()
     writer = None
     try:
         for count, record in enumerate(records):
             start = block.tell()
+            report = isinstance(record, ClassificationReport)
             if output_format == "json":
-                block.write(_encode_json(record) + "\n")
+                block.write(record.json_line() if report else _encode_json(record) + "\n")
             else:
-                row = _flatten(record)
+                row = _flatten(record.to_dict() if report else record)
                 if writer is None:
                     writer = csv.DictWriter(block, fieldnames=list(row), lineterminator="\n")
                     writer.writeheader()
@@ -144,7 +143,7 @@ def _diff(measured: dict, predicted: dict) -> dict:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     partition = parse_partition(args.partition)
-    _emit([classify(partition).to_dict()], args.format, sys.stdout)
+    _emit([classify(partition)], args.format, sys.stdout)
     return 0
 
 
@@ -240,10 +239,14 @@ def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    r_min, r_max = (args.r, args.r) if args.r is not None else (args.r_min, args.r_max)
-    partitions = enumerate_partitions(args.d_max, r_min, r_max)
+    r_min, r_max = args.r_min, args.r_max
+    if args.r is not None:
+        if (r_min, r_max) != (None, None):
+            raise ValueError("invalid enumeration range: --r sets both --r-min and --r-max; give --r alone")
+        r_min = r_max = args.r
+    partitions = enumerate_partitions(args.d_max, 2 if r_min is None else r_min, r_max)
     if args.mode == "classify":
-        _emit((classify(p).to_dict() for p in partitions), args.format, sys.stdout, blocks=True)
+        _emit(map(classify, partitions), args.format, sys.stdout, blocks=True)
         return 0
 
     from .oracle import VERDICT_MATCH
@@ -294,12 +297,11 @@ def figure_records(r: int, max_part: int) -> list[dict]:
     """
     records = []
     for tail in _tails(r - 1, max_part):
-        representative = Partition([sum(tail), *tail])
-        q = derived(representative)
+        report = classify(Partition([sum(tail), *tail]))
         record: dict = {f"d{i + 2}": v for i, v in enumerate(tail)}
-        record["two_p_minus_three_s"] = q.two_p_minus_three_s
-        record["defective_unbalanced"] = is_defective(representative)
-        record["case_label"] = classify_case(representative).value
+        record["two_p_minus_three_s"] = report.two_p_minus_three_s
+        record["defective_unbalanced"] = report.defective
+        record["case_label"] = report.case_label.value
         records.append(record)
     return records
 
@@ -450,9 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="classify or verify every partition in a range")
     sp.add_argument("--d-max", dest="d_max", type=int, default=10, help="maximum total degree (default 10)")
-    sp.add_argument("--r-min", dest="r_min", type=int, default=2, help="minimum part count (default 2)")
+    sp.add_argument("--r-min", dest="r_min", type=int, default=None, help="minimum part count (default 2)")
     sp.add_argument("--r-max", dest="r_max", type=int, default=None, help="maximum part count (default: no limit)")
-    sp.add_argument("--r", type=int, default=None, help="fix the part count (sets both --r-min and --r-max)")
+    sp.add_argument("--r", type=int, default=None, help="fix the part count (sets both --r-min and --r-max; not with either)")
     sp.add_argument("--mode", choices=("classify", "verify"), default="classify")
     _add_oracle_options(sp)
     _add_format_option(sp, "json")

@@ -30,26 +30,16 @@ def _check_agreement(name: str, partition: Partition, first, second) -> None:
         )
 
 
-# Each closed form is written once, in a private helper that takes the
-# quantities it depends on as arguments. `classify` computes every quantity
-# once through them and hands it on; each public per-quantity function reads
-# its field off `classify`, so it runs every check.
-
-
-def _dim_variety(partition: Partition, q: DerivedQuantities) -> int:
-    value = sum(comb(di + 2, 2) for di in partition.parts) - partition.r
-    _check_agreement("dim_variety", partition, value, q.N - q.D)
-    return value
+# Each closed form is written once, in `classify` or in a private helper that
+# takes the quantities it depends on as arguments. `classify` computes every
+# quantity once and hands it on; each public per-quantity function reads its
+# field off `classify`, so it runs every check.
 
 
 def dim_variety(partition: Partition) -> int:
     """Dimension of the variety of plane curves splitting with the given factor
     degrees: sum_i [C(d_i + 2, 2) - 1], checked against C(d+2,2) - D - 1."""
     return classify(partition).dim_X
-
-
-def _expected_dim_sigma2(q: DerivedQuantities, dim_X: int) -> int:
-    return min(q.N, 2 * dim_X + 1)
 
 
 def expected_dim_sigma2(partition: Partition) -> int:
@@ -76,10 +66,6 @@ def hilbert_function_theory(partition: Partition, j: int) -> int:
     if j >= q.d - 2:
         _check_agreement("hilbert_function_theory", partition, value, q.D)
     return value
-
-
-def _is_defective(partition: Partition, q: DerivedQuantities) -> bool:
-    return partition.parts[0] >= q.s and q.two_p_minus_three_s > 0
 
 
 def is_defective(partition: Partition) -> bool:
@@ -116,10 +102,6 @@ def defect(partition: Partition) -> int:
     C(d1 - s + 2, 2). Both are computed and checked equal.
     """
     return classify(partition).delta2
-
-
-def _expected_dim_IZ(q: DerivedQuantities) -> int:
-    return max(q.N + 1 - 2 * q.D, 0)
 
 
 def expected_dim_IZ(partition: Partition) -> int:
@@ -290,7 +272,8 @@ def classify_case(partition: Partition) -> CaseLabel:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Every theory-side number for one partition."""
+    """Every theory-side number for one partition; its record is `to_dict`, and
+    `json_line` is that record in compact JSON from one fixed template."""
 
     partition: Partition
     d: int
@@ -330,26 +313,46 @@ class ClassificationReport:
             "case_label": self.case_label.value,
         }
 
+    def json_line(self) -> str:
+        """`to_dict` in compact JSON, keys in the same order, and a newline."""
+        parts = self.partition.parts
+        return (
+            f'{{"lambda":[{",".join(map(str, parts))}],"r":{len(parts)},'
+            f'"d":{self.d},"D":{self.D},"N":{self.N},"s":{self.s},"p":{self.p},'
+            f'"two_p_minus_three_s":{self.two_p_minus_three_s},"dim_X":{self.dim_X},'
+            f'"exp_dim_sigma2":{self.exp_dim_sigma2},"exp_dim_IZ":{self.exp_dim_IZ},'
+            f'"defective":{"true" if self.defective else "false"},"delta2":{self.delta2},'
+            f'"dim_sigma2":{self.dim_sigma2},"dim_IZ":{self.dim_IZ},'
+            f'"fills_ambient":{"true" if self.fills_ambient else "false"},'
+            f'"case_label":"{self.case_label.value}"}}\n'
+        )
+
 
 def classify(partition: Partition) -> ClassificationReport:
     """Evaluate every closed-form quantity for one partition, each once, and
     check every quantity that has two derivations."""
     q = derived(partition)
-    dim_X = _dim_variety(partition, q)
-    exp_dim_sigma2 = _expected_dim_sigma2(q, dim_X)
-    exp_dim_IZ = _expected_dim_IZ(q)
-    defective = _is_defective(partition, q)
+    parts = partition.parts
+    N, D, two_p_minus_three_s = q.N, q.D, q.two_p_minus_three_s
+    # sum_i C(d_i + 2, 2) - r, against the point count C(d+2,2) - 1 - D.
+    dim_X = -len(parts)
+    for di in parts:
+        dim_X += (di + 2) * (di + 1) // 2
+    _check_agreement("dim_variety", partition, dim_X, N - D)
+    exp_dim_sigma2 = min(N, 2 * dim_X + 1)
+    exp_dim_IZ = max(N + 1 - 2 * D, 0)
+    defective = parts[0] >= q.s and two_p_minus_three_s > 0
     delta2 = _defect(partition, q, defective, exp_dim_IZ)
     dim_IZ = _dim_IZ(partition, q, exp_dim_IZ, delta2)
     dim_sigma2 = _dim_sigma2(partition, exp_dim_sigma2, delta2, dim_X, dim_IZ)
     return ClassificationReport(
         partition=partition,
         d=q.d,
-        D=q.D,
-        N=q.N,
+        D=D,
+        N=N,
         s=q.s,
         p=q.p,
-        two_p_minus_three_s=q.two_p_minus_three_s,
+        two_p_minus_three_s=two_p_minus_three_s,
         dim_X=dim_X,
         exp_dim_sigma2=exp_dim_sigma2,
         exp_dim_IZ=exp_dim_IZ,

@@ -106,9 +106,12 @@ class DerivedQuantities:
 def derived(partition: Partition) -> DerivedQuantities:
     """Compute all derived quantities exactly; values beyond 64-bit are rejected."""
     parts = partition.parts
-    d = sum(parts)
+    d = squares = 0
+    for di in parts:
+        d += di
+        squares += di * di
     # Sum over pairs i < j of d_i * d_j, from d^2 = sum d_i^2 + 2D.
-    D = (d * d - sum(di * di for di in parts)) // 2
+    D = (d * d - squares) // 2
     N = comb(d + 2, 2) - 1
     if N > INT64_MAX or D > INT64_MAX:
         raise OverflowError(f"derived quantities of {partition} exceed 64-bit range")

@@ -90,6 +90,21 @@ class TestClassify:
         assert row["lambda"] == "2,1" and row["dim_sigma2"] == "9"
         assert "\r" not in out
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("9,7,2",), "b804ddeec88593a2ae54c845988bbdd3b30a108ebd871e866e84221abc4bfcf5"),
+            (("9,7,2", "--format", "csv"), "b7d695c7108322c75f1bebd606aecbf51631e53da8132040d3bac98573a0e4e4"),
+            (("2,2,2,1",), "0ac89f426ce1ee855b7c44ffaa891134fe8317cd13e42f3d47c12d172fc8de4b"),
+            (("2,2,2,1", "--format", "csv"), "9709954c30e3c54d64645fa9e7dbc7c8fcc1e2036f9d02e882028291e6ddd226"),
+        ],
+        ids=["json-972", "csv-972", "json-2221", "csv-2221"],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, "classify", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("bad", ["3", "0,1", "x,y"])
     def test_usage_errors(self, capsys, bad):
         code, _, err = run(capsys, "classify", bad)
@@ -542,6 +557,10 @@ class TestSweep:
             ("sweep", "--r-min", "1"),
             ("sweep", "--d-max", "5", "--r-min", "4", "--r-max", "3"),
             ("sweep", "--d-max", "3", "--r", "5"),
+            # --r sets both bounds, so it takes neither bound besides.
+            ("sweep", "--d-max", "5", "--r", "2", "--r-min", "4"),
+            ("sweep", "--d-max", "5", "--r", "2", "--r-max", "4"),
+            ("sweep", "--d-max", "5", "--r", "3", "--r-min", "3", "--r-max", "3"),
         ],
     )
     def test_invalid_ranges(self, capsys, argv):
@@ -604,6 +623,33 @@ class TestFigureData:
         assert code == 2
         assert out == ""
         assert "argument --max-part: must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ((), "81b1fd69ee103b649247ea204763c7ff38d074dde63693c237e698efe1525c1a"),
+            (("--format", "json"), "817893a4f1176e88f16dfb48f3c4c4508a1963a490a0a506e7de476468ee591f"),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        # 1,365 rows: every tail (d2, ..., d5) with parts up to 12.
+        code, out, _ = run(capsys, "figure-data", "--r", "5", "--max-part", "12", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_one_classify_per_row(self, monkeypatch):
+        calls = []
+        real_classify = cli.classify
+
+        def counted(partition):
+            calls.append(partition)
+            return real_classify(partition)
+
+        monkeypatch.setattr(cli, "classify", counted)
+        rows = cli.figure_records(4, 5)
+        assert calls == [Partition([sum(tail), *tail]) for tail in cli._tails(3, 5)]
+        assert len(rows) == len(calls)
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "figure-data", "--r", "4", "--max-part", "5")

@@ -3,8 +3,10 @@ from dataclasses import replace
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import secantlines.formulas as formulas
+from secantlines.cli import _encode_json
 from secantlines.formulas import (
     CaseLabel,
     DerivationMismatchError,
@@ -248,16 +250,15 @@ class TestDerivationChecks:
         with pytest.raises(DerivationMismatchError):
             check(Partition(parts))
 
-    # classify computes each ingredient once through the private helpers, so
-    # each of its six checks is broken through the helper that feeds it.
-    # [20,7,2] is defective with exp_dim_IZ = 77 > 0, so an exp_dim_IZ of 0
-    # sends the defect's branch form to C(d1 - s + 2, 2) = 78, while its min
-    # form stays 2p - 3s = 1.
+    # classify computes each ingredient once, so each of its six checks is
+    # broken through the helper that feeds it. [20,7,2] is defective with
+    # exp_dim_IZ = 77 > 0, so the defect's branch form is 2p - 3s = 1, and a
+    # C(d1 - s + 2, 2) of 0 in place of 78 sends its min form to 0.
     @pytest.mark.parametrize(
         "target, broken, check, parts",
         [
             ("derived", lambda real: lambda p: replace(real(p), D=real(p).D + 1), "dim_variety", [2, 1]),
-            ("_expected_dim_IZ", lambda real: lambda *args: 0, "defect", [20, 7, 2]),
+            ("_unbalanced_dim_IZ", lambda real: lambda *args: 0, "defect", [20, 7, 2]),
             ("_defect", _shifted, "dim_IZ_theory", [9, 7, 2]),
             ("_dim_IZ", _shifted, "dim_sigma2_theory", [9, 7, 2]),
             ("_dim_sigma2", _shifted, "fills_ambient", [2, 2, 2, 1]),
@@ -334,3 +335,27 @@ class TestClassificationReport:
         report = classify(Partition([2, 2, 2, 1]))
         assert report.fills_ambient and not report.defective
         assert report.dim_IZ == 0 and report.dim_sigma2 == report.N == 35
+
+
+def assert_json_line_is_the_record(report):
+    # The template against the JSON encoder on the record itself, so a key
+    # added to to_dict but not to json_line fails here.
+    line = report.json_line()
+    assert line == _encode_json(report.to_dict()) + "\n"
+    assert list(json.loads(line)) == list(report.to_dict())
+
+
+class TestJsonLine:
+    def test_equals_the_encoded_record_to_degree_20(self):
+        seen = set()
+        for p in enumerate_partitions(20):
+            report = classify(p)
+            assert_json_line_is_the_record(report)
+            seen.add((report.defective, report.fills_ambient, report.case_label))
+        assert {label for _, _, label in seen} == set(CaseLabel)
+        assert {flag for flag, _, _ in seen} == {flag for _, flag, _ in seen} == {False, True}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 10**6), min_size=2, max_size=8))
+    def test_equals_the_encoded_record_on_wide_parts(self, parts):
+        assert_json_line_is_the_record(classify(Partition(parts)))
