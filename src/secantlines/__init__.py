@@ -20,7 +20,7 @@ from .partitions import (
 
 # The names that need numpy. They resolve on first use, so the closed forms
 # import and run without loading numpy.
-_LAZY = ("NotApplicableError", "OracleReport", "SemicontinuityError", "verify")
+_LAZY = ("OracleReport", "SemicontinuityError", "verify")
 
 
 def __getattr__(name: str):
@@ -39,7 +39,6 @@ __all__ = [
     "EmptyPartitionError",
     "NegativeDegreeError",
     "NonPositivePartError",
-    "NotApplicableError",
     "OracleReport",
     "Partition",
     "PartitionError",

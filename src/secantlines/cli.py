@@ -9,7 +9,9 @@ template (`ClassificationReport.json_line`), every other record through the
 JSON encoder; both give compact `json.dumps` bytes. Exit codes: 0 success or
 MATCH, 1 verified mismatch, 2 usage or validation error, 3 a verify sweep's
 pool worker exited without finishing its partitions (killed, for example),
-141 stdout closed before the output was complete (as when piped into `head`).
+4 an internal fault, such as a failed derivation or semicontinuity check
+(with its traceback on stderr), 141 stdout closed before the output was
+complete (as when piped into `head`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, PrimeField
-from .formulas import ClassificationReport, classify, dim_IZ_theory, expected_dim_IZ
+from .formulas import ClassificationReport, classify
 from .partitions import Partition, PartitionError, enumerate_partitions
 
 if TYPE_CHECKING:
@@ -335,7 +337,7 @@ def table_rows(name: str) -> list[dict]:
                     {
                         "a": a,
                         "lambda": list(parts),
-                        "dim_IZ": dim_IZ_theory(partition),
+                        "dim_IZ": classify(partition).dim_IZ,
                     }
                 )
     elif name == "lemma46":
@@ -346,9 +348,9 @@ def table_rows(name: str) -> list[dict]:
             rows.append(
                 {
                     "case": list(parts),
-                    "exp_dim_IZ": expected_dim_IZ(partition),
+                    "exp_dim_IZ": classify(partition).exp_dim_IZ,
                     "lambda_reduced": list(reduced.parts),
-                    "dim_IZ_reduced": dim_IZ_theory(reduced),
+                    "dim_IZ_reduced": classify(reduced).dim_IZ,
                 }
             )
     elif name == "lemma47":
@@ -361,7 +363,7 @@ def table_rows(name: str) -> list[dict]:
                     {
                         "lambda": [d1, d2],
                         "exp_dim_IZ": closed,
-                        "dim_IZ": dim_IZ_theory(Partition((d1, d2))),
+                        "dim_IZ": classify(Partition((d1, d2))).dim_IZ,
                     }
                 )
     else:
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Partitions are comma-separated positive degrees, auto-sorted (e.g. 9,7,2). "
             "Exit codes: 0 ok/MATCH, 1 mismatch, 2 usage, 3 verify-sweep worker lost, "
-            "141 stdout closed."
+            "4 internal fault (traceback on stderr), 141 stdout closed."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -479,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe.
 EXIT_BROKEN_PIPE = 141
 EXIT_WORKER_LOST = 3
+EXIT_INTERNAL = 4
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -500,6 +503,14 @@ def main(argv: list[str] | None = None) -> int:
         # at /dev/null so the interpreter's final flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except Exception:
+        # A fault of the program, not of its input, such as a failed
+        # derivation or semicontinuity check: not 1, which would claim a
+        # verified mismatch.
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def run() -> None:

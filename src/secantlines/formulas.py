@@ -1,8 +1,11 @@
 """Closed-form dimensions, defect, and case classification for secant lines of
 varieties of reducible plane curves.
 
-Everything in this module is exact integer arithmetic. Several quantities have
-two independent derivations; where that happens both are computed and a
+Two functions make the API: `classify` gives every quantity for one
+partition (`ClassificationReport` states each closed form), and
+`hilbert_function_theory` the Hilbert function at one degree. Everything in
+this module is exact integer arithmetic. Several quantities have two
+independent derivations; where that happens both are computed and a
 disagreement raises DerivationMismatchError, under ``python -O`` too.
 """
 
@@ -31,20 +34,8 @@ def _check_agreement(name: str, partition: Partition, first, second) -> None:
 
 
 # Each closed form is written once, in `classify` or in a private helper that
-# takes the quantities it depends on as arguments. `classify` computes every
-# quantity once and hands it on; each public per-quantity function reads its
-# field off `classify`, so it runs every check.
-
-
-def dim_variety(partition: Partition) -> int:
-    """Dimension of the variety of plane curves splitting with the given factor
-    degrees: sum_i [C(d_i + 2, 2) - 1], checked against C(d+2,2) - D - 1."""
-    return classify(partition).dim_X
-
-
-def expected_dim_sigma2(partition: Partition) -> int:
-    """Parameter-count bound min{N, 2*dim_X + 1} for the secant line variety."""
-    return classify(partition).exp_dim_sigma2
+# takes the quantities it depends on as arguments; `classify` computes every
+# quantity once and hands it on.
 
 
 def hilbert_function_theory(partition: Partition, j: int) -> int:
@@ -68,14 +59,6 @@ def hilbert_function_theory(partition: Partition, j: int) -> int:
     return value
 
 
-def is_defective(partition: Partition) -> bool:
-    """Whether the secant line variety falls short of its expected dimension.
-
-    True exactly when the partition is unbalanced (d1 >= s) and 2p - 3s > 0.
-    """
-    return classify(partition).defective
-
-
 def _unbalanced_dim_IZ(partition: Partition, q: DerivedQuantities) -> int:
     # C(d1 - s + 2, 2), for d1 >= s - 1 only.
     return comb(partition.parts[0] - q.s + 2, 2)
@@ -90,24 +73,8 @@ def _defect(
     min_form = min(unbalanced, q.two_p_minus_three_s)
     # exp_dim_IZ > 0 exactly when C(d+2,2) - 2D > 0.
     branch_form = q.two_p_minus_three_s if exp_dim_IZ > 0 else unbalanced
-    _check_agreement("defect", partition, min_form, branch_form)
+    _check_agreement("delta2", partition, min_form, branch_form)
     return min_form
-
-
-def defect(partition: Partition) -> int:
-    """Dimension shortfall of the secant line variety; 0 when not defective.
-
-    For defective partitions this is min{C(d1 - s + 2, 2), 2p - 3s}, which must
-    coincide with the branch form: 2p - 3s when C(d+2,2) - 2D > 0, else
-    C(d1 - s + 2, 2). Both are computed and checked equal.
-    """
-    return classify(partition).delta2
-
-
-def expected_dim_IZ(partition: Partition) -> int:
-    """Expected dimension max{C(d+2,2) - 2D, 0} of the degree-d forms through
-    the union of the two point sets cut out by two general factored forms."""
-    return classify(partition).exp_dim_IZ
 
 
 def _dim_IZ(
@@ -115,52 +82,22 @@ def _dim_IZ(
 ) -> int:
     value = exp_dim_IZ + delta2
     if partition.parts[0] >= q.s - 1 and q.two_p_minus_three_s > 0:
-        _check_agreement(
-            "dim_IZ_theory", partition, value, _unbalanced_dim_IZ(partition, q)
-        )
+        _check_agreement("dim_IZ", partition, value, _unbalanced_dim_IZ(partition, q))
     return value
-
-
-def dim_IZ_theory(partition: Partition) -> int:
-    """Actual dimension of the degree-d forms through the union of the two point
-    sets: expected value plus the defect.
-
-    In the unbalanced-positive regime (d1 >= s - 1 and 2p - 3s > 0) this must
-    collapse to the closed form C(d1 - s + 2, 2); checked.
-    """
-    return classify(partition).dim_IZ
 
 
 def _dim_sigma2(
     partition: Partition, exp_dim_sigma2: int, delta2: int, dim_X: int, dim_IZ: int
 ) -> int:
     value = exp_dim_sigma2 - delta2
-    _check_agreement("dim_sigma2_theory", partition, value, 2 * dim_X + 1 - dim_IZ)
+    _check_agreement("dim_sigma2", partition, value, 2 * dim_X + 1 - dim_IZ)
     return value
-
-
-def dim_sigma2_theory(partition: Partition) -> int:
-    """Dimension of the secant line variety: expected dimension minus defect.
-
-    Must agree with the span-of-two-tangent-spaces form
-    2*dim_X + 1 - dim_IZ; checked.
-    """
-    return classify(partition).dim_sigma2
 
 
 def _fills_ambient(partition: Partition, q: DerivedQuantities, dim_sigma2: int) -> bool:
     flag = q.two_p_minus_three_s <= 0 or partition.parts == (2, 2, 2, 1)
     _check_agreement("fills_ambient", partition, flag, dim_sigma2 == q.N)
     return flag
-
-
-def fills_ambient(partition: Partition) -> bool:
-    """Whether the secant line variety is all of projective N-space.
-
-    True iff 3s - 2p >= 0 or the partition is exactly [2,2,2,1]; must agree with
-    dim_sigma2_theory == N, checked.
-    """
-    return classify(partition).fills_ambient
 
 
 class CaseLabel(str, Enum):
@@ -256,24 +193,42 @@ def _case_label(partition: Partition, q: DerivedQuantities) -> CaseLabel:
     else:
         label = CaseLabel.R6PLUS
     _check_agreement(
-        "classify_case", partition, label.defective_side, q.two_p_minus_three_s > 0
+        "case_label", partition, label.defective_side, q.two_p_minus_three_s > 0
     )
     return label
-
-
-def classify_case(partition: Partition) -> CaseLabel:
-    """Which family the partition belongs to; exactly one label applies.
-
-    The family is determined by r and the tail (d2, ..., dr) alone, and its side
-    of the enumeration agrees with the sign of 2p - 3s (checked).
-    """
-    return classify(partition).case_label
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
     """Every theory-side number for one partition; its record is `to_dict`, and
-    `json_line` is that record in compact JSON from one fixed template."""
+    `json_line` is that record in compact JSON from one fixed template.
+
+    d, D, N, s, p and two_p_minus_three_s are `derived`'s. The closed forms,
+    and the check on each field that has two derivations:
+    - dim_X, the dimension of the variety of split curves:
+      sum_i [C(d_i + 2, 2) - 1], checked against C(d+2,2) - D - 1.
+    - exp_dim_sigma2, the parameter-count bound for the secant line variety:
+      min{N, 2*dim_X + 1}.
+    - exp_dim_IZ, the expected dimension of the degree-d forms through the
+      union of the two point sets cut out by two general factored forms:
+      max{C(d+2,2) - 2D, 0}.
+    - defective, whether the secant line variety falls short of
+      exp_dim_sigma2: exactly when d1 >= s and 2p - 3s > 0.
+    - delta2, the defect: 0 unless defective, else
+      min{C(d1 - s + 2, 2), 2p - 3s}, checked against the branch form:
+      2p - 3s when C(d+2,2) - 2D > 0, else C(d1 - s + 2, 2).
+    - dim_IZ, the actual dimension of those forms: exp_dim_IZ + delta2,
+      checked against C(d1 - s + 2, 2) where d1 >= s - 1 and 2p - 3s > 0.
+    - dim_sigma2, the dimension of the secant line variety:
+      exp_dim_sigma2 - delta2, checked against the span of two tangent
+      spaces, 2*dim_X + 1 - dim_IZ.
+    - fills_ambient, whether the secant line variety is all of P^N:
+      3s - 2p >= 0 or the partition is exactly [2,2,2,1], checked against
+      dim_sigma2 == N.
+    - case_label, the one family of the case list that applies: set by r and
+      the tail (d2, ..., dr) alone, its side checked against the sign of
+      2p - 3s.
+    """
 
     partition: Partition
     d: int
@@ -338,7 +293,7 @@ def classify(partition: Partition) -> ClassificationReport:
     dim_X = -len(parts)
     for di in parts:
         dim_X += (di + 2) * (di + 1) // 2
-    _check_agreement("dim_variety", partition, dim_X, N - D)
+    _check_agreement("dim_X", partition, dim_X, N - D)
     exp_dim_sigma2 = min(N, 2 * dim_X + 1)
     exp_dim_IZ = max(N + 1 - 2 * D, 0)
     defective = parts[0] >= q.s and two_p_minus_three_s > 0

@@ -21,13 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, PrimeField
-from .formulas import (
-    dim_IZ_theory,
-    dim_sigma2_theory,
-    dim_variety,
-    expected_dim_sigma2,
-    hilbert_function_theory,
-)
+from .formulas import classify, hilbert_function_theory
 from .gfpoly import (
     cofactor_products,
     derive_seed,
@@ -37,7 +31,7 @@ from .gfpoly import (
     random_form,
     x0_codegree,
 )
-from .partitions import Partition, derived
+from .partitions import Partition
 
 VERDICT_MATCH = "MATCH"
 VERDICT_BELOW = "ORACLE_BELOW_THEORY"
@@ -55,10 +49,6 @@ LEAF_WINDOW = 32
 # 18.6 MB more on 40 MB. So wide slices, verify-large's among them, go one
 # trial at a time.
 BATCH_CELLS = 300_000
-
-
-class NotApplicableError(ValueError):
-    """The degree conditions for the requested specialization bound are not met."""
 
 
 class SemicontinuityError(RuntimeError):
@@ -554,9 +544,10 @@ def secant_trials(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    report = classify(partition)
     # A slice spans the tangent space to the affine cone over X at the point.
-    generic_slice_dim = dim_variety(partition) + 1
-    sigma2_cap = expected_dim_sigma2(partition)
+    generic_slice_dim = report.dim_X + 1
+    sigma2_cap = report.exp_dim_sigma2
     seeds = [derive_seed(base_seed, t) for t in range(trials)]
     measured = _trial_ranks(partition, seeds, prime)
     for slice_dims, rank_joint in measured:
@@ -586,108 +577,6 @@ def oracle_dim_IZ(
     """Measured dimension of the degree-d intersection of the two tangent
     ideals: the minimum over trials of their dim_IZ (see `secant_trials`)."""
     return min(t.dim_IZ for t in secant_trials(partition, trials, base_seed, prime=prime))
-
-
-CHECK_RESIDUAL = "residual"
-CHECK_RESIDUAL_PLUS_POINTS = "residual_plus_points"
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """One inequality dim_IZ <= bound, with its outcome."""
-
-    kind: str
-    bound: int
-    passed: bool
-
-
-@dataclass(frozen=True)
-class SpecializationReport:
-    """Oracle-measured dimensions for a partition and its line-split reduction.
-
-    Splitting a line off the e-th factor sends the partition to `reduced`
-    (that degree lowered by one, total degree d-1) and bounds the original
-    intersection dimension:
-
-    - "residual": dim_IZ(d) <= dim_IZ_reduced(d-1), valid when 1 < d_e < s_e;
-    - "residual_plus_points": dim_IZ(d) <= dim_IZ_reduced(d-1) + d1 - s + 1,
-      valid when e = 1, d1 > 1 and d1 >= s - 1.
-    """
-
-    partition: Partition
-    e: int
-    reduced: Partition
-    prime: int
-    trials: int
-    seed: int
-    dim_IZ: int
-    dim_IZ_reduced: int
-    checks: tuple[BoundCheck, ...]
-    passed: bool
-    trials_full: tuple[SecantTrial, ...]
-    trials_reduced: tuple[SecantTrial, ...]
-
-
-def specialization_check(
-    partition: Partition,
-    e: int,
-    seed: int = DEFAULT_SEED,
-    *,
-    prime: int = DEFAULT_PRIME,
-    trials: int = DEFAULT_TRIALS,
-) -> SpecializationReport:
-    """Measure both sides of every applicable line-splitting inequality.
-
-    Raises NotApplicableError when d_e = 1 or when neither inequality's degree
-    conditions hold (for example the balanced two-factor case d1 = d2, e = 2).
-    """
-    if not 1 <= e <= partition.r:
-        raise ValueError(f"factor index {e} out of range 1..{partition.r}")
-    q = derived(partition)
-    d_e = partition.parts[e - 1]
-    if d_e < 2:
-        raise NotApplicableError(
-            f"factor {e} of {partition} has degree 1; no line can be split off"
-        )
-    applies_residual = d_e < q.d - d_e
-    applies_plus_points = e == 1 and partition.parts[0] >= q.s - 1
-    if not (applies_residual or applies_plus_points):
-        raise NotApplicableError(
-            f"no specialization bound applies to {partition} at factor {e}"
-        )
-    reduced = partition.decrement(e)
-    trials_full = tuple(
-        secant_trials(partition, trials, derive_seed(seed, 0), prime=prime)
-    )
-    trials_reduced = tuple(
-        secant_trials(reduced, trials, derive_seed(seed, 1), prime=prime)
-    )
-    dim_IZ = min(t.dim_IZ for t in trials_full)
-    dim_IZ_reduced = min(t.dim_IZ for t in trials_reduced)
-    checks = []
-    if applies_residual:
-        checks.append(
-            BoundCheck(CHECK_RESIDUAL, dim_IZ_reduced, dim_IZ <= dim_IZ_reduced)
-        )
-    if applies_plus_points:
-        bound = dim_IZ_reduced + partition.parts[0] - q.s + 1
-        checks.append(
-            BoundCheck(CHECK_RESIDUAL_PLUS_POINTS, bound, dim_IZ <= bound)
-        )
-    return SpecializationReport(
-        partition=partition,
-        e=e,
-        reduced=reduced,
-        prime=prime,
-        trials=trials,
-        seed=seed,
-        dim_IZ=dim_IZ,
-        dim_IZ_reduced=dim_IZ_reduced,
-        checks=tuple(checks),
-        passed=all(c.passed for c in checks),
-        trials_full=trials_full,
-        trials_reduced=trials_reduced,
-    )
 
 
 @dataclass(frozen=True)
@@ -767,18 +656,19 @@ def verify(
 ) -> OracleReport:
     """Measure every predicted dimension for one partition and compare.
 
-    Every measurement comes from the trials of `secant_trials`, one
+    The predictions are read off one `classify` and, per degree,
+    `hilbert_function_theory`. Every measurement comes from the trials of `secant_trials`, one
     elimination each: each slice dimension of the Hilbert function j = 0..d
     (whose j = d entry is the degree-d slice dimension) is the max over the
     trial points, the secant-line dimension the max over trials, and the
     intersection dimension the min over trials of 2m - rank_joint.
     """
-    d = partition.d
+    report = classify(partition)
     predicted = {
-        "dim_IF_d": dim_variety(partition) + 1,
-        "hilbert": [hilbert_function_theory(partition, j) for j in range(d + 1)],
-        "dim_sigma2": dim_sigma2_theory(partition),
-        "dim_IZ": dim_IZ_theory(partition),
+        "dim_IF_d": report.dim_X + 1,
+        "hilbert": [hilbert_function_theory(partition, j) for j in range(partition.d + 1)],
+        "dim_sigma2": report.dim_sigma2,
+        "dim_IZ": report.dim_IZ,
     }
     trial_data = secant_trials(partition, trials, base_seed, prime=prime)
     slice_dims = [max(dims) for dims in zip(*(t.slice_dims for t in trial_data))]

@@ -4,26 +4,20 @@ printed pass/fail line per criterion.
 Run with: pytest tests/test_acceptance.py -v -s
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from secantlines.formulas import (
-    defect,
-    dim_IZ_theory,
-    dim_sigma2_theory,
-    fills_ambient,
-    hilbert_function_theory,
-    is_defective,
-)
+from secantlines.formulas import classify, hilbert_function_theory
+from secantlines.gfpoly import derive_seed
 from secantlines.oracle import (
     VERDICT_ABOVE,
     VERDICT_MATCH,
     oracle_dim_IZ,
     secant_trials,
-    specialization_check,
     verify,
 )
 from secantlines.partitions import Partition, derived, enumerate_partitions
@@ -65,10 +59,15 @@ def exhaustive_reports():
     ]
 
 
+Specialization = namedtuple("Specialization", "partition e reduced trials_full trials_reduced")
+
+
 @pytest.fixture(scope="module")
-def specialization_reports():
-    """Criterion 8 corpus: every applicable (partition, e) with d <= 9."""
-    reports = []
+def specializations():
+    """Criterion 8 corpus: every (partition, e) with d <= 9 at which a
+    line-splitting bound applies, with the trials of the partition and of its
+    reduction partition.decrement(e), of total degree d - 1."""
+    corpus = []
     for p in enumerate_partitions(9):
         q = derived(p)
         for e in range(1, p.r + 1):
@@ -76,10 +75,17 @@ def specialization_reports():
             if d_e < 2:
                 continue
             if d_e < q.d - d_e or (e == 1 and p.parts[0] >= q.s - 1):
-                reports.append(
-                    specialization_check(p, e, SEED, prime=PRIME, trials=TRIALS)
+                reduced = p.decrement(e)
+                corpus.append(
+                    Specialization(
+                        p,
+                        e,
+                        reduced,
+                        secant_trials(p, TRIALS, derive_seed(SEED, 0), prime=PRIME),
+                        secant_trials(reduced, TRIALS, derive_seed(SEED, 1), prime=PRIME),
+                    )
                 )
-    return reports
+    return corpus
 
 
 def test_criterion_1_exhaustive_theory_vs_oracle(exhaustive_reports):
@@ -147,8 +153,8 @@ def test_criterion_3_descent_table_reproduced():
             assert reduced == case.decrement(1)
             measured = oracle_dim_IZ(case, TRIALS, SEED, prime=PRIME)
             measured_reduced = oracle_dim_IZ(reduced, TRIALS, SEED, prime=PRIME)
-            assert measured == row["exp_dim_IZ"] == dim_IZ_theory(case)
-            assert measured_reduced == row["dim_IZ_reduced"] == dim_IZ_theory(reduced)
+            assert measured == row["exp_dim_IZ"] == classify(case).dim_IZ
+            assert measured_reduced == row["dim_IZ_reduced"] == classify(reduced).dim_IZ
         ok = True
     finally:
         announce(3, ok, "7 table rows, every dimension oracle-confirmed")
@@ -160,8 +166,8 @@ def test_criterion_4_near_balanced_families():
         for a in range(1, 7):
             same = Partition([a, a, 1])
             step = Partition([a + 1, a, 1])
-            assert dim_IZ_theory(same) == a + 3
-            assert dim_IZ_theory(step) == a + 4
+            assert classify(same).dim_IZ == a + 3
+            assert classify(step).dim_IZ == a + 4
             assert oracle_dim_IZ(same, TRIALS, SEED, prime=PRIME) == a + 3
             assert oracle_dim_IZ(step, TRIALS, SEED, prime=PRIME) == a + 4
         ok = True
@@ -205,8 +211,9 @@ def test_criterion_6_fills_ambient():
     try:
         for p in enumerate_partitions(12):
             q = derived(p)
-            fills = fills_ambient(p)
-            assert fills == (dim_sigma2_theory(p) == q.N)
+            report = classify(p)
+            fills = report.fills_ambient
+            assert fills == (report.dim_sigma2 == q.N)
             if fills and 3 * q.s - 2 * q.p < 0:
                 exceptional.append(p)
         assert exceptional == [Partition([2, 2, 2, 1])]
@@ -220,8 +227,10 @@ def test_criterion_7_defect_forms_agree():
     defective_count = 0
     try:
         for p in enumerate_partitions(20):
-            if not is_defective(p):
-                assert defect(p) == 0
+            report = classify(p)
+            delta2 = report.delta2
+            if not report.defective:
+                assert delta2 == 0
                 continue
             defective_count += 1
             q = derived(p)
@@ -232,31 +241,39 @@ def test_criterion_7_defect_forms_agree():
                 if comb(q.d + 2, 2) - 2 * q.D > 0
                 else comb(d1 - q.s + 2, 2)
             )
-            assert min_form == branch_form == defect(p)
+            assert min_form == branch_form == delta2
         assert defective_count > 0
         ok = True
     finally:
         announce(7, ok, f"{defective_count} defective partitions with d <= 20")
 
 
-def test_criterion_8_specialization_inequalities(specialization_reports):
+def test_criterion_8_specialization_inequalities(specializations):
+    # Splitting a line off factor e bounds dim_IZ by dim_IZ_reduced when
+    # 1 < d_e < d - d_e, and by dim_IZ_reduced + d1 - s + 1 when e = 1,
+    # d1 > 1 and d1 >= s - 1.
     ok = False
     try:
-        assert specialization_reports, "no applicable (partition, e) pairs found"
-        for report in specialization_reports:
-            assert report.passed, report
-            for check in report.checks:
-                assert report.dim_IZ <= check.bound
+        assert specializations, "no applicable (partition, e) pairs found"
+        for p, e, _, trials_full, trials_reduced in specializations:
+            q = derived(p)
+            d_e = p.parts[e - 1]
+            dim_IZ = min(t.dim_IZ for t in trials_full)
+            dim_IZ_reduced = min(t.dim_IZ for t in trials_reduced)
+            if d_e < q.d - d_e:
+                assert dim_IZ <= dim_IZ_reduced, (p, e)
+            if e == 1 and p.parts[0] >= q.s - 1:
+                assert dim_IZ <= dim_IZ_reduced + p.parts[0] - q.s + 1, (p, e)
         ok = True
     finally:
         announce(
             8,
             ok,
-            f"{len(specialization_reports)} applicable (partition, e) pairs, d <= 9",
+            f"{len(specializations)} applicable (partition, e) pairs, d <= 9",
         )
 
 
-def test_criterion_9_semicontinuity_guard(exhaustive_reports, specialization_reports):
+def test_criterion_9_semicontinuity_guard(exhaustive_reports, specializations):
     ok = False
     trial_count = 0
     try:
@@ -265,13 +282,13 @@ def test_criterion_9_semicontinuity_guard(exhaustive_reports, specialization_rep
             for value in report.trial_dim_sigma2:
                 assert value <= report.predicted["dim_sigma2"]
                 trial_count += 1
-        for report in specialization_reports:
-            cap_full = dim_sigma2_theory(report.partition)
-            cap_reduced = dim_sigma2_theory(report.reduced)
-            for trial in report.trials_full:
+        for spec in specializations:
+            cap_full = classify(spec.partition).dim_sigma2
+            cap_reduced = classify(spec.reduced).dim_sigma2
+            for trial in spec.trials_full:
                 assert trial.dim_sigma2 <= cap_full
                 trial_count += 1
-            for trial in report.trials_reduced:
+            for trial in spec.trials_reduced:
                 assert trial.dim_sigma2 <= cap_reduced
                 trial_count += 1
         ok = True

@@ -1,3 +1,4 @@
+import ast
 import csv
 import gc
 import hashlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import secantlines.cli as cli
+import secantlines.formulas as formulas
 from secantlines.cli import main, parse_partition, table_rows
 from secantlines.oracle import VERDICT_BELOW
 from secantlines.partitions import Partition, PartitionError
@@ -363,6 +365,27 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--d-max", "6", "--mode", "verify")
         assert code == 2
         assert err == f"error: cannot verify {failing}\n"
+        assert [r["lambda"] for r in json_lines(out)] == [list(p.parts) for p in partitions[:10]]
+
+    def test_worker_fault_exits_four_after_earlier_records(self, capsys, monkeypatch, deadline):
+        # Any other exception in a pool worker is a fault of the program:
+        # exit 4 with the traceback, the worker's own as its cause, and every
+        # record before the failing partition already written.
+        partitions = list(cli.enumerate_partitions(6))
+        failing = partitions[10]
+        real_verify = cli.verify
+
+        def doctored(partition, **kwargs):
+            if partition == failing:
+                raise RuntimeError(f"fault at {partition}")
+            return real_verify(partition, **kwargs)
+
+        monkeypatch.setattr(cli, "verify", doctored)
+        code, out, err = run(capsys, "sweep", "--d-max", "6", "--mode", "verify")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert err.startswith("multiprocessing.pool.RemoteTraceback: ")
+        assert "in doctored\n" in err
+        assert err.endswith(f"RuntimeError: fault at {failing}\n")
         assert [r["lambda"] for r in json_lines(out)] == [list(p.parts) for p in partitions[:10]]
 
     def test_killed_worker_exits_three(self, capsys, monkeypatch, deadline):
@@ -737,6 +760,29 @@ class TestTable:
         code, _, _ = run(capsys, "table", "lemma99")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("lemma45",), "c147b774946ae1e534f918a5838bfea70d236dc7b473dd0ee0c761c8b5dd8078"),
+            (("lemma45", "--format", "json"), "afa19564bcaee85cb835a96178a3be457a0c235a3b3db2cda91babd488abbc9a"),
+            (("lemma46",), "845ce95426f6cf1d1becf7cb07404eb6fe82f373a47bfd9521ba390b13a0683d"),
+            (("lemma46", "--format", "json"), "a66867c17405aa39f1f46b261c814cc665f43d290bace43613f8b1d144e0bdae"),
+            (("lemma47",), "7acb9de783fb65a7a12c83e3947bb7c80e83e58e2de222423458476549395924"),
+            (("lemma47", "--format", "json"), "b71f3f353b1b2c8fcb5c0a586676e906afa94c4891dac296f1a252263eaffa2d"),
+            (
+                ("lemma46", "--check", "--trials", "1", "--format", "json"),
+                "de1bd588189db3ab27e984ee951bc8a7e7378241aa1bbea35b29d603d349bd24",
+            ),
+        ],
+        ids=["lemma45-csv", "lemma45-json", "lemma46-csv", "lemma46-json", "lemma47-csv", "lemma47-json", "lemma46-check"],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        # The fixture tables, byte for byte: closed-form rows, and one
+        # oracle-checked table.
+        code, out, _ = run(capsys, "table", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_rows_helper_rejects_unknown(self):
         with pytest.raises(ValueError):
             table_rows("nope")
@@ -792,6 +838,31 @@ class TestProcessEntryPoint:
         assert json.loads(out)["lambda"] == [1, 1]
         assert err.decode().split() == ["True"]
 
+    def test_failed_derivation_check_exits_four(self, capsys, monkeypatch):
+        # A closed form whose two derivations disagree is an internal fault,
+        # not a verified mismatch (1): in-process `main` and the process
+        # both exit 4, with the traceback on stderr and nothing on stdout.
+        script = (
+            "import runpy, sys\n"
+            "import secantlines.formulas as formulas\n"
+            "real = formulas._dim_IZ\n"
+            "formulas._dim_IZ = lambda *args: real(*args) + 1\n"
+            "sys.argv = ['secantlines', 'classify', '9,7,2']\n"
+            "runpy.run_module('secantlines', run_name='__main__')\n"
+        )
+        proc = python_process("-c", script, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        real = formulas._dim_IZ
+        monkeypatch.setattr(formulas, "_dim_IZ", lambda *args: real(*args) + 1)
+        code, expected_out, expected_err = run(capsys, "classify", "9,7,2")
+        assert proc.returncode == code == cli.EXIT_INTERNAL == 4
+        assert out == b"" and expected_out == ""
+        for text in (err.decode(), expected_err):
+            assert text.startswith("Traceback (most recent call last):\n")
+            assert text.endswith(
+                "DerivationMismatchError: dim_sigma2[9,7,2]: the two derivations give 188 and 187\n"
+            )
+
     def test_console_script_is_run(self):
         # Plain text, since tomllib is not in Python 3.10.
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -805,7 +876,6 @@ PACKAGE_EXPORTS = {
     "EmptyPartitionError",
     "NegativeDegreeError",
     "NonPositivePartError",
-    "NotApplicableError",
     "OracleReport",
     "Partition",
     "PartitionError",
@@ -814,7 +884,7 @@ PACKAGE_EXPORTS = {
     "classify",
     "verify",
 }
-ORACLE_EXPORTS = {"NotApplicableError", "OracleReport", "SemicontinuityError", "verify"}
+ORACLE_EXPORTS = {"OracleReport", "SemicontinuityError", "verify"}
 
 
 def test_package_exports_resolve():
@@ -848,3 +918,34 @@ def test_closed_form_exports_never_import_numpy():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert err.decode().split() == ["False"]
+
+
+def test_public_names_have_a_caller_in_src():
+    # Every public top-level function and class of the closed forms and the
+    # oracle is exported in __all__ or referenced in src/ outside its own
+    # definition, so no public API exists for the tests alone. `rank` and
+    # `nullspace` are kept as the tests' references for the kernel.
+    src = Path(cli.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    exported = set(ast.literal_eval(next(
+        node.value
+        for node in trees["__init__"].body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    )))
+    uncalled = []
+    for module in ("formulas", "oracle"):
+        for definition in trees[module].body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)) or definition.name.startswith("_"):
+                continue
+            name = definition.name
+            inside = {id(node) for node in ast.walk(definition)}
+            referenced = any(
+                id(node) not in inside
+                and name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+                for tree in trees.values()
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            )
+            if not (referenced or name in exported or name in {"rank", "nullspace"}):
+                uncalled.append(f"{module}.{name}")
+    assert uncalled == []

@@ -5,23 +5,16 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import secantlines.cli as cli
 import secantlines.formulas as formulas
+import secantlines.oracle as oracle
 from secantlines.cli import _encode_json
 from secantlines.formulas import (
     CaseLabel,
     DerivationMismatchError,
     NegativeDegreeError,
     classify,
-    classify_case,
-    defect,
-    dim_IZ_theory,
-    dim_sigma2_theory,
-    dim_variety,
-    expected_dim_IZ,
-    expected_dim_sigma2,
-    fills_ambient,
     hilbert_function_theory,
-    is_defective,
 )
 from secantlines.partitions import Partition, derived, enumerate_partitions
 
@@ -31,12 +24,12 @@ class TestDimVariety:
         "parts, want", [([1, 1], 4), ([2, 1], 7), ([2, 1, 1, 1], 11)]
     )
     def test_examples(self, parts, want):
-        assert dim_variety(Partition(parts)) == want
+        assert classify(Partition(parts)).dim_X == want
 
     def test_point_count_form_agrees(self):
         for p in enumerate_partitions(15):
             q = derived(p)
-            assert dim_variety(p) == comb(q.d + 2, 2) - q.D - 1
+            assert classify(p).dim_X == comb(q.d + 2, 2) - q.D - 1
 
 
 class TestExpectedDimSigma2:
@@ -44,7 +37,7 @@ class TestExpectedDimSigma2:
         "parts, want", [([1, 1], 5), ([2, 1, 1, 1], 20), ([9, 7, 2], 189)]
     )
     def test_examples(self, parts, want):
-        assert expected_dim_sigma2(Partition(parts)) == want
+        assert classify(Partition(parts)).exp_dim_sigma2 == want
 
 
 class TestHilbertFunction:
@@ -86,12 +79,12 @@ class TestHilbertFunction:
 
 class TestDefectivity:
     def test_unbalanced_positive_is_defective(self):
-        assert is_defective(Partition([9, 7, 2]))
-        assert is_defective(Partition([6, 1, 1, 1, 1, 1, 1]))
+        assert classify(Partition([9, 7, 2])).defective
+        assert classify(Partition([6, 1, 1, 1, 1, 1, 1])).defective
 
     @pytest.mark.parametrize("a", range(1, 7))
     def test_near_balanced_triples_never_defective(self, a):
-        assert not is_defective(Partition([a, a, 1]))
+        assert not classify(Partition([a, a, 1])).defective
 
     @pytest.mark.parametrize("d1", range(4, 9))
     def test_boundary_five_factor_family(self, d1):
@@ -99,17 +92,18 @@ class TestDefectivity:
         p = Partition([d1, 1, 1, 1, 1])
         q = derived(p)
         assert 2 * q.p - 3 * q.s == 0
-        assert not is_defective(p)
+        assert not classify(p).defective
 
     @pytest.mark.parametrize(
         "parts, want", [([9, 7, 2], 1), ([10, 7, 2], 1), ([3, 2, 1], 0)]
     )
     def test_defect_examples(self, parts, want):
-        assert defect(Partition(parts)) == want
+        assert classify(Partition(parts)).delta2 == want
 
     def test_defect_positive_iff_defective(self):
         for p in enumerate_partitions(14):
-            assert (defect(p) > 0) == is_defective(p)
+            report = classify(p)
+            assert (report.delta2 > 0) == report.defective
 
 
 class TestDimIZ:
@@ -118,19 +112,19 @@ class TestDimIZ:
         [([2, 1, 1, 1], 3), ([6, 1, 1, 1, 1, 1, 1], 1), ([3, 2], 9)],
     )
     def test_examples(self, parts, want):
-        assert dim_IZ_theory(Partition(parts)) == want
+        assert classify(Partition(parts)).dim_IZ == want
 
     @pytest.mark.parametrize("a", range(1, 7))
     def test_near_balanced_families(self, a):
-        assert dim_IZ_theory(Partition([a, a, 1])) == a + 3
-        assert dim_IZ_theory(Partition([a + 1, a, 1])) == a + 4
+        assert classify(Partition([a, a, 1])).dim_IZ == a + 3
+        assert classify(Partition([a + 1, a, 1])).dim_IZ == a + 4
 
     def test_two_factor_closed_form(self):
         for d1 in range(1, 8):
             for d2 in range(1, d1 + 1):
                 want = ((d1 - d2) ** 2 + 3 * (d1 + d2) + 2) // 2
-                assert dim_IZ_theory(Partition([d1, d2])) == want
-                assert expected_dim_IZ(Partition([d1, d2])) == want
+                report = classify(Partition([d1, d2]))
+                assert report.dim_IZ == report.exp_dim_IZ == want
 
 
 class TestDimSigma2:
@@ -139,26 +133,27 @@ class TestDimSigma2:
         [([1, 1, 1], 9), ([5, 1, 1, 1, 1, 1], 60), ([2, 1], 9), ([9, 7, 2], 188)],
     )
     def test_examples(self, parts, want):
-        assert dim_sigma2_theory(Partition(parts)) == want
+        assert classify(Partition(parts)).dim_sigma2 == want
 
     def test_seven_factor_example(self):
         # exp.dim = min{90, 79} = 79 and the defect is 1
         p = Partition([6, 1, 1, 1, 1, 1, 1])
-        assert expected_dim_sigma2(p) == 79
-        assert defect(p) == 1
-        assert dim_sigma2_theory(p) == 78
+        report = classify(p)
+        assert report.exp_dim_sigma2 == 79
+        assert report.delta2 == 1
+        assert report.dim_sigma2 == 78
 
 
 class TestFillsAmbient:
     def test_examples(self):
-        assert fills_ambient(Partition([2, 2, 2, 1]))
-        assert fills_ambient(Partition([7, 2]))
-        assert not fills_ambient(Partition([6, 1, 1, 1, 1, 1, 1]))
+        assert classify(Partition([2, 2, 2, 1])).fills_ambient
+        assert classify(Partition([7, 2])).fills_ambient
+        assert not classify(Partition([6, 1, 1, 1, 1, 1, 1])).fills_ambient
 
     def test_iff_dimension_reaches_ambient(self):
         for p in enumerate_partitions(11):
-            q = derived(p)
-            assert fills_ambient(p) == (dim_sigma2_theory(p) == q.N)
+            report = classify(p)
+            assert report.fills_ambient == (report.dim_sigma2 == derived(p).N)
 
 
 class TestCaseLabels:
@@ -183,12 +178,12 @@ class TestCaseLabels:
         ],
     )
     def test_examples(self, parts, label):
-        assert classify_case(Partition(parts)) is label
+        assert classify(Partition(parts)).case_label is label
 
     def test_total_and_sign_consistent(self):
         for p in enumerate_partitions(14):
             q = derived(p)
-            label = classify_case(p)
+            label = classify(p).case_label
             assert label.defective_side == (2 * q.p - 3 * q.s > 0)
 
     def test_three_factor_nonpositive_tails(self):
@@ -210,18 +205,18 @@ class TestCaseLabels:
 
 
 def test_wide_sweep_consistency():
-    # One pass over every partition with d <= 30, exercising the paired-form
-    # checks inside dim_variety, defect, fills_ambient and classify_case
-    # at full range.
+    # One pass over every partition with d <= 30, exercising classify's
+    # paired-form checks (dim_X, delta2, fills_ambient, case_label) at full
+    # range.
     count = 0
     for p in enumerate_partitions(30):
         q = derived(p)
-        assert dim_variety(p) == comb(q.d + 2, 2) - q.D - 1
-        if is_defective(p):
+        report = classify(p)
+        assert report.dim_X == comb(q.d + 2, 2) - q.D - 1
+        if report.defective:
             d1 = p.parts[0]
-            assert defect(p) == min(comb(d1 - q.s + 2, 2), 2 * q.p - 3 * q.s)
-        assert fills_ambient(p) == (dim_sigma2_theory(p) == q.N)
-        classify_case(p)
+            assert report.delta2 == min(comb(d1 - q.s + 2, 2), 2 * q.p - 3 * q.s)
+        assert report.fills_ambient == (report.dim_sigma2 == q.N)
         count += 1
     assert count > 25000
 
@@ -231,25 +226,6 @@ def _shifted(real):
 
 
 class TestDerivationChecks:
-    # Each case replaces one ingredient of a quantity so that its two
-    # derivations disagree; the check must raise, also under python -O. The
-    # public functions read `classify`, so the ingredients are its helpers.
-    @pytest.mark.parametrize(
-        "target, broken, check, parts",
-        [
-            ("derived", lambda real: lambda p: replace(real(p), D=real(p).D + 1), dim_variety, [2, 1]),
-            ("_dim_IZ", _shifted, dim_sigma2_theory, [9, 7, 2]),
-            ("_defect", _shifted, dim_IZ_theory, [9, 7, 2]),
-            ("_dim_sigma2", _shifted, fills_ambient, [2, 2, 2, 1]),
-            ("_DEFECTIVE_SIDE", lambda real: frozenset(), classify_case, [9, 7, 2]),
-        ],
-        ids=["dim_variety", "dim_sigma2", "dim_IZ", "fills_ambient", "case_label"],
-    )
-    def test_disagreement_raises(self, monkeypatch, target, broken, check, parts):
-        monkeypatch.setattr(formulas, target, broken(getattr(formulas, target)))
-        with pytest.raises(DerivationMismatchError):
-            check(Partition(parts))
-
     # classify computes each ingredient once, so each of its six checks is
     # broken through the helper that feeds it. [20,7,2] is defective with
     # exp_dim_IZ = 77 > 0, so the defect's branch form is 2p - 3s = 1, and a
@@ -257,12 +233,12 @@ class TestDerivationChecks:
     @pytest.mark.parametrize(
         "target, broken, check, parts",
         [
-            ("derived", lambda real: lambda p: replace(real(p), D=real(p).D + 1), "dim_variety", [2, 1]),
-            ("_unbalanced_dim_IZ", lambda real: lambda *args: 0, "defect", [20, 7, 2]),
-            ("_defect", _shifted, "dim_IZ_theory", [9, 7, 2]),
-            ("_dim_IZ", _shifted, "dim_sigma2_theory", [9, 7, 2]),
+            ("derived", lambda real: lambda p: replace(real(p), D=real(p).D + 1), "dim_X", [2, 1]),
+            ("_unbalanced_dim_IZ", lambda real: lambda *args: 0, "delta2", [20, 7, 2]),
+            ("_defect", _shifted, "dim_IZ", [9, 7, 2]),
+            ("_dim_IZ", _shifted, "dim_sigma2", [9, 7, 2]),
             ("_dim_sigma2", _shifted, "fills_ambient", [2, 2, 2, 1]),
-            ("_DEFECTIVE_SIDE", lambda real: frozenset(), "classify_case", [9, 7, 2]),
+            ("_DEFECTIVE_SIDE", lambda real: frozenset(), "case_label", [9, 7, 2]),
         ],
         ids=["dim_X", "defect", "dim_IZ", "dim_sigma2", "fills_ambient", "case_label"],
     )
@@ -288,38 +264,47 @@ class TestDerivationChecks:
         monkeypatch.setattr(formulas, "_check_agreement", counted_check)
         monkeypatch.setattr(formulas, "derived", counted_derived)
         classify(Partition([9, 7, 2]))
-        assert checks == [
-            "dim_variety",
-            "defect",
-            "dim_IZ_theory",
-            "dim_sigma2_theory",
-            "fills_ambient",
-            "classify_case",
-        ]
+        assert checks == ["dim_X", "delta2", "dim_IZ", "dim_sigma2", "fills_ambient", "case_label"]
         assert derivations == [Partition([9, 7, 2])]
 
 
+class TestClassifyCalls:
+    # Every caller reads its closed forms off one `classify` per partition.
+    # `formulas.classify` is wrapped wherever a module binds it, so calls
+    # made through the module and through an imported name both count.
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = formulas.classify
+
+        def counted(partition):
+            calls.append(partition)
+            return real(partition)
+
+        for module in (formulas, oracle, cli):
+            if getattr(module, "classify", None) is real:
+                monkeypatch.setattr(module, "classify", counted)
+        return calls
+
+    def test_verify_classifies_twice(self, calls):
+        # Once for the predictions, once in secant_trials for its caps.
+        oracle.verify(Partition([25, 15]), trials=1)
+        assert calls == [Partition([25, 15])] * 2
+
+    def test_descent_table_classifies_each_partition_once(self, calls):
+        rows = cli.table_rows("lemma46")
+        assert calls == [
+            Partition(parts) for row in rows for parts in (row["case"], row["lambda_reduced"])
+        ]
+
+
 class TestClassificationReport:
-    def test_fields_equal_the_per_quantity_functions(self):
-        # The one-pass classify against the public function of each field.
-        for p in enumerate_partitions(20):
+    def test_invariants_hold_everywhere(self):
+        for p in enumerate_partitions(12):
             report = classify(p)
             q = derived(p)
             assert (report.d, report.D, report.N, report.s, report.p) == (q.d, q.D, q.N, q.s, q.p)
             assert report.two_p_minus_three_s == 2 * q.p - 3 * q.s
-            assert report.dim_X == dim_variety(p)
-            assert report.exp_dim_sigma2 == expected_dim_sigma2(p)
-            assert report.exp_dim_IZ == expected_dim_IZ(p)
-            assert report.defective == is_defective(p)
-            assert report.delta2 == defect(p)
-            assert report.dim_sigma2 == dim_sigma2_theory(p)
-            assert report.dim_IZ == dim_IZ_theory(p)
-            assert report.fills_ambient == fills_ambient(p)
-            assert report.case_label is classify_case(p)
-
-    def test_invariants_hold_everywhere(self):
-        for p in enumerate_partitions(12):
-            report = classify(p)
             assert report.dim_sigma2 == report.exp_dim_sigma2 - report.delta2
             assert report.defective == (report.delta2 > 0)
             assert report.dim_IZ == report.exp_dim_IZ + report.delta2

@@ -7,18 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secantlines.formulas import (
-    dim_IZ_theory,
-    dim_sigma2_theory,
-    hilbert_function_theory,
-)
+from secantlines.formulas import classify, hilbert_function_theory
 import secantlines.oracle as oracle
 from secantlines.field import is_prime
 from secantlines.gfpoly import derive_seed, num_monomials
 from secantlines.oracle import (
-    CHECK_RESIDUAL,
-    CHECK_RESIDUAL_PLUS_POINTS,
-    NotApplicableError,
     SemicontinuityError,
     VERDICT_ABOVE,
     VERDICT_BELOW,
@@ -38,7 +31,6 @@ from secantlines.oracle import (
     oracle_dim_IZ,
     rank,
     secant_trials,
-    specialization_check,
     tangent_slice,
     verify,
 )
@@ -559,7 +551,7 @@ class TestSecantMeasurements:
         complements = np.vstack([nullspace(a, P), nullspace(b, P)])
         dim_intersection = a.shape[1] - rank(complements, P)
         assert rank_joint == rank_a + rank_b - dim_intersection
-        assert dim_intersection == dim_IZ_theory(partition)
+        assert dim_intersection == classify(partition).dim_IZ
 
     def test_trials_record_all_ranks(self):
         partition = Partition([2, 2, 1])
@@ -660,40 +652,6 @@ class TestSecantMeasurements:
             secant_trials(Partition(parts), 1, SEED, prime=P)
 
 
-class TestSpecializationCheck:
-    def test_both_bounds_when_near_balanced(self):
-        report = specialization_check(Partition([3, 2, 1, 1]), 1, SEED, prime=P)
-        assert report.reduced == Partition([2, 2, 1, 1])
-        assert report.dim_IZ == 2 and report.dim_IZ_reduced == 2
-        kinds = {c.kind: c for c in report.checks}
-        assert set(kinds) == {CHECK_RESIDUAL, CHECK_RESIDUAL_PLUS_POINTS}
-        assert kinds[CHECK_RESIDUAL_PLUS_POINTS].bound == 2  # d1 - s + 1 = 0
-        assert report.passed
-
-    def test_residual_only(self):
-        report = specialization_check(Partition([2, 2, 2]), 3, SEED, prime=P)
-        assert [c.kind for c in report.checks] == [CHECK_RESIDUAL]
-        assert report.passed
-
-    def test_unit_degree_not_applicable(self):
-        with pytest.raises(NotApplicableError):
-            specialization_check(Partition([2, 1, 1]), 2, SEED, prime=P)
-
-    def test_balanced_pair_not_applicable_off_lead(self):
-        # [2,2] at e=2 has d_e = s_e, so neither bound applies
-        with pytest.raises(NotApplicableError):
-            specialization_check(Partition([2, 2]), 2, SEED, prime=P)
-
-    def test_balanced_pair_lead_factor_applies(self):
-        report = specialization_check(Partition([2, 2]), 1, SEED, prime=P)
-        assert [c.kind for c in report.checks] == [CHECK_RESIDUAL_PLUS_POINTS]
-        assert report.passed
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            specialization_check(Partition([2, 2]), 5, SEED, prime=P)
-
-
 class TestVerify:
     @pytest.mark.parametrize(
         "parts, dim_IZ",
@@ -723,7 +681,7 @@ class TestVerify:
         assert all(
             t <= report.predicted["dim_sigma2"] for t in report.trial_dim_sigma2
         )
-        assert report.predicted["dim_sigma2"] == dim_sigma2_theory(p)
+        assert report.predicted["dim_sigma2"] == classify(p).dim_sigma2
         payload = report.to_dict()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["seeds"] == list(report.seeds)
