@@ -418,7 +418,7 @@ def positive_int(text: str) -> int:
 
 def _add_oracle_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--prime", type=prime_modulus, default=DEFAULT_PRIME, help=f"prime field modulus (default {DEFAULT_PRIME})")
-    sub.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS, help=f"independent random trials (default {DEFAULT_TRIALS})")
+    sub.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS, help=f"cap on independent random trials, which stop at the first that reaches every a priori ceiling (default {DEFAULT_TRIALS})")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"base seed for all randomness (default {DEFAULT_SEED})")
 
 

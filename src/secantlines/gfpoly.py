@@ -5,10 +5,10 @@ the graded-lex order on monomials x0^a x1^b x2^c: a descending, then b
 descending, so x0^d comes first and x2^d last. The degree follows from the
 length. That order is known only to `product_index`; products and monomial
 shifts are scatters through the positions it returns. Leading axes make a
-stack of forms of one degree (one per trial, say), which `multiply`,
-`cofactor_products` and `monomial_multiples` treat in one call. The prime
-defaults to 1,000,003 and is capped below 2**31, so every product of two
-reduced coefficients fits in int64 and all arithmetic stays exact.
+stack of forms of one degree, which `multiply`, `cofactor_products` and
+`monomial_multiples` treat in one call. The prime defaults to 1,000,003 and
+is capped below 2**31, so every product of two reduced coefficients fits in
+int64 and all arithmetic stays exact.
 """
 
 from __future__ import annotations

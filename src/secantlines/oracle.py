@@ -1,27 +1,30 @@
 """Exact-rank measurements of every dimension the closed forms predict.
 
-The oracle works over a large prime field: ranks of matrices specialized from
-a generic construction can only drop, never rise, so the maximum rank seen over
-a few random trials is a certified lower bound for the generic rank, and
-agreement with the closed-form value certifies both sides. Each trial draws two
-points F and G and runs one elimination, of F's degree-d tangent slice with its
-rows sorted so that every smaller slice is a prefix. Its row rank profile gives
-F's whole Hilbert function, and the rank of F's and G's slices stacked (by
-Terracini's lemma, dim sigma2 plus one). The dimension of the intersection of
-the two row spaces is taken as 2m minus the stacked rank, with m the largest
-slice rank seen: the stacked rank can only drop, so once m is generic that
-value can only sit at or above the generic intersection, and its minimum over
-trials is aggregated."""
+The oracle works over a prime field. Ranks of matrices specialized from a
+generic construction can only drop, never rise, and each rank it measures has
+an a priori ceiling on its generic value (`_ceilings`). Trials run one at a
+time, at most the number asked for, and stop at the first trial whose every
+rank reaches its ceiling: that trial proves every generic value, at any prime,
+and agreement with the closed form certifies both sides. Short of that, the
+maximum rank seen over the trials is a lower bound for the generic rank. Each
+trial draws two points F and G and runs one elimination, of F's degree-d
+tangent slice with its rows sorted so that every smaller slice is a prefix.
+Its row rank profile gives F's whole Hilbert function, and the rank of F's and
+G's slices stacked (by Terracini's lemma, dim sigma2 plus one). The dimension
+of the intersection of the two row spaces is taken as 2m minus the stacked
+rank, with m the largest slice rank seen: the stacked rank can only drop, so
+once m is generic that value can only sit at or above the generic
+intersection, and its minimum over trials is aggregated."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, PrimeField
-from .formulas import classify, hilbert_function_theory
+from .formulas import ClassificationReport, classify, hilbert_function_theory
 from .gfpoly import (
     cofactor_products,
     derive_seed,
@@ -41,26 +44,13 @@ VERDICT_ABOVE = "ORACLE_ABOVE_THEORY"
 # leaf (`_leaf`).
 LEAF_ROWS = 32
 LEAF_WINDOW = 32
-# A partition's t trials are eliminated as one stack while t * cols**2 is at
-# most this, cols being the slice width C(d+2, 2): at t = 3 that is d <= 23.
-# Stacking three trials against running them one at a time, one in-process
-# verify: d = 20 ([12,8]) 0.006 s against 0.010 s and 1.4 MB more peak RSS,
-# d = 30 ([18,12]) 0.017 against 0.025 s and 6 MB more, d = 40 ([25,15])
-# 18.6 MB more on 40 MB. So wide slices, verify-large's among them, go one
-# trial at a time.
-BATCH_CELLS = 300_000
 
 
 class SemicontinuityError(RuntimeError):
-    """A measured rank exceeded the generic value it can only fall short of.
+    """A measured rank exceeded the ceiling on its generic value.
 
     No unlucky draw can cause this; it means the oracle itself is wrong.
     """
-
-
-class _Diverged(Exception):
-    """Two matrices of a stack disagreed on a live-row or pivot decision, so
-    they cannot share one elimination."""
 
 
 def _eliminate(work: np.ndarray, modulus: int) -> tuple[list[int], list[int]]:
@@ -155,20 +145,16 @@ def _blocked(n_cols: int, modulus: int) -> bool:
 
 
 def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduced row echelon bases of the row spaces of a stack of float64
-    matrices, shape (t, rows, cols), with integer entries in [0, modulus) or
-    balanced residues (see `_mod`), on which `_blocked` allows the kernel,
-    and their row rank profile. Every step serves the whole stack; a stack
-    of one is the unbatched case.
+    """Reduced row echelon basis of the row space of a float64 matrix with
+    integer entries in [0, modulus) or balanced residues (see `_mod`), on
+    which `_blocked` allows the kernel, and its row rank profile.
 
-    Returns (pivots, tail, independent). Row i of matrix b's basis is the
-    unit vector at column pivots[i] minus tail[b, i] spread over the
-    non-pivot columns in increasing order; tail holds balanced residues, and
-    the identity block on the pivot columns is never stored. independent
-    lists, in increasing order, the rows that are independent of the rows
-    above them. pivots and independent are shared: the matrices run in
-    lockstep, and `_Diverged` is raised at the first live-row or pivot
-    decision on which they disagree (never for a stack of one).
+    Returns (pivots, tail, independent). Row i of the basis is the unit
+    vector at column pivots[i] minus tail[i] spread over the non-pivot
+    columns in increasing order; tail holds balanced residues, and the
+    identity block on the pivot columns is never stored. independent lists,
+    in increasing order, the rows that are independent of the rows above
+    them.
 
     Recursive: eliminate the top half of the rows, reduce the bottom half
     against that basis with one product (`_reduce`), eliminate the residual,
@@ -179,50 +165,41 @@ def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     residual's, shifted by the half. Leaves of at most LEAF_ROWS rows go
     through `_leaf`.
     """
-    n_rows = a.shape[1]
+    n_rows = a.shape[0]
     if n_rows <= LEAF_ROWS:
         return _leaf(a, modulus)
     half = n_rows // 2
-    pivots, tail, top = _rref(a[:, :half], modulus)
-    new_pivots, new_tail, bottom = _rref(_reduce(pivots, tail, a[:, half:], modulus), modulus)
+    pivots, tail, top = _rref(a[:half], modulus)
+    new_pivots, new_tail, bottom = _rref(_reduce(pivots, tail, a[half:], modulus), modulus)
     independent = np.concatenate([top, half + bottom])
     if new_pivots.size == 0:
         return pivots, tail, independent
-    free = _complement(pivots, a.shape[2])
+    free = _complement(pivots, a.shape[1])
     return (
         np.concatenate([pivots, free[new_pivots]]),
-        np.concatenate([_reduce(new_pivots, new_tail, tail, modulus), new_tail], axis=1),
+        np.concatenate([_reduce(new_pivots, new_tail, tail, modulus), new_tail]),
         independent,
     )
 
 
 def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_rref` of a stack of matrices of at most LEAF_ROWS rows, one window
-    of LEAF_WINDOW columns at a time, in float64 throughout.
+    """`_rref` of a matrix of at most LEAF_ROWS rows, one window of
+    LEAF_WINDOW columns at a time, in float64 throughout.
 
     A row is live until it is found dependent, and pending while it is live
     and not a pivot row. Each window starts at the first column on which a
-    pending row of the stack is non-zero; pending rows that are zero on
-    every column from there on are dependent and leave. The live rows'
-    window, with the identity appended, is eliminated as `_eliminate` does
-    it, in row order without swaps. A pending row's turn reduces that row;
-    if it is non-zero on the window, its first non-zero column there becomes
-    a pivot, the row is scaled to 1 at it and reduced again, and the reduced
-    multiplier column times the row is taken from every other live row,
-    pivot rows of earlier windows included. No other entry is reduced before
-    the window ends, so each takes at most one unreduced update per pivot
-    (see `_mod` for the bound). The transform accumulated on the identity
-    then updates the remaining columns with one product and one reduction.
-    The profile is sorted by row at the end.
-
-    The stack shares every decision: which rows leave, and each pivot. The
-    first matrix makes them, and any other that would decide otherwise
-    raises `_Diverged`. The rows that leave are compared once per window; at
-    each turn the other reduced rows must be zero before the first one's
-    pivot column and non-zero on it, or zero on the whole window if it has
-    no pivot there. A window may start before a matrix's own first non-zero
-    pending column; its pending rows are zero there and find no pivot, so
-    nothing changes.
+    pending row is non-zero; pending rows that are zero on every column from
+    there on are dependent and leave. The live rows' window, with the
+    identity appended, is eliminated as `_eliminate` does it, in row order
+    without swaps. A pending row's turn reduces that row; if it is non-zero
+    on the window, its first non-zero column there becomes a pivot, the row
+    is scaled to 1 at it and reduced again, and the reduced multiplier
+    column times the row is taken from every other live row, pivot rows of
+    earlier windows included. No other entry is reduced before the window
+    ends, so each takes at most one unreduced update per pivot (see `_mod`
+    for the bound). The transform accumulated on the identity then updates
+    the remaining columns with one product and one reduction. The profile is
+    sorted by row at the end.
 
     Why this is the row rank profile: by induction on windows, after each
     window the pivot rows are the rows independent of the rows above them
@@ -244,7 +221,7 @@ def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     column before the window, where they are zero, so the pivot rows end in
     reduced row echelon form.
     """
-    t, n_rows, n_cols = a.shape
+    n_rows, n_cols = a.shape
     work = a.copy()
     live = np.ones(n_rows, dtype=bool)
     is_pivot = np.zeros(n_rows, dtype=bool)
@@ -253,57 +230,40 @@ def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     start = 0
     while True:
         pending = np.flatnonzero(live & ~is_pivot)
-        nonzero = work[:, pending, start:] != 0
-        occupied_rows = nonzero.any(axis=2)
-        if t > 1 and (occupied_rows != occupied_rows[0]).any():
-            raise _Diverged
-        live[pending[~occupied_rows[0]]] = False
-        occupied = np.flatnonzero(nonzero.any(axis=(0, 1)))
+        nonzero = work[pending, start:] != 0
+        live[pending[~nonzero.any(axis=1)]] = False
+        occupied = np.flatnonzero(nonzero.any(axis=0))
         if occupied.size == 0:
             break
         start += int(occupied[0])
         stop = min(start + LEAF_WINDOW, n_cols)
         width = stop - start
         members = np.flatnonzero(live)
-        identity = np.eye(members.size)[None].repeat(t, axis=0)
-        block = np.concatenate([work[:, members, start:stop], identity], axis=2)
-        # The stack's rows one after another: a column of it is one strided
-        # vector, which numpy reduces faster than a (t, members) view.
-        stacked_rows = block.reshape(t * members.size, -1)
+        block = np.concatenate([work[members, start:stop], np.eye(members.size)], axis=1)
         for k, i in enumerate(members):
             if is_pivot[i]:
                 continue
-            row = _mod(block[:, k], modulus)
-            hits = row[0, :width].nonzero()[0]
+            row = _mod(block[k], modulus)
+            hits = row[:width].nonzero()[0]
             if hits.size == 0:
-                if t > 1 and row[:, :width].any():
-                    raise _Diverged
                 continue
             col = int(hits[0])
-            if t == 1:
-                scale = pow(int(row[0, col]), -1, modulus)
-            else:
-                values = row[:, col].tolist()
-                if 0 in values or row[:, :col].any():
-                    raise _Diverged
-                scale = np.array([[pow(int(v), -1, modulus)] for v in values])
-            row = _mod(row * scale, modulus)
+            row = _mod(row * pow(int(row[col]), -1, modulus), modulus)
             # Row k takes its own update too, and is then set to the pivot row.
-            multipliers = _mod(stacked_rows[:, col], modulus)
-            block -= multipliers.reshape(t, -1, 1) * row[:, None, :]
-            block[:, k] = row
+            block -= np.multiply.outer(_mod(block[:, col], modulus), row)
+            block[k] = row
             is_pivot[i] = True
             rows.append(i)
             cols.append(start + col)
         block = _mod(block, modulus)
-        work[:, members, start:stop] = block[:, :, :width]
+        work[members, start:stop] = block[:, :width]
         if stop < n_cols:
-            work[:, members, stop:] = _mod(block[:, :, width:] @ work[:, members, stop:], modulus)
+            work[members, stop:] = _mod(block[:, width:] @ work[members, stop:], modulus)
         start = stop
     order = np.argsort(rows)
     independent = np.array(rows, dtype=np.int64)[order]
     pivots = np.array(cols, dtype=np.int64)[order]
-    return pivots, -work[:, independent[:, None], _complement(pivots, n_cols)], independent
+    return pivots, -work[independent[:, None], _complement(pivots, n_cols)], independent
 
 
 def _complement(pivots: np.ndarray, n_cols: int) -> np.ndarray:
@@ -315,9 +275,8 @@ def _reduce(
     pivots: np.ndarray, tail: np.ndarray, rows: np.ndarray, modulus: int
 ) -> np.ndarray:
     """`rows` minus their combination of the basis (pivots, tail) that clears
-    the pivot columns, as matrices on the non-pivot columns, for a stack of
-    bases and rows: one product and one reduction mod p. Its rank is the
-    rank `rows` add to the basis.
+    the pivot columns, as a matrix on the non-pivot columns: one product and
+    one reduction mod p. Its rank is the rank `rows` add to the basis.
 
     Each column of `rows` is copied once: the pivot columns into the
     product's operand, the others into a sum formed in the product's own
@@ -325,29 +284,29 @@ def _reduce(
     an array twice the size; on a 487 x 861 reduction its fresh pages cost
     1,583 page faults a call against 24, and doubled the time.
     """
-    out = rows[..., pivots] @ tail
-    out += rows[..., _complement(pivots, rows.shape[-1])]
+    out = rows[:, pivots] @ tail
+    out += rows[:, _complement(pivots, rows.shape[1])]
     return _mod(out, modulus)
 
 
 def _rank(a: np.ndarray, modulus: int) -> int:
-    """Rank shared by a stack of matrices in `_rref`'s input form: the rank
-    of their top half plus that of their bottom half reduced against the top
-    half's basis, so the basis of the whole is never back-substituted.
-    Leaves of at most LEAF_ROWS rows go through `_leaf`."""
-    if a.shape[1] <= LEAF_ROWS:
+    """Rank of a matrix in `_rref`'s input form: the rank of its top half
+    plus that of its bottom half reduced against the top half's basis, so
+    the basis of the whole is never back-substituted. Leaves of at most
+    LEAF_ROWS rows go through `_leaf`."""
+    if a.shape[0] <= LEAF_ROWS:
         return _leaf(a, modulus)[0].size
-    half = a.shape[1] // 2
-    pivots, tail, _ = _rref(a[:, :half], modulus)
-    return pivots.size + _rank(_reduce(pivots, tail, a[:, half:], modulus), modulus)
+    half = a.shape[0] // 2
+    pivots, tail, _ = _rref(a[:half], modulus)
+    return pivots.size + _rank(_reduce(pivots, tail, a[half:], modulus), modulus)
 
 
 def rank(rows: np.ndarray | Sequence[Sequence[int]], modulus: int) -> int:
     """Exact rank of an integer matrix over GF(modulus); empty matrices have rank 0.
 
-    Matrices go through the blocked float64 kernel, as a stack of one,
-    where `_blocked` finds it exact, the rest through the int64 row loop
-    `_eliminate`; both routes give the same rank.
+    Matrices go through the blocked float64 kernel where `_blocked` finds it
+    exact, the rest through the int64 row loop `_eliminate`; both routes give
+    the same rank.
     """
     a = np.asarray(rows, dtype=np.int64)
     if a.ndim != 2:
@@ -355,7 +314,7 @@ def rank(rows: np.ndarray | Sequence[Sequence[int]], modulus: int) -> int:
     if a.size == 0:
         return 0
     if _blocked(a.shape[1], modulus):
-        return _rank((a % modulus).astype(np.float64)[None], modulus)
+        return _rank((a % modulus).astype(np.float64), modulus)
     return len(_eliminate(a % modulus, modulus)[0])
 
 
@@ -376,8 +335,7 @@ def tangent_slice(
     cofactors: Sequence[np.ndarray], j: int, rows: np.ndarray | None = None
 ) -> np.ndarray:
     """Rows spanning the degree-j piece of the ideal generated by the
-    all-but-one factor products of one factored form, as a float64 matrix;
-    a stack of them, one per form, when the cofactors carry a leading axis.
+    all-but-one factor products of one factored form, as a float64 matrix.
 
     One block of rows per cofactor: all its monomial multiples of degree j.
     Row k of the blocks, taken in turn, is row rows[k] of the slice (k by
@@ -388,7 +346,7 @@ def tangent_slice(
     if j < 0:
         raise ValueError(f"degree must be >= 0, got {j}")
     sizes = [num_monomials(j - e) if e <= j else 0 for e in map(form_degree, cofactors)]
-    out = np.zeros(cofactors[0].shape[:-1] + (sum(sizes), num_monomials(j)))
+    out = np.zeros((sum(sizes), num_monomials(j)))
     if rows is None:
         rows = np.arange(sum(sizes))
     start = 0
@@ -398,47 +356,73 @@ def tangent_slice(
     return out
 
 
-def _draw_cofactors(partition: Partition, seeds: Sequence[int], prime: int) -> list[np.ndarray]:
-    """Cofactor products of one random point per seed, stacked along a
-    leading axis: one factor per degree, each drawn from its own derived
-    seed stream."""
+def _draw_cofactors(partition: Partition, seed: int, prime: int) -> list[np.ndarray]:
+    """Cofactor products of one random point: one factor per degree, each
+    drawn from its own derived seed stream."""
     field = PrimeField(prime)
-    factors = [
-        np.array([random_form(field, di, derive_seed(seed, i)) for seed in seeds])
-        for i, di in enumerate(partition.parts)
-    ]
+    factors = [random_form(field, di, derive_seed(seed, i)) for i, di in enumerate(partition.parts)]
     return cofactor_products(factors, prime)
 
 
-def _hilbert_order(cofactors: Sequence[np.ndarray], d: int) -> tuple[np.ndarray, np.ndarray]:
+def _hilbert_order(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     """The row of the degree-d tangent slice that each row of its blocks
     moves to, so that, for every j = 0..d, the rows spanning x0^(d-j) times
     the degree-j slice come first, and the number of those rows for each j.
 
-    Row m * G_i, for a cofactor G_i of degree e and a monomial m of degree
-    d - e, lies in x0^(d-j) times the degree-j slice exactly when e plus the
-    degree of m in x1, x2 is at most j. The rows are sorted stably by that
-    key. Multiplying by x0^(d-j) is injective, so the rank of the first
-    count[j] rows is the dimension of the degree-j slice, for every draw and
-    every prime. Both depend on the cofactor degrees only.
+    Row m * G_i, for the cofactor G_i of degree e = d - d_i and a monomial m
+    of degree d_i, lies in x0^(d-j) times the degree-j slice exactly when e
+    plus the degree of m in x1, x2 is at most j. The rows are sorted stably
+    by that key. Multiplying by x0^(d-j) is injective, so the rank of the
+    first count[j] rows is the dimension of the degree-j slice, for every
+    draw and every prime. Both depend on the cofactor degrees only.
     """
-    keys = np.concatenate([x0_codegree(d - e) + e for e in map(form_degree, cofactors)])
+    d = partition.d
+    keys = np.concatenate([x0_codegree(di) + d - di for di in partition.parts])
     order = np.argsort(keys, kind="stable")
     counts = np.searchsorted(keys[order], np.arange(d + 1), side="right")
     return np.argsort(order), counts
 
 
-def _pair_ranks(slices: Iterator[np.ndarray], modulus: int) -> tuple[np.ndarray, int]:
-    """Row rank profile of a stack of matrices F and the rank of each F
-    stacked over its G, for stacks F and G of float64 matrices with entries
-    in [0, modulus) given one after the other by `slices`, on which
-    `_blocked` allows the kernel: one elimination, shared by the stack (see
-    `_rref`, which raises `_Diverged` where it cannot be).
+def _ceilings(partition: Partition, report: ClassificationReport) -> list[int]:
+    """A priori ceilings on the generic ranks a trial measures: F's slice
+    ranks j = 0..d, then the rank of F's and G's degree-d slices stacked.
 
-    The stacked matrices are never built: F's elimination gives its profile
+    A rank mod p is at most the rank over Q of the same integer matrix, which
+    is at most the generic rank in characteristic 0, which is at most its
+    ceiling. So a trial whose every rank equals its ceiling has measured
+    every generic rank, at any prime, and a rank above its ceiling is a
+    fault of the oracle.
+    - j < d: the degree-j slice's row count (`_hilbert_order`) or its column
+      count C(j+2, 2), whichever is smaller.
+    - j = d: dim X + 1. The slice has sum_i C(d_i + 2, 2) = dim X + r rows,
+      and the r - 1 relations F_i (F / F_i) = F_1 (F / F_1), i = 2..r, hold
+      among them.
+    - Stacked: at most N + 1 columns, and two tangent slices of rank at most
+      dim X + 1 each. When d1 >= s, they share F'G' times the forms of
+      degree d1 - s, with F = F1 F' and G = G1 G' (F' and G' of degree s):
+      F'G' S_{d1-s} lies in F' S_{d1} and in G' S_{d1}. Multiplying by F'G'
+      is injective, so the stacked rank is at most
+      2(dim X + 1) - C(d1 - s + 2, 2).
+    """
+    d1, s = partition.parts[0], report.s
+    shared = num_monomials(d1 - s) if d1 >= s else 0
+    counts = _hilbert_order(partition)[1]
+    return [
+        *(min(int(counts[j]), num_monomials(j)) for j in range(partition.d)),
+        report.dim_X + 1,
+        min(report.N + 1, 2 * (report.dim_X + 1) - shared),
+    ]
+
+
+def _pair_ranks(slices: Iterator[np.ndarray], modulus: int) -> tuple[np.ndarray, int]:
+    """Row rank profile of a matrix F and the rank of F stacked over G, for
+    float64 matrices F and G with entries in [0, modulus) given one after
+    the other by `slices`, on which `_blocked` allows the kernel.
+
+    The stacked matrix is never built: F's elimination gives its profile
     and its basis, the stacked rank is rank F plus the rank of G reduced
     against that basis, and G is taken from `slices` only once F is gone, so
-    one stack is held at a time.
+    one slice is held at a time.
     """
     slice_f = next(slices)
     pivots, tail, independent = _rref(slice_f, modulus)
@@ -447,53 +431,37 @@ def _pair_ranks(slices: Iterator[np.ndarray], modulus: int) -> tuple[np.ndarray,
 
 
 def _trial_ranks(
-    partition: Partition, seeds: Sequence[int], prime: int
-) -> list[tuple[list[int], int]]:
-    """Each trial's measurements, one elimination per trial or per stack of
-    trials: for each trial seed, the slice dimensions j = 0..d at its first
-    point F, drawn at derive_seed(seed, 0), and the rank of the degree-d
-    slices of F and of its second point G, drawn at derive_seed(seed, 1),
-    stacked.
+    partition: Partition, seeds: Iterable[int], prime: int
+) -> Iterator[tuple[list[int], int]]:
+    """Each trial's measurements, one elimination per trial, yielded as each
+    trial ends: for each trial seed, the slice dimensions j = 0..d at its
+    first point F, drawn at derive_seed(seed, 0), and the rank of the
+    degree-d slices of F and of its second point G, drawn at
+    derive_seed(seed, 1), stacked. A caller that stops iterating draws and
+    eliminates no further trial.
 
-    Every trial's points are drawn at once, so each cofactor product is one
-    call for all of them. F's slices are built in Hilbert order
-    (`_hilbert_order`); G's rows stay in block order, which leaves the
-    stacked rank alone. The trials go through `_pair_ranks` as one stack
-    while trials * cols**2 <= BATCH_CELLS, else one at a time, and a stack
-    whose matrices diverge runs again one trial at a time; so each trial's
-    ranks are those of its own elimination. Where `_blocked` rejects the
-    prime, each trial's F stacked over G goes through the int64 row loop
-    `_eliminate`, whose profile is cut at F's rows.
+    F's slice is built in Hilbert order (`_hilbert_order`); G's rows stay in
+    block order, which leaves the stacked rank alone. Where `_blocked`
+    admits the prime, the pair goes through `_pair_ranks`; elsewhere F's
+    slice stacked over G's goes through the int64 row loop `_eliminate`,
+    whose profile is cut at F's rows.
     """
     d = partition.d
-    f, g = (_draw_cofactors(partition, [derive_seed(s, k) for s in seeds], prime) for k in (0, 1))
-    hilbert_rows, counts = _hilbert_order(f, d)
-    n_cols = num_monomials(d)
-    blocked = _blocked(n_cols, prime)
-
-    def ranks(trials: slice) -> tuple[np.ndarray, int]:
+    hilbert_rows, counts = _hilbert_order(partition)
+    blocked = _blocked(num_monomials(d), prime)
+    for seed in seeds:
         slices = (
-            tangent_slice([c[trials] for c in cofactors], d, rows)
-            for cofactors, rows in ((f, hilbert_rows), (g, None))
+            tangent_slice(_draw_cofactors(partition, derive_seed(seed, k), prime), d, rows)
+            for k, rows in ((0, hilbert_rows), (1, None))
         )
         if blocked:
-            return _pair_ranks(slices, prime)
-        (stacked,) = np.concatenate(list(slices), axis=1).astype(np.int64)
-        independent = np.array(_eliminate(stacked, prime)[0], dtype=np.int64)
-        return independent[: np.searchsorted(independent, hilbert_rows.size)], independent.size
-
-    measured = None
-    if blocked and len(seeds) * n_cols**2 <= BATCH_CELLS:
-        try:
-            measured = [ranks(slice(None))] * len(seeds)
-        except _Diverged:
-            pass
-    if measured is None:
-        measured = [ranks(slice(k, k + 1)) for k in range(len(seeds))]
-    return [
-        (np.searchsorted(independent, counts).tolist(), rank_joint)
-        for independent, rank_joint in measured
-    ]
+            independent, rank_joint = _pair_ranks(slices, prime)
+        else:
+            stacked = np.concatenate(list(slices)).astype(np.int64)
+            independent = np.array(_eliminate(stacked, prime)[0], dtype=np.int64)
+            rank_joint = independent.size
+            independent = independent[: np.searchsorted(independent, hilbert_rows.size)]
+        yield np.searchsorted(independent, counts).tolist(), rank_joint
 
 
 @dataclass(frozen=True)
@@ -526,40 +494,43 @@ def secant_trials(
     *,
     prime: int = DEFAULT_PRIME,
 ) -> list[SecantTrial]:
-    """Run independent two-point trials: draw factor sets for two general
-    points F and G, and measure, with one elimination per trial or per stack
-    of trials (`_trial_ranks`), F's whole Hilbert function and the rank of
-    the two degree-d tangent slices stacked.
+    """Run independent two-point trials in seed order, at most `trials` of
+    them, and stop after the first whose every rank reaches its ceiling
+    (`_ceilings`). Each trial draws factor sets for two general points F
+    and G, and measures, with one elimination (`_trial_ranks`), F's whole
+    Hilbert function and the rank of the two degree-d tangent slices
+    stacked.
 
     Per trial: dim_sigma2 = rank(stacked) - 1 and, through the dimension
     formula for a sum of subspaces, dim_IZ = 2m - rank(stacked), with m the
-    largest rank of F's degree-d slice over all trials. A stacked rank never
-    exceeds its generic value, so once m is generic no trial's dim_IZ falls
-    below the generic intersection dimension, however unlucky its draw. A
-    slice rank above its generic value, or a trial value of dim_sigma2 above
-    the parameter-count bound, is impossible and raises SemicontinuityError.
-    G's slice rank is not measured: G is drawn through the same code as F,
-    independently and with the same distribution, so any fault that could
-    push G's rank above generic shows in F's.
+    largest rank of F's degree-d slice over the trials run. A stacked rank
+    never exceeds its generic value, so once m is generic no trial's dim_IZ
+    falls below the generic intersection dimension, however unlucky its
+    draw. A rank above its ceiling is impossible and raises
+    SemicontinuityError. Once a trial reaches every ceiling, m is generic,
+    the maximum of every rank is its ceiling, and the minimum of dim_IZ is
+    2m minus the stacked ceiling, so the trials not run would change no
+    maximum and no minimum. G's slice rank is not measured: G is drawn
+    through the same code as F, independently and with the same
+    distribution, so any fault that could push G's rank above generic shows
+    in F's.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    report = classify(partition)
-    # A slice spans the tangent space to the affine cone over X at the point.
-    generic_slice_dim = report.dim_X + 1
-    sigma2_cap = report.exp_dim_sigma2
+    ceilings = _ceilings(partition, classify(partition))
     seeds = [derive_seed(base_seed, t) for t in range(trials)]
-    measured = _trial_ranks(partition, seeds, prime)
-    for slice_dims, rank_joint in measured:
-        if slice_dims[-1] > generic_slice_dim:
-            raise SemicontinuityError(
-                f"{partition}: trial rank above generic "
-                f"({slice_dims[-1]} > {generic_slice_dim})"
-            )
-        if rank_joint - 1 > sigma2_cap:
-            raise SemicontinuityError(
-                f"{partition}: sigma2 above the parameter count ({rank_joint - 1} > {sigma2_cap})"
-            )
+    measured = []
+    for slice_dims, rank_joint in _trial_ranks(partition, seeds, prime):
+        ranks = [*slice_dims, rank_joint]
+        for j, (value, ceiling) in enumerate(zip(ranks, ceilings)):
+            if value > ceiling:
+                what = f"degree-{j} slice rank" if j <= partition.d else "stacked rank"
+                raise SemicontinuityError(
+                    f"{partition}: {what} {value} above its ceiling {ceiling}"
+                )
+        measured.append((slice_dims, rank_joint))
+        if ranks == ceilings:
+            break
     m = max(slice_dims[-1] for slice_dims, _ in measured)
     return [
         SecantTrial(seed, tuple(slice_dims), rank_joint, 2 * m - rank_joint)
@@ -586,7 +557,10 @@ class OracleReport:
     The verdict is MATCH when every measurement equals its prediction,
     ORACLE_ABOVE_THEORY when any measurement lands on the side semicontinuity
     forbids (a hard failure), and ORACLE_BELOW_THEORY otherwise (a non-generic
-    draw, which more trials would fix).
+    draw, which more trials would fix). `certified` is true when every
+    measured rank also equals its ceiling (see `_ceilings`): then the MATCH
+    is proved, at any prime. `trials` is the cap asked for; `seeds` and the
+    per-trial tuples list the trials actually run.
     """
 
     partition: Partition
@@ -599,6 +573,7 @@ class OracleReport:
     trial_dim_sigma2: tuple[int, ...]
     trial_dim_IZ: tuple[int, ...]
     verdict: str
+    certified: bool
 
     def to_dict(self) -> dict:
         return {
@@ -612,6 +587,7 @@ class OracleReport:
             "trial_dim_sigma2": list(self.trial_dim_sigma2),
             "trial_dim_IZ": list(self.trial_dim_IZ),
             "verdict": self.verdict,
+            "certified": self.certified,
         }
 
 
@@ -657,11 +633,12 @@ def verify(
     """Measure every predicted dimension for one partition and compare.
 
     The predictions are read off one `classify` and, per degree,
-    `hilbert_function_theory`. Every measurement comes from the trials of `secant_trials`, one
-    elimination each: each slice dimension of the Hilbert function j = 0..d
-    (whose j = d entry is the degree-d slice dimension) is the max over the
-    trial points, the secant-line dimension the max over trials, and the
-    intersection dimension the min over trials of 2m - rank_joint.
+    `hilbert_function_theory`. Every measurement comes from the trials of
+    `secant_trials`, one elimination each, which stop at the first trial
+    that reaches every ceiling: each slice dimension of the Hilbert function
+    j = 0..d (whose j = d entry is the degree-d slice dimension) is the max
+    over the trial points, the secant-line dimension the max over trials,
+    and the intersection dimension the min over trials of 2m - rank_joint.
     """
     report = classify(partition)
     predicted = {
@@ -672,12 +649,14 @@ def verify(
     }
     trial_data = secant_trials(partition, trials, base_seed, prime=prime)
     slice_dims = [max(dims) for dims in zip(*(t.slice_dims for t in trial_data))]
+    rank_joint = max(t.rank_joint for t in trial_data)
     measured = {
         "dim_IF_d": slice_dims[-1],
         "hilbert": [num_monomials(j) - dim for j, dim in enumerate(slice_dims)],
-        "dim_sigma2": max(t.dim_sigma2 for t in trial_data),
+        "dim_sigma2": rank_joint - 1,
         "dim_IZ": min(t.dim_IZ for t in trial_data),
     }
+    verdict = _verdict(measured, predicted)
     return OracleReport(
         partition=partition,
         prime=prime,
@@ -688,5 +667,7 @@ def verify(
         predicted=predicted,
         trial_dim_sigma2=tuple(t.dim_sigma2 for t in trial_data),
         trial_dim_IZ=tuple(t.dim_IZ for t in trial_data),
-        verdict=_verdict(measured, predicted),
+        verdict=verdict,
+        certified=verdict == VERDICT_MATCH
+        and [*slice_dims, rank_joint] == _ceilings(partition, report),
     )

@@ -129,22 +129,25 @@ class TestVerify:
 
     def test_largest_benchmark_shape_output_bytes_are_pinned(self, capsys):
         # [25,15] has 487x861 tangent slices stacked to 974x861, the largest
-        # matrices of the verify-large benchmark; the digest was taken from
-        # the column-by-column elimination before the blocked kernel existed.
+        # matrices of the verify-large benchmark. Its measured and predicted
+        # values are those of the digest taken from the column-by-column
+        # elimination before the blocked kernel existed; since trials stop
+        # at the first certifying one, it lists one trial and `certified`.
         code, out, _ = run(capsys, "verify", "25,15")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "99f038e683490990678ca3a9f28355662ddd2ae6d5af5b961969586cdde281e5"
+            "1f650b068d26aa2a781b0a8a2e6c3609bee3c1d0791a2e3589836ee43462cb88"
         )
 
     def test_widest_kernel_shape_output_bytes_are_pinned(self, capsys):
         # [30,20,10] has d = 60 and 1,891 columns, the widest matrices any
-        # command here eliminates, so its leaves take many windows; the
-        # digest was taken before the leaves moved to float64.
+        # command here eliminates, so its leaves take many windows. Its
+        # measured and predicted values are those of the digest taken before
+        # the leaves moved to float64; it now lists one trial and `certified`.
         code, out, _ = run(capsys, "verify", "30,20,10")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "05ea4d634c494b9d1689f836425bb5dc5ae37c33ff86735552d63c8e1cd86748"
+            "d5db4503c60dc9a34a2693b04943c963583dcc7a567ffa5d468f1acaf4611757"
         )
 
     @pytest.mark.parametrize(
@@ -251,21 +254,20 @@ class TestSweep:
 
     def test_verify_sweep_output_bytes_are_pinned(self, capsys):
         # Same seeds, same output bytes: any refactor of the oracle must keep
-        # this digest (59 lines, 21,696 bytes at the default seed and prime).
+        # this digest (59 lines, 19,816 bytes at the default seed and prime).
         code, out, _ = run(capsys, "sweep", "--d-max", "8", "--mode", "verify")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "a272fc6ea34dabbe9403e2714ffbce66401b64ff81896e88552ac09cd346cff3"
+            "aed7e7f0a7ad0b1b258a7ee0134c16e57bd72607eb0a25d34e174781c023e391"
         )
 
     def test_benchmark_verify_sweep_output_bytes_are_pinned(self, capsys):
-        # The benchmark's sweep-verify workload: 128 partitions, each run as
-        # one stack of its three trials. Digest taken before the trials were
-        # stacked and before the degree-10 slices left the int64 route.
+        # The benchmark's sweep-verify workload: 128 partitions, each
+        # certified by its first trial.
         code, out, _ = run(capsys, "sweep", "--d-max", "10", "--mode", "verify")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "15e968763f252d3c990631bfe4fabc67ada8e536bcbd951cc6a4e0aa1231ef07"
+            "f7337ffdcb8dfb3dc913dfdba3c339aabe459f3316b8c594b9d75764d4e11e2e"
         )
 
     @pytest.mark.parametrize(
@@ -273,30 +275,29 @@ class TestSweep:
         [
             (
                 ("--d-max", "6", "--prime", "7"),
-                "d411f499598663efe271527cbb8c22992007f3328059740ee338bf89a34e913d",
+                "48507c63a054f6dd8f198b2c34b9a30c4f335349656a5351195f5e6434ac9ab1",
             ),
             (
                 ("--d-max", "8", "--prime", "2"),
-                "4731e4fa2fe929dcf006e53b27fc48aceb4bbc00f6d4c1f918b32ec9d25c0a2c",
+                "a9cce86e9cd07d166518e16e44c834e65fc3af8d4e99a50ec3ca8f6b72ea51ec",
             ),
         ],
         ids=["p7-d6", "p2-d8"],
     )
     def test_small_prime_verify_sweep_output_bytes_are_pinned(self, capsys, argv, digest):
-        # At these primes every partition's stack of trials diverges and
-        # re-runs one trial at a time; some records are mismatches (exit 1).
-        # Digests taken before the trials were stacked.
+        # At these primes many first trials fall short of a ceiling, so
+        # more trials run, and some records are mismatches (exit 1).
         code, out, _ = run(capsys, "sweep", "--mode", "verify", *argv)
         assert code == 1
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.slow
     def test_verify_sweep_to_degree_14_output_bytes_are_pinned(self, capsys):
-        # 493 partitions, each still one stack of its trials (d <= 23 is).
+        # 493 partitions, each certified by its first trial.
         code, out, _ = run(capsys, "sweep", "--d-max", "14", "--mode", "verify")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "f04310207369d47bf0fa177b0c8ea002fa4f664e4aa24b308980712e9c914d4f"
+            "8b4ab5d6e773a94414f3842f054b3560c70328b64d21716860f191952fb8225d"
         )
 
     def test_csv_verify_sweep_output_bytes_are_pinned(self, capsys):
@@ -307,7 +308,7 @@ class TestSweep:
         assert code == 0
         assert err == "mismatches: 0\n"
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "5e61999dec06b6d70394f100a984620e0e7d063425a1f3d8b6e35a8d9fa08a34"
+            "3819d8e519c220bdd7bb2d3d78bb4426d7e4529797ffb8887f1cfab4e27dd04a"
         )
 
     @pytest.mark.parametrize("fmt, header", [("json", 0), ("csv", 1)])
@@ -426,7 +427,7 @@ class TestSweep:
         assert code == 0
         assert asked == [0]
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "a272fc6ea34dabbe9403e2714ffbce66401b64ff81896e88552ac09cd346cff3"
+            "aed7e7f0a7ad0b1b258a7ee0134c16e57bd72607eb0a25d34e174781c023e391"
         )
 
     @staticmethod

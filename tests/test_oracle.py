@@ -1,4 +1,3 @@
-import itertools
 import json
 from dataclasses import replace
 from math import comb, isqrt
@@ -17,7 +16,7 @@ from secantlines.oracle import (
     VERDICT_BELOW,
     VERDICT_MATCH,
     _blocked,
-    _Diverged,
+    _ceilings,
     _draw_cofactors,
     _eliminate,
     _mod,
@@ -42,7 +41,7 @@ SEED = 1234
 
 def hilbert(partition, seed):
     """Measured Hilbert function j = 0..d at one random point."""
-    dims = _trial_ranks(partition, [seed], P)[0][0]
+    dims, _ = next(_trial_ranks(partition, [seed], P))
     return [num_monomials(j) - dim for j, dim in enumerate(dims)]
 
 
@@ -138,9 +137,9 @@ def largest_blocked_prime(n_cols):
     return prime
 
 
-def stack(*matrices):
-    """Integer matrices of one shape as the kernel's float64 stack."""
-    return np.stack(matrices).astype(np.float64)
+def floats(a):
+    """An integer matrix as the kernel's float64 input."""
+    return np.asarray(a, dtype=np.float64)
 
 
 class TestBlockedElimination:
@@ -168,10 +167,9 @@ class TestBlockedElimination:
     def test_kernel_basis_spans_row_space(self, seed, n_rows, n_cols, r, zero_cols, modulus):
         a = low_rank(seed, n_rows, n_cols, min(r, n_rows, n_cols), modulus, zero_cols)
         want = len(column_loop_pivots(a, modulus))
-        pivots, tail, independent = _rref(stack(a), modulus)
-        assert pivots.size == independent.size == want == _rank(stack(a), modulus)
-        assert tail.shape == (1, want, n_cols - want)
-        (tail,) = tail
+        pivots, tail, independent = _rref(floats(a), modulus)
+        assert pivots.size == independent.size == want == _rank(floats(a), modulus)
+        assert tail.shape == (want, n_cols - want)
         # The tail holds balanced residues of the reduced row echelon form,
         # which `_eliminate` gives in [0, modulus).
         assert ((tail == np.rint(tail)) & (np.abs(tail) <= modulus / 2 + 1)).all()
@@ -181,7 +179,7 @@ class TestBlockedElimination:
         reference = {c: [-int(v) % modulus for v in work[i, free]] for i, c in zip(rows, cols)}
         assert {int(c): [int(v) % modulus for v in t] for c, t in zip(pivots, tail)} == reference
         # Every row of `a` lies in the span of the basis.
-        assert not _reduce(pivots, tail[None], stack(a), modulus).any()
+        assert not _reduce(pivots, tail, floats(a), modulus).any()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -207,7 +205,7 @@ class TestBlockedElimination:
         for row in rng.integers(0, n_rows, n_repeated):
             a[row] = a[rng.integers(0, row + 1)]
         assert _blocked(n_cols, modulus)
-        independent = _rref(stack(a), modulus)[2]
+        independent = _rref(floats(a), modulus)[2]
         assert independent.tolist() == column_loop_pivots(a.T, modulus)
         for k in range(n_rows + 1):
             assert np.searchsorted(independent, k) == rank(a[:k], modulus)
@@ -248,10 +246,10 @@ class TestBlockedElimination:
             a[half:] = rng.integers(0, modulus, (n_rows - half, half)) @ a[:half] % modulus
         assert _blocked(n_cols, modulus)
         want = column_loop_pivots(a.T, modulus)
-        pivots, tail, independent = _rref(stack(a), modulus)
+        pivots, tail, independent = _rref(floats(a), modulus)
         assert independent.tolist() == want
-        assert _rank(stack(a), modulus) == len(want)
-        assert not _reduce(pivots, tail, stack(a), modulus).any()
+        assert _rank(floats(a), modulus) == len(want)
+        assert not _reduce(pivots, tail, floats(a), modulus).any()
 
     def test_largest_blocked_prime_matches_the_int64_route(self, monkeypatch):
         # At the largest prime the kernel takes for [9,7]'s 153 columns its
@@ -293,72 +291,9 @@ class TestBlockedElimination:
         f = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
         g = low_rank(seed + 1, n_rows + 3, n_cols, min(r, n_cols), modulus, staircase=True)
         g[:n_rows:2] = f[::2]  # so that the row spaces meet
-        independent, rank_joint = _pair_ranks(iter([stack(f), stack(g)]), modulus)
+        independent, rank_joint = _pair_ranks(iter([floats(f), floats(g)]), modulus)
         assert independent.tolist() == column_loop_pivots(f.T, modulus)
         assert (independent.size, rank_joint) == (rank(f, modulus), rank(np.vstack([f, g]), modulus))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32),
-        n_rows=st.integers(1, 3 * LEAF),
-        n_cols=st.integers(1, 3 * WINDOW),
-        member_ranks=st.lists(st.integers(0, 3 * LEAF), min_size=2, max_size=4),
-        equivalent=st.booleans(),
-        modulus=st.sampled_from([2, 3, 7, P]),
-    )
-    def test_stack_matches_each_matrix_alone(
-        self, seed, n_rows, n_cols, member_ranks, equivalent, modulus
-    ):
-        # A stack shares one elimination only while its matrices agree on
-        # every decision. Independent members of other ranks, zero members
-        # (rank 0) and small primes make it diverge, and then it must raise
-        # `_Diverged`, never return a profile that is wrong for one of its
-        # matrices. Members a @ U, for unit upper triangular U, reduce to
-        # the reduced rows of a times U at every step, so they agree on
-        # every decision and must share one elimination.
-        rng = np.random.default_rng(seed)
-        a = low_rank(seed, n_rows, n_cols, min(member_ranks[0], n_cols), modulus, staircase=True)
-        members = [a]
-        for b, r in enumerate(member_ranks[1:], 1):
-            if equivalent:
-                u = np.triu(rng.integers(0, modulus, (n_cols, n_cols)), 1)
-                members.append(a @ (u + np.eye(n_cols, dtype=np.int64)) % modulus)
-            else:
-                r = min(r, n_cols)
-                members.append(low_rank(seed + b, n_rows, n_cols, r, modulus, staircase=True))
-        alone = [_rref(stack(m), modulus) for m in members]
-        try:
-            pivots, tail, independent = _rref(stack(*members), modulus)
-        except _Diverged:
-            assert not equivalent
-        else:
-            for b, (pivots_b, tail_b, independent_b) in enumerate(alone):
-                assert pivots.tolist() == pivots_b.tolist()
-                assert independent.tolist() == independent_b.tolist()
-                assert not ((tail[b] - tail_b[0]) % modulus).any()
-        try:
-            shared_rank = _rank(stack(*members), modulus)
-        except _Diverged:
-            assert not equivalent
-        else:
-            assert all(shared_rank == result[0].size for result in alone)
-
-    @pytest.mark.parametrize("modulus", [2, 3, 7, P])
-    def test_disagreeing_stacks_diverge(self, modulus):
-        # A zero member, a member whose first row alone is zero, and a row
-        # that is zero on the first window in one member but not in the
-        # other: the last pair would agree on every later decision and on
-        # the rank, yet their pivot columns differ (35 against 0).
-        a = low_rank(SEED, 2 * LEAF + 5, 40, 20, modulus)
-        assert _rref(stack(a, a), modulus)[0].size == _rref(stack(a), modulus)[0].size > 0
-        first_row_zero = a.copy()
-        first_row_zero[0] = 0
-        late, early = np.zeros((2, 1, 40), dtype=np.int64)
-        late[0, WINDOW + 3] = early[0, WINDOW + 3] = early[0, 0] = 1
-        pairs = [(a, np.zeros_like(a)), (np.zeros_like(a), a), (a, a, first_row_zero), (late, early)]
-        for members in pairs:
-            with pytest.raises(_Diverged):
-                _rref(stack(*members), modulus)
 
     @pytest.mark.parametrize("modulus", [7, P, 2**31 - 1])
     def test_mod_exact_at_the_float64_limit(self, modulus):
@@ -403,11 +338,11 @@ class TestBlockedElimination:
         # at the largest prime it then admits, the kernel stays exact.
         modulus = largest_blocked_prime(n_cols)
         a = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, zero_cols, staircase=True)
-        pivots, tail, independent = _rref(stack(a), modulus)
+        pivots, tail, independent = _rref(floats(a), modulus)
         want_rows, want_cols = _eliminate(a % modulus, modulus)
         assert independent.tolist() == want_rows
         assert sorted(pivots.tolist()) == sorted(want_cols)
-        assert _rank(stack(a), modulus) == len(want_rows)
+        assert _rank(floats(a), modulus) == len(want_rows)
 
     def test_guard_falls_back_at_largest_prime(self):
         # Float64 products of entries near 2**31 are inexact, so wide slices
@@ -416,7 +351,7 @@ class TestBlockedElimination:
         partition = Partition([9, 7])
         (trial,) = secant_trials(partition, 1, SEED, prime=prime)
         f, g = (
-            tangent_slice(_draw_cofactors(partition, [derive_seed(trial.seed, k)], prime), 16)[0]
+            tangent_slice(_draw_cofactors(partition, derive_seed(trial.seed, k), prime), 16)
             for k in (0, 1)
         )
         assert f.shape[1] == 153
@@ -450,7 +385,7 @@ class TestTangentSlice:
         ],
     )
     def test_shapes(self, parts, j, shape):
-        (matrix,) = tangent_slice(_draw_cofactors(Partition(parts), [SEED], P), j)
+        matrix = tangent_slice(_draw_cofactors(Partition(parts), SEED, P), j)
         assert matrix.shape == shape
 
 
@@ -460,8 +395,8 @@ SMALL_PARTITIONS = [p.parts for p in enumerate_partitions(12)]
 def slice_dims_one_degree_at_a_time(partition, seed, prime):
     """The Hilbert loop that one elimination replaced: rank the tangent slice
     of every degree j = 0..d separately, at the same point."""
-    cofactors = _draw_cofactors(partition, [seed], prime)
-    return [rank(tangent_slice(cofactors, j)[0], prime) for j in range(partition.d + 1)]
+    cofactors = _draw_cofactors(partition, seed, prime)
+    return [rank(tangent_slice(cofactors, j), prime) for j in range(partition.d + 1)]
 
 
 class TestSliceDimensions:
@@ -479,14 +414,14 @@ class TestSliceDimensions:
         # those too.
         partition = Partition(parts)
         want = slice_dims_one_degree_at_a_time(partition, derive_seed(seed, 0), prime)
-        assert _trial_ranks(partition, [seed], prime)[0][0] == want
+        assert next(_trial_ranks(partition, [seed], prime))[0] == want
 
     @pytest.mark.parametrize(
         "parts, j, want",
         [([1, 1], 2, 5), ([2, 1], 3, 8), ([1, 1, 1], 3, 7)],
     )
     def test_examples(self, parts, j, want):
-        assert _trial_ranks(Partition(parts), [SEED], P)[0][0][j] == want
+        assert next(_trial_ranks(Partition(parts), [SEED], P))[0][j] == want
 
     def test_hilbert_examples(self):
         assert hilbert(Partition([1, 1, 1]), SEED)[1] == 3
@@ -543,7 +478,7 @@ class TestSecantMeasurements:
         # Independent route: dim(U cap V) = ncols - rank([ker(A); ker(B)]).
         partition = Partition(parts)
         a, b = (
-            tangent_slice(_draw_cofactors(partition, [derive_seed(77, k)], P), partition.d)[0]
+            tangent_slice(_draw_cofactors(partition, derive_seed(77, k), P), partition.d)
             for k in (0, 1)
         )
         rank_a, rank_b = rank(a, P), rank(b, P)
@@ -556,7 +491,8 @@ class TestSecantMeasurements:
     def test_trials_record_all_ranks(self):
         partition = Partition([2, 2, 1])
         trials = secant_trials(partition, 3, SEED, prime=P)
-        assert len(trials) == 3
+        assert 1 <= len(trials) <= 3
+        assert [t.seed for t in trials] == [derive_seed(SEED, k) for k in range(len(trials))]
         m = max(t.dim_IF for t in trials)
         for t in trials:
             assert t.dim_sigma2 == t.rank_joint - 1
@@ -573,83 +509,127 @@ class TestSecantMeasurements:
         ids=["parts0-1000003-False", "parts1-1000003-True", "parts2-2147483647-False"],
     )
     def test_trial_matches_separate_eliminations(self, parts, prime, blocked):
-        # One elimination per trial, or per stack of trials, gives F's slice
-        # dimensions for every j, rank F and the stacked rank; each must
-        # equal its own elimination, on both routes. Float64 products of
-        # entries near 2**31 are inexact, so [9,7] (153 columns) must take
-        # the int64 route at that prime.
+        # One elimination per trial gives F's slice dimensions for every j,
+        # rank F and the stacked rank; each must equal its own elimination,
+        # on both routes. Float64 products of entries near 2**31 are
+        # inexact, so [9,7] (153 columns) must take the int64 route at that
+        # prime.
         partition = Partition(parts)
-        for trial in secant_trials(partition, 2, SEED, prime=prime):
+        seeds = [derive_seed(SEED, k) for k in range(2)]
+        for seed, (slice_dims, rank_joint) in zip(seeds, _trial_ranks(partition, seeds, prime)):
             f, g = (
-                tangent_slice(
-                    _draw_cofactors(partition, [derive_seed(trial.seed, k)], prime), partition.d
-                )[0]
+                tangent_slice(_draw_cofactors(partition, derive_seed(seed, k), prime), partition.d)
                 for k in (0, 1)
             )
             assert _blocked(f.shape[1], prime) == blocked
-            assert trial.dim_IF == rank(f, prime)
-            assert trial.rank_joint == rank(np.vstack([f, g]), prime)
-            assert list(trial.slice_dims) == slice_dims_one_degree_at_a_time(
-                partition, derive_seed(trial.seed, 0), prime
+            assert slice_dims[-1] == rank(f, prime)
+            assert rank_joint == rank(np.vstack([f, g]), prime)
+            assert slice_dims == slice_dims_one_degree_at_a_time(
+                partition, derive_seed(seed, 0), prime
             )
 
     @pytest.mark.parametrize("prime", [2, 3, 7, P])
     @pytest.mark.parametrize("parts", [[2, 1], [5, 3], [4, 3, 2, 1], [9, 7]])
-    def test_trials_agree_whatever_the_batch_size(self, monkeypatch, parts, prime):
-        # Each trial keeps its own seed stream, so the first trials of runs
-        # of 1, 3 and 5 trials are the same trials, measured in stacks of
-        # 1, 3 and 5, or one at a time when no stack fits BATCH_CELLS. At the
-        # small primes every stack here diverges and re-runs one trial at a
-        # time; at P each is one elimination.
+    def test_trials_agree_whatever_the_batch_size(self, parts, prime):
+        # Trials stop at the first that reaches every ceiling, and that
+        # changes no number of the record: at each cap N, `verify` must give
+        # the measured values, predictions and verdict of all N trials, each
+        # measured through `_trial_ranks`, and list the seeds up to the first
+        # certifying trial, or all N when none certifies. (The name dates
+        # from when the N trials were eliminated as one stack.)
         partition = Partition(parts)
-        stack_sizes = []
-        true_pair_ranks = oracle._pair_ranks
-
-        def recording(slices, modulus):
-            first = next(slices)
-            stack_sizes.append(len(first))
-            return true_pair_ranks(itertools.chain([first], slices), modulus)
-
-        def measured(trials):
-            stack_sizes.clear()
-            got = secant_trials(partition, trials, SEED, prime=prime)
-            return [(t.slice_dims, t.rank_joint) for t in got], list(stack_sizes)
-
-        monkeypatch.setattr(oracle, "_pair_ranks", recording)
-        runs = {trials: measured(trials) for trials in (1, 3, 5)}
-        monkeypatch.setattr(oracle, "BATCH_CELLS", 0)
-        alone, sizes_alone = measured(5)
-        assert sizes_alone == [1] * 5
-        for trials, (got, sizes) in runs.items():
-            assert got == alone[:trials]
-            assert sizes == ([trials] if prime == P or trials == 1 else [trials] + [1] * trials)
+        report = classify(partition)
+        predicted = {
+            "dim_IF_d": report.dim_X + 1,
+            "hilbert": [hilbert_function_theory(partition, j) for j in range(partition.d + 1)],
+            "dim_sigma2": report.dim_sigma2,
+            "dim_IZ": report.dim_IZ,
+        }
+        ceilings = _ceilings(partition, report)
+        seeds = [derive_seed(SEED, k) for k in range(5)]
+        every = list(_trial_ranks(partition, seeds, prime))
+        for n in (1, 3, 5):
+            trials = every[:n]
+            slice_dims = [max(column) for column in zip(*(dims for dims, _ in trials))]
+            m = slice_dims[-1]
+            measured = {
+                "dim_IF_d": m,
+                "hilbert": [num_monomials(j) - dim for j, dim in enumerate(slice_dims)],
+                "dim_sigma2": max(r for _, r in trials) - 1,
+                "dim_IZ": min(2 * m - r for _, r in trials),
+            }
+            certifying = [k for k, (dims, r) in enumerate(trials) if [*dims, r] == ceilings]
+            run = certifying[0] + 1 if certifying else n
+            got = verify(partition, prime=prime, trials=n, base_seed=SEED)
+            assert (got.measured, got.predicted) == (measured, predicted)
+            assert got.verdict == _verdict(measured, predicted)
+            assert got.trials == n
+            assert got.seeds == tuple(seeds[:run])
+            assert got.trial_dim_sigma2 == tuple(r - 1 for _, r in trials[:run])
+            assert got.trial_dim_IZ == tuple(2 * m - r for _, r in trials[:run])
+            assert got.certified == (
+                measured == predicted and [*slice_dims, max(r for _, r in trials)] == ceilings
+            )
+            assert got.certified or not certifying
 
     @pytest.mark.parametrize(
-        "parts, inflated, message",
+        "parts, position, message",
         [
-            ([2, 1], (1, 0), "trial rank above generic"),
-            ([2, 1], (0, 1), "sigma2 above the parameter count"),
-            ([9, 7], (1, 0), "trial rank above generic"),
-            ([9, 7], (0, 1), "sigma2 above the parameter count"),
+            ([2, 1], -2, "degree-3 slice rank 9 above its ceiling 8"),
+            ([2, 1], -1, "stacked rank 11 above its ceiling 10"),
+            ([9, 7], -2, "degree-16 slice rank 91 above its ceiling 90"),
+            ([9, 7], -1, "stacked rank 154 above its ceiling 153"),
+            ([2, 1], -3, "degree-2 slice rank 5 above its ceiling 4"),
         ],
-        ids=["slice", "stacked", "slice-blocked", "stacked-blocked"],
+        ids=["slice", "stacked", "slice-blocked", "stacked-blocked", "hilbert"],
     )
-    def test_rank_above_generic_raises(self, monkeypatch, parts, inflated, message):
-        # A slice rank or a stacked rank reported one too high must be
-        # refused, also under -O, on both elimination routes ([2,1] has 3
-        # columns, [9,7] has 153).
+    def test_rank_above_generic_raises(self, monkeypatch, parts, position, message):
+        # A slice rank of any degree or a stacked rank reported one above its
+        # ceiling must be refused, also under -O. The ids date from when
+        # [2,1]'s 10 columns took the int64 route; both take the kernel.
         true_trial_ranks = oracle._trial_ranks
 
         def over_reporting(partition, seeds, prime):
-            extra_slice, extra_joint = inflated
-            return [
-                (slice_dims[:-1] + [slice_dims[-1] + extra_slice], rank_joint + extra_joint)
-                for slice_dims, rank_joint in true_trial_ranks(partition, seeds, prime)
-            ]
+            for slice_dims, rank_joint in true_trial_ranks(partition, seeds, prime):
+                ranks = [*slice_dims, rank_joint]
+                ranks[position] += 1
+                yield ranks[:-1], ranks[-1]
 
         monkeypatch.setattr(oracle, "_trial_ranks", over_reporting)
         with pytest.raises(SemicontinuityError, match=message):
             secant_trials(Partition(parts), 1, SEED, prime=P)
+
+
+def partitions_off_their_ceilings(d_max):
+    """Partitions with d <= d_max some prediction of which is not its
+    ceiling: the slice ranks j < d against the Hilbert function, dim X + 1
+    against the degree-d slice rank and the point count D, and the stacked
+    rank against dim sigma2 + 1 and, through 2m - rank_joint, dim_IZ."""
+    off = []
+    for partition in enumerate_partitions(d_max):
+        report = classify(partition)
+        *slices, top, joint = _ceilings(partition, report)
+        hilbert = [hilbert_function_theory(partition, j) for j in range(partition.d + 1)]
+        if (
+            [num_monomials(j) - h for j, h in enumerate(hilbert)] != [*slices, top]
+            or top != report.dim_X + 1
+            or hilbert[-1] != report.D
+            or joint != report.dim_sigma2 + 1
+            or 2 * top - joint != report.dim_IZ
+        ):
+            off.append(partition.parts)
+    return off
+
+
+class TestCeilings:
+    # Every prediction equals its a priori ceiling, so a trial that reaches
+    # every ceiling proves the whole record.
+    def test_predictions_sit_on_their_ceilings(self):
+        assert partitions_off_their_ceilings(24) == []
+
+    @pytest.mark.slow
+    def test_predictions_sit_on_their_ceilings_to_degree_40(self):
+        assert partitions_off_their_ceilings(40) == []
 
 
 class TestVerify:
@@ -676,8 +656,9 @@ class TestVerify:
         p = Partition([2, 2, 1])
         report = verify(p, prime=P, trials=2, base_seed=SEED)
         assert report.trials == 2
-        assert len(report.seeds) == 2
-        assert len(report.trial_dim_sigma2) == 2
+        # The first trial reaches every ceiling, so it runs alone.
+        assert len(report.seeds) == len(report.trial_dim_sigma2) == 1
+        assert report.certified
         assert all(
             t <= report.predicted["dim_sigma2"] for t in report.trial_dim_sigma2
         )
@@ -686,6 +667,7 @@ class TestVerify:
         assert json.loads(json.dumps(payload)) == payload
         assert payload["seeds"] == list(report.seeds)
         assert payload["measured"] == report.measured
+        assert list(payload)[-2:] == ["verdict", "certified"]
 
 
 class TestVerdict:
@@ -732,12 +714,18 @@ class TestVerdict:
     def test_unlucky_small_prime_draw_is_not_above(self):
         # At p = 2 the second trial of [2,1] has a slice of rank 3 of 8. Its
         # dim_IZ is 2m - rank_joint with m = 8 from the first trial, so it
-        # does not fall below the generic 6.
-        report = verify(Partition([2, 1]), prime=2, trials=3, base_seed=0)
-        trials = secant_trials(Partition([2, 1]), 3, 0, prime=2)
-        unlucky = trials[1]
-        assert (unlucky.dim_IF, unlucky.dim_IZ) == (3, 6)
-        assert report.trial_dim_IZ == tuple(t.dim_IZ for t in trials) == (6, 6, 7)
+        # does not fall below the generic 6. The first trial reaches every
+        # ceiling, so `verify` runs it alone; all three are read off
+        # `_trial_ranks`.
+        partition = Partition([2, 1])
+        report = verify(partition, prime=2, trials=3, base_seed=0)
+        trials = list(_trial_ranks(partition, [derive_seed(0, k) for k in range(3)], 2))
+        m = max(dims[-1] for dims, _ in trials)
+        unlucky_dims, unlucky_joint = trials[1]
+        assert (unlucky_dims[-1], 2 * m - unlucky_joint) == (3, 6)
+        dim_IZ = tuple(2 * m - r for _, r in trials)
+        assert dim_IZ == (6, 6, 7)
+        assert report.trial_dim_IZ == dim_IZ[: len(report.seeds)]
         assert report.measured["dim_IZ"] == report.predicted["dim_IZ"] == 6
         assert report.verdict == VERDICT_MATCH
 
