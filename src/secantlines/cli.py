@@ -37,8 +37,8 @@ if TYPE_CHECKING:
 
 
 # The oracle loads numpy, so it is imported on the first oracle call, through
-# the two functions below. The commands look them up in this module at call
-# time, so a replacement made here reaches them, and a sweep's pool workers.
+# the function below. The commands look it up in this module at call time, so
+# a replacement made here reaches them, and a sweep's pool workers.
 
 
 def verify(partition: Partition, **options) -> OracleReport:
@@ -46,13 +46,6 @@ def verify(partition: Partition, **options) -> OracleReport:
     from .oracle import verify
 
     return verify(partition, **options)
-
-
-def oracle_dim_IZ(partition: Partition, **options) -> int:
-    """`oracle.oracle_dim_IZ`."""
-    from .oracle import oracle_dim_IZ
-
-    return oracle_dim_IZ(partition, **options)
 
 
 def parse_partition(text: str) -> Partition:
@@ -251,8 +244,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _emit(map(classify, partitions), args.format, sys.stdout, blocks=True)
         return 0
 
-    from .oracle import VERDICT_MATCH
+    from .oracle import VERDICT_MATCH, check_prime
 
+    check_prime(args.d_max, args.prime)
     mismatches = 0
 
     def records(reports: Iterator[dict | Exception]) -> Iterator[dict]:
@@ -381,12 +375,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             for key, column in (("case", "exp_dim_IZ"), ("lambda", "dim_IZ"), ("lambda_reduced", "dim_IZ_reduced")):
                 if key not in row:
                     continue
-                measured = oracle_dim_IZ(
-                    Partition(row[key]),
-                    trials=args.trials,
-                    base_seed=args.seed,
-                    prime=args.prime,
-                )
+                measured = verify(
+                    Partition(row[key]), prime=args.prime, trials=args.trials, base_seed=args.seed
+                ).measured["dim_IZ"]
                 row[f"oracle_{column}"] = measured
                 checks.append(measured == row[column])
             row["match"] = all(checks)
@@ -417,7 +408,7 @@ def positive_int(text: str) -> int:
 
 
 def _add_oracle_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--prime", type=prime_modulus, default=DEFAULT_PRIME, help=f"prime field modulus (default {DEFAULT_PRIME})")
+    sub.add_argument("--prime", type=prime_modulus, default=DEFAULT_PRIME, help=f"prime field modulus, at most the largest prime the exact float64 kernel admits at the partition's degree (--d-max for a sweep), such as 7672711 at degree 16; a larger one is an error that names it (default {DEFAULT_PRIME}, admitted to degree 132)")
     sub.add_argument("--trials", type=positive_int, default=DEFAULT_TRIALS, help=f"cap on independent random trials, which stop at the first that reaches every a priori ceiling (default {DEFAULT_TRIALS})")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"base seed for all randomness (default {DEFAULT_SEED})")
 

@@ -14,16 +14,20 @@ G's slices stacked (by Terracini's lemma, dim sigma2 plus one). The dimension
 of the intersection of the two row spaces is taken as 2m minus the stacked
 rank, with m the largest slice rank seen: the stacked rank can only drop, so
 once m is generic that value can only sit at or above the generic
-intersection, and its minimum over trials is aggregated."""
+intersection, and its minimum over trials is aggregated.
+
+Every elimination runs one exact float64 kernel (`_rref`); `check_prime`
+rejects a prime at which its sums could leave the exact range (`_blocked`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, PrimeField
+from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, PrimeField, is_prime
 from .formulas import ClassificationReport, classify, hilbert_function_theory
 from .gfpoly import (
     cofactor_products,
@@ -51,39 +55,6 @@ class SemicontinuityError(RuntimeError):
 
     No unlucky draw can cause this; it means the oracle itself is wrong.
     """
-
-
-def _eliminate(work: np.ndarray, modulus: int) -> tuple[list[int], list[int]]:
-    """In-place Gaussian elimination mod `modulus` in row order, without row
-    swaps; returns the row rank profile and the pivot column of each of its
-    rows.
-
-    When a row's turn comes, every pivot so far has been cleared from it, so
-    it is non-zero exactly when it is independent of the rows above it. Then
-    its leading column becomes a pivot: the row is scaled to 1 there, and the
-    column is cleared from every other row with one outer product. The
-    independent rows end in reduced row echelon form up to their order, the
-    others at zero. Entries must be in [0, modulus); with modulus < 2**31
-    every intermediate fits in int64, so the updates are exact.
-    """
-    independent: list[int] = []
-    pivots: list[int] = []
-    for i, row in enumerate(work):
-        nonzero = row.nonzero()[0]
-        if nonzero.size == 0:
-            continue
-        col = int(nonzero[0])
-        row[col:] = row[col:] * pow(int(row[col]), -1, modulus) % modulus
-        column = work[:, col]
-        hits = column.nonzero()[0]
-        hits = hits[hits != i]
-        if hits.size:
-            work[hits, col:] = (
-                work[hits, col:] - np.multiply.outer(column[hits], row[col:])
-            ) % modulus
-        independent.append(i)
-        pivots.append(col)
-    return independent, pivots
 
 
 def _mod(x: np.ndarray, modulus: int) -> np.ndarray:
@@ -136,12 +107,35 @@ def _blocked(n_cols: int, modulus: int) -> bool:
     columns mod `modulus`: where max(n_cols, LEAF_ROWS) * M * h + M <= 2**52,
     with h = p // 2 + 1 and M = max(p - 1, h) (see `_mod` for why that
     suffices). That allows up to 9007 columns at modulus 1,000,003, and
-    never moduli above about 16.8 million. Where it is not, only the int64
-    row loop `_eliminate` is exact.
+    never moduli above about 16.8 million. The kernel is the only
+    elimination, so `check_prime` rejects every other prime.
     """
     half = modulus // 2 + 1
     entry = max(modulus - 1, half)
     return max(n_cols, LEAF_ROWS) * entry * half + entry <= 2**52
+
+
+def _largest_prime(n_cols: int) -> int:
+    """The largest prime at which `_blocked` admits `n_cols` columns. With
+    k = max(n_cols, LEAF_ROWS), M * h >= (p**2 - 1) / 2 exceeds 2**52 / k
+    for every p from isqrt(2**53 // k) + 2 up, so the search walks down from
+    there."""
+    prime = isqrt(2**53 // max(n_cols, LEAF_ROWS)) + 2
+    while not (_blocked(n_cols, prime) and is_prime(prime)):
+        prime -= 1
+    return prime
+
+
+def check_prime(d: int, prime: int) -> None:
+    """Raise ValueError unless the kernel is exact mod `prime` on the
+    degree-d tangent slices, the widest matrices a partition of d
+    eliminates, naming the largest prime it admits there."""
+    n_cols = num_monomials(d)
+    if not _blocked(n_cols, prime):
+        raise ValueError(
+            f"prime {prime} is too large for degree {d}: the exact float64 kernel "
+            f"admits primes up to {_largest_prime(n_cols)} on its {n_cols} columns"
+        )
 
 
 def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -190,16 +184,15 @@ def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     and not a pivot row. Each window starts at the first column on which a
     pending row is non-zero; pending rows that are zero on every column from
     there on are dependent and leave. The live rows' window, with the
-    identity appended, is eliminated as `_eliminate` does it, in row order
-    without swaps. A pending row's turn reduces that row; if it is non-zero
-    on the window, its first non-zero column there becomes a pivot, the row
-    is scaled to 1 at it and reduced again, and the reduced multiplier
-    column times the row is taken from every other live row, pivot rows of
-    earlier windows included. No other entry is reduced before the window
-    ends, so each takes at most one unreduced update per pivot (see `_mod`
-    for the bound). The transform accumulated on the identity then updates
-    the remaining columns with one product and one reduction. The profile is
-    sorted by row at the end.
+    identity appended, is eliminated in row order without swaps. A pending
+    row's turn reduces that row; if it is non-zero on the window, its first
+    non-zero column there becomes a pivot, the row is scaled to 1 at it and
+    reduced again, and the reduced multiplier column times the row is taken
+    from every other live row, pivot rows of earlier windows included. No
+    other entry is reduced before the window ends, so each takes at most one
+    unreduced update per pivot (see `_mod` for the bound). The transform
+    accumulated on the identity then updates the remaining columns with one
+    product and one reduction. The profile is sorted by row at the end.
 
     Why this is the row rank profile: by induction on windows, after each
     window the pivot rows are the rows independent of the rows above them
@@ -299,36 +292,6 @@ def _rank(a: np.ndarray, modulus: int) -> int:
     half = a.shape[0] // 2
     pivots, tail, _ = _rref(a[:half], modulus)
     return pivots.size + _rank(_reduce(pivots, tail, a[half:], modulus), modulus)
-
-
-def rank(rows: np.ndarray | Sequence[Sequence[int]], modulus: int) -> int:
-    """Exact rank of an integer matrix over GF(modulus); empty matrices have rank 0.
-
-    Matrices go through the blocked float64 kernel where `_blocked` finds it
-    exact, the rest through the int64 row loop `_eliminate`; both routes give
-    the same rank.
-    """
-    a = np.asarray(rows, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    if a.size == 0:
-        return 0
-    if _blocked(a.shape[1], modulus):
-        return _rank((a % modulus).astype(np.float64), modulus)
-    return len(_eliminate(a % modulus, modulus)[0])
-
-
-def nullspace(rows: np.ndarray, modulus: int) -> np.ndarray:
-    """Basis (as matrix rows) of the right kernel {v : rows @ v = 0} over GF(modulus)."""
-    a = np.array(rows, dtype=np.int64) % modulus
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    independent, pivots = _eliminate(a, modulus)
-    free = _complement(np.array(pivots, dtype=np.int64), a.shape[1])
-    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = -a[independent][:, free].T % modulus
-    return basis
 
 
 def tangent_slice(
@@ -441,26 +404,18 @@ def _trial_ranks(
     eliminates no further trial.
 
     F's slice is built in Hilbert order (`_hilbert_order`); G's rows stay in
-    block order, which leaves the stacked rank alone. Where `_blocked`
-    admits the prime, the pair goes through `_pair_ranks`; elsewhere F's
-    slice stacked over G's goes through the int64 row loop `_eliminate`,
-    whose profile is cut at F's rows.
+    block order, which leaves the stacked rank alone. The pair goes through
+    `_pair_ranks`, so `_blocked` must admit the prime on degree-d slices
+    (`check_prime`).
     """
     d = partition.d
     hilbert_rows, counts = _hilbert_order(partition)
-    blocked = _blocked(num_monomials(d), prime)
     for seed in seeds:
         slices = (
             tangent_slice(_draw_cofactors(partition, derive_seed(seed, k), prime), d, rows)
             for k, rows in ((0, hilbert_rows), (1, None))
         )
-        if blocked:
-            independent, rank_joint = _pair_ranks(slices, prime)
-        else:
-            stacked = np.concatenate(list(slices)).astype(np.int64)
-            independent = np.array(_eliminate(stacked, prime)[0], dtype=np.int64)
-            rank_joint = independent.size
-            independent = independent[: np.searchsorted(independent, hilbert_rows.size)]
+        independent, rank_joint = _pair_ranks(slices, prime)
         yield np.searchsorted(independent, counts).tolist(), rank_joint
 
 
@@ -513,10 +468,12 @@ def secant_trials(
     maximum and no minimum. G's slice rank is not measured: G is drawn
     through the same code as F, independently and with the same
     distribution, so any fault that could push G's rank above generic shows
-    in F's.
+    in F's. A prime that `check_prime` rejects at degree d raises
+    ValueError before any draw.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    check_prime(partition.d, prime)
     ceilings = _ceilings(partition, classify(partition))
     seeds = [derive_seed(base_seed, t) for t in range(trials)]
     measured = []
@@ -536,18 +493,6 @@ def secant_trials(
         SecantTrial(seed, tuple(slice_dims), rank_joint, 2 * m - rank_joint)
         for seed, (slice_dims, rank_joint) in zip(seeds, measured)
     ]
-
-
-def oracle_dim_IZ(
-    partition: Partition,
-    trials: int = DEFAULT_TRIALS,
-    base_seed: int = DEFAULT_SEED,
-    *,
-    prime: int = DEFAULT_PRIME,
-) -> int:
-    """Measured dimension of the degree-d intersection of the two tangent
-    ideals: the minimum over trials of their dim_IZ (see `secant_trials`)."""
-    return min(t.dim_IZ for t in secant_trials(partition, trials, base_seed, prime=prime))
 
 
 @dataclass(frozen=True)

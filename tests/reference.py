@@ -1,0 +1,69 @@
+"""Integer-matrix helpers the oracle tests compare the blocked kernel with.
+
+`eliminate` is an int64 row loop, independent of the float64 kernel: the
+reference for its bases and row rank profiles. `rank` runs the kernel on an
+integer matrix, and `nullspace` reads a kernel basis off `eliminate`.
+"""
+
+import numpy as np
+
+from secantlines.oracle import _blocked, _complement, _rank
+
+
+def eliminate(work: np.ndarray, modulus: int) -> tuple[list[int], list[int]]:
+    """In-place Gaussian elimination mod `modulus` in row order, without row
+    swaps; returns the row rank profile and the pivot column of each of its
+    rows.
+
+    When a row's turn comes, every pivot so far has been cleared from it, so
+    it is non-zero exactly when it is independent of the rows above it. Then
+    its leading column becomes a pivot: the row is scaled to 1 there, and the
+    column is cleared from every other row with one outer product. The
+    independent rows end in reduced row echelon form up to their order, the
+    others at zero. Entries must be in [0, modulus); with modulus < 2**31
+    every intermediate fits in int64, so the updates are exact.
+    """
+    independent: list[int] = []
+    pivots: list[int] = []
+    for i, row in enumerate(work):
+        nonzero = row.nonzero()[0]
+        if nonzero.size == 0:
+            continue
+        col = int(nonzero[0])
+        row[col:] = row[col:] * pow(int(row[col]), -1, modulus) % modulus
+        column = work[:, col]
+        hits = column.nonzero()[0]
+        hits = hits[hits != i]
+        if hits.size:
+            work[hits, col:] = (
+                work[hits, col:] - np.multiply.outer(column[hits], row[col:])
+            ) % modulus
+        independent.append(i)
+        pivots.append(col)
+    return independent, pivots
+
+
+def rank(rows, modulus: int) -> int:
+    """Rank of an integer matrix over GF(modulus) through the blocked kernel,
+    at a prime `_blocked` admits for its width; empty matrices have rank 0."""
+    a = np.asarray(rows, dtype=np.int64)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    if a.size == 0:
+        return 0
+    if not _blocked(a.shape[1], modulus):
+        raise ValueError(f"the kernel is not exact on {a.shape[1]} columns mod {modulus}")
+    return _rank((a % modulus).astype(np.float64), modulus)
+
+
+def nullspace(rows, modulus: int) -> np.ndarray:
+    """Basis (as matrix rows) of the right kernel {v : rows @ v = 0} over GF(modulus)."""
+    a = np.array(rows, dtype=np.int64) % modulus
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    independent, pivots = eliminate(a, modulus)
+    free = _complement(np.array(pivots, dtype=np.int64), a.shape[1])
+    basis = np.zeros((free.size, a.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -a[independent][:, free].T % modulus
+    return basis

@@ -16,7 +16,6 @@ from secantlines.gfpoly import derive_seed
 from secantlines.oracle import (
     VERDICT_ABOVE,
     VERDICT_MATCH,
-    oracle_dim_IZ,
     secant_trials,
     verify,
 )
@@ -25,6 +24,10 @@ from secantlines.partitions import Partition, derived, enumerate_partitions
 PRIME = 1_000_003
 TRIALS = 3
 SEED = 20260808
+
+
+def measured_dim_IZ(partition):
+    return verify(partition, prime=PRIME, trials=TRIALS, base_seed=SEED).measured["dim_IZ"]
 
 
 def announce(number, ok, detail):
@@ -151,8 +154,8 @@ def test_criterion_3_descent_table_reproduced():
             case = Partition(row["case"])
             reduced = Partition(row["lambda_reduced"])
             assert reduced == case.decrement(1)
-            measured = oracle_dim_IZ(case, TRIALS, SEED, prime=PRIME)
-            measured_reduced = oracle_dim_IZ(reduced, TRIALS, SEED, prime=PRIME)
+            measured = measured_dim_IZ(case)
+            measured_reduced = measured_dim_IZ(reduced)
             assert measured == row["exp_dim_IZ"] == classify(case).dim_IZ
             assert measured_reduced == row["dim_IZ_reduced"] == classify(reduced).dim_IZ
         ok = True
@@ -168,8 +171,8 @@ def test_criterion_4_near_balanced_families():
             step = Partition([a + 1, a, 1])
             assert classify(same).dim_IZ == a + 3
             assert classify(step).dim_IZ == a + 4
-            assert oracle_dim_IZ(same, TRIALS, SEED, prime=PRIME) == a + 3
-            assert oracle_dim_IZ(step, TRIALS, SEED, prime=PRIME) == a + 4
+            assert measured_dim_IZ(same) == a + 3
+            assert measured_dim_IZ(step) == a + 4
         ok = True
     finally:
         announce(4, ok, "a=1..6, both [a,a,1] and [a+1,a,1], oracle-confirmed")

@@ -12,6 +12,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -165,6 +166,21 @@ class TestVerify:
         assert out == ""
         assert f"argument {flag}: {reason}" in err
 
+    def test_prime_past_the_kernel_limit_is_a_usage_error(self, capsys):
+        # [9,7]'s degree-16 slices have 153 columns; float64 is exact on
+        # them up to 7,672,711.
+        code, out, err = run(capsys, "verify", "9,7", "--prime", "2147483647")
+        assert code == 2
+        assert out == ""
+        assert "prime 2147483647 is too large for degree 16" in err
+        assert "admits primes up to 7672711 on its 153 columns" in err
+
+    def test_largest_prime_at_degree_40_is_certified(self, capsys):
+        code, out, _ = run(capsys, "verify", "25,15", "--prime", "3234383")
+        assert code == 0
+        (record,) = json_lines(out)
+        assert (record["verdict"], record["certified"]) == ("MATCH", True)
+
     def test_mismatch_exits_one_with_diff(self, capsys, monkeypatch):
         real_verify = cli.verify
 
@@ -187,6 +203,17 @@ class TestSweep:
         assert code == 0
         (record,) = json_lines(out)
         assert record["lambda"] == [1, 1]
+
+    def test_prime_past_the_kernel_limit_at_d_max_verifies_nothing(self, capsys, monkeypatch):
+        # The sweep checks the prime at --d-max before its first partition,
+        # which has d = 2: 3,234,463, the first prime above 3,234,383, is
+        # admitted there but not at d = 40.
+        verified = []
+        monkeypatch.setattr(cli, "verify", lambda partition, **kwargs: verified.append(partition))
+        code, out, err = run(capsys, "sweep", "--d-max", "40", "--mode", "verify", "--prime", "3234463")
+        assert code == 2
+        assert (out, verified) == ("", [])
+        assert "admits primes up to 3234383 on its 861 columns" in err
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -728,7 +755,7 @@ class TestTable:
     @pytest.mark.parametrize("fmt, header", [("json", 0), ("csv", 1)])
     def test_checked_rows_stream(self, monkeypatch, fmt, header):
         # Each checked row must be written and flushed before the next row's
-        # oracle calls: lemma46 measures two partitions per row.
+        # verify calls: lemma46 measures two partitions per row.
         class FlushedOnly(io.StringIO):
             flushed = ""
 
@@ -737,20 +764,21 @@ class TestTable:
 
         stream = FlushedOnly()
         seen = []
-        real_oracle_dim_IZ = cli.oracle_dim_IZ
+        real_verify = cli.verify
 
         def watched(partition, **kwargs):
             seen.append(stream.flushed.count("\n"))
-            return real_oracle_dim_IZ(partition, **kwargs)
+            return real_verify(partition, **kwargs)
 
         monkeypatch.setattr(sys, "stdout", stream)
-        monkeypatch.setattr(cli, "oracle_dim_IZ", watched)
+        monkeypatch.setattr(cli, "verify", watched)
         code = main(["table", "lemma46", "--check", "--trials", "1", "--format", fmt])
         assert code == 0
         assert seen == [0, 0] + [row + header for row in range(1, 7) for _ in range(2)]
 
     def test_checked_rows_count_mismatches(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "oracle_dim_IZ", lambda partition, **kwargs: 1)
+        report = SimpleNamespace(measured={"dim_IZ": 1})
+        monkeypatch.setattr(cli, "verify", lambda partition, **kwargs: report)
         code, out, _ = run(capsys, "table", "lemma46", "--check", "--format", "json")
         assert code == 1
         records = json_lines(out)
@@ -774,12 +802,17 @@ class TestTable:
                 ("lemma46", "--check", "--trials", "1", "--format", "json"),
                 "de1bd588189db3ab27e984ee951bc8a7e7378241aa1bbea35b29d603d349bd24",
             ),
+            (("lemma45", "--check"), "551054dcc6cade99a5ad4ee578bbff5941f4360847e9f9654ab0abcdd39dee88"),
+            (("lemma47", "--check"), "79263e861820b7463a15eb718eb5be81d1e5c3894fc49b5fe5a91f70ebf8b9cd"),
         ],
-        ids=["lemma45-csv", "lemma45-json", "lemma46-csv", "lemma46-json", "lemma47-csv", "lemma47-json", "lemma46-check"],
+        ids=[
+            "lemma45-csv", "lemma45-json", "lemma46-csv", "lemma46-json", "lemma47-csv", "lemma47-json",
+            "lemma46-check", "lemma45-check", "lemma47-check",
+        ],
     )
     def test_output_bytes_are_pinned(self, capsys, argv, digest):
-        # The fixture tables, byte for byte: closed-form rows, and one
-        # oracle-checked table.
+        # The fixture tables, byte for byte: closed-form rows, and
+        # oracle-checked tables.
         code, out, _ = run(capsys, "table", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -924,8 +957,7 @@ def test_closed_form_exports_never_import_numpy():
 def test_public_names_have_a_caller_in_src():
     # Every public top-level function and class of the closed forms and the
     # oracle is exported in __all__ or referenced in src/ outside its own
-    # definition, so no public API exists for the tests alone. `rank` and
-    # `nullspace` are kept as the tests' references for the kernel.
+    # definition, so no public API exists for the tests alone.
     src = Path(cli.__file__).resolve().parent
     trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
     exported = set(ast.literal_eval(next(
@@ -947,6 +979,6 @@ def test_public_names_have_a_caller_in_src():
                 for node in ast.walk(tree)
                 if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
             )
-            if not (referenced or name in exported or name in {"rank", "nullspace"}):
+            if not (referenced or name in exported):
                 uncalled.append(f"{module}.{name}")
     assert uncalled == []

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
-from math import comb, isqrt
+from itertools import count
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from secantlines.formulas import classify, hilbert_function_theory
 import secantlines.oracle as oracle
-from secantlines.field import is_prime
-from secantlines.gfpoly import derive_seed, num_monomials
+from secantlines.field import PrimeField, is_prime
+from secantlines.gfpoly import derive_seed, monomial_multiples, multiply, num_monomials, random_form
 from secantlines.oracle import (
     SemicontinuityError,
     VERDICT_ABOVE,
@@ -18,7 +19,8 @@ from secantlines.oracle import (
     _blocked,
     _ceilings,
     _draw_cofactors,
-    _eliminate,
+    _hilbert_order,
+    _largest_prime,
     _mod,
     _pair_ranks,
     _rank,
@@ -26,14 +28,14 @@ from secantlines.oracle import (
     _rref,
     _trial_ranks,
     _verdict,
-    nullspace,
-    oracle_dim_IZ,
-    rank,
+    check_prime,
     secant_trials,
     tangent_slice,
     verify,
 )
 from secantlines.partitions import Partition, derived, enumerate_partitions
+
+from reference import eliminate, nullspace, rank
 
 P = 1_000_003
 SEED = 1234
@@ -118,23 +120,21 @@ def low_rank(seed, n_rows, n_cols, r, modulus, zero_cols=0, staircase=False):
     return a
 
 
-PRIMES = st.sampled_from([7, P, 2**31 - 1])
+# A small prime, the default one, and the largest prime the kernel admits
+# for the matrix at hand, where its sums come closest to 2**52 (`at_width`).
+LARGEST = "largest"
+PRIMES = st.sampled_from([7, P, LARGEST])
 LEAF = oracle.LEAF_ROWS
 WINDOW = oracle.LEAF_WINDOW
 ROWS = st.integers(1, 4 * LEAF + 3)
-# Column counts within one leaf window and across several; the prime, not
-# the width, picks the route (the kernel at 7 and P, `_eliminate` at
-# 2**31 - 1).
-COLS_BOTH_ROUTES = st.one_of(st.integers(1, 3 * LEAF), st.integers(66, 106))
+# Column counts within one leaf window and across several.
+COLS = st.one_of(st.integers(1, 3 * LEAF), st.integers(66, 106))
 
 
-def largest_blocked_prime(n_cols):
-    """The largest prime at which `_blocked` admits `n_cols` columns."""
-    prime = isqrt(2**53 // max(n_cols, LEAF)) + 1
-    assert not _blocked(n_cols, prime)
-    while not (_blocked(n_cols, prime) and is_prime(prime)):
-        prime -= 1
-    return prime
+def at_width(modulus, n_cols):
+    """A drawn PRIMES value as a prime: LARGEST is the largest prime at which
+    `_blocked` admits `n_cols` columns."""
+    return _largest_prime(n_cols) if modulus == LARGEST else modulus
 
 
 def floats(a):
@@ -152,6 +152,7 @@ class TestBlockedElimination:
         modulus=PRIMES,
     )
     def test_rank_matches_column_loop(self, seed, n_rows, n_cols, r, modulus):
+        modulus = at_width(modulus, n_cols)
         a = low_rank(seed, n_rows, n_cols, min(r, n_rows, n_cols), modulus)
         assert rank(a, modulus) == len(column_loop_pivots(a, modulus))
 
@@ -171,10 +172,10 @@ class TestBlockedElimination:
         assert pivots.size == independent.size == want == _rank(floats(a), modulus)
         assert tail.shape == (want, n_cols - want)
         # The tail holds balanced residues of the reduced row echelon form,
-        # which `_eliminate` gives in [0, modulus).
+        # which the reference `eliminate` gives in [0, modulus).
         assert ((tail == np.rint(tail)) & (np.abs(tail) <= modulus / 2 + 1)).all()
         work = a % modulus
-        rows, cols = _eliminate(work, modulus)
+        rows, cols = eliminate(work, modulus)
         free = np.delete(np.arange(n_cols), cols)
         reference = {c: [-int(v) % modulus for v in work[i, free]] for i, c in zip(rows, cols)}
         assert {int(c): [int(v) % modulus for v in t] for c, t in zip(pivots, tail)} == reference
@@ -251,28 +252,40 @@ class TestBlockedElimination:
         assert _rank(floats(a), modulus) == len(want)
         assert not _reduce(pivots, tail, floats(a), modulus).any()
 
-    def test_largest_blocked_prime_matches_the_int64_route(self, monkeypatch):
+    def test_largest_blocked_prime_matches_the_int64_route(self):
         # At the largest prime the kernel takes for [9,7]'s 153 columns its
-        # sums come closest to 2**52; the trials must equal those of the
-        # int64 route.
+        # sums come closest to 2**52; each trial must equal the int64
+        # reference `eliminate` on F's slice, in Hilbert order, stacked over
+        # G's: the stacked rank is its rank, and F's slice dimensions the
+        # counts of its profile within each prefix of F's rows.
         partition = Partition([9, 7])
-        prime = largest_blocked_prime(num_monomials(partition.d))
-        blocked = secant_trials(partition, 2, SEED, prime=prime)
-        monkeypatch.setattr(oracle, "_blocked", lambda n_cols, modulus: False)
-        assert secant_trials(partition, 2, SEED, prime=prime) == blocked
+        prime = _largest_prime(num_monomials(partition.d))
+        hilbert_rows, counts = _hilbert_order(partition)
+        trials = secant_trials(partition, 2, SEED, prime=prime)
+        for trial in trials:
+            f, g = (
+                tangent_slice(_draw_cofactors(partition, derive_seed(trial.seed, k), prime), 16, rows)
+                for k, rows in ((0, hilbert_rows), (1, None))
+            )
+            independent = eliminate(np.vstack([f, g]).astype(np.int64), prime)[0]
+            assert trial.rank_joint == len(independent)
+            assert list(trial.slice_dims) == np.searchsorted(independent, counts).tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32),
         n_rows=ROWS,
-        n_cols=COLS_BOTH_ROUTES,
+        n_cols=COLS,
         r=st.integers(0, 3 * LEAF),
         modulus=PRIMES,
     )
     def test_independent_rows_count_every_prefix_rank(self, seed, n_rows, n_cols, r, modulus):
+        # The reference's profile against the column loop, and every prefix
+        # count against the kernel's rank.
+        modulus = at_width(modulus, n_cols)
         a = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
-        independent = np.array(_eliminate(a % modulus, modulus)[0], dtype=np.int64)
-        assert independent.tolist() == sorted(set(independent.tolist()))
+        independent = np.array(eliminate(a % modulus, modulus)[0], dtype=np.int64)
+        assert independent.tolist() == column_loop_pivots(a.T, modulus)
         for k in range(n_rows + 1):
             assert np.searchsorted(independent, k) == rank(a[:k], modulus)
 
@@ -285,9 +298,8 @@ class TestBlockedElimination:
         modulus=st.sampled_from([2, 7, P]),
     )
     def test_pair_ranks_match_separate_ranks(self, seed, n_rows, n_cols, r, modulus):
-        # `_pair_ranks` is the kernel's, so it is checked at primes the
-        # kernel admits; `test_guard_falls_back_at_largest_prime` covers the
-        # int64 route of a trial.
+        # `_pair_ranks` is the kernel's; `test_largest_blocked_prime_matches_the_int64_route`
+        # checks whole trials at the largest prime it admits.
         f = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
         g = low_rank(seed + 1, n_rows + 3, n_cols, min(r, n_cols), modulus, staircase=True)
         g[:n_rows:2] = f[::2]  # so that the row spaces meet
@@ -317,10 +329,18 @@ class TestBlockedElimination:
         assert _blocked(1, P) and _blocked(66, P) and _blocked(67, P)
         assert _blocked(9007, P) and not _blocked(9008, P)  # the 2**52 bound
         assert not _blocked(67, 2**31 - 1)
-        prime = largest_blocked_prime(LEAF)
-        assert largest_blocked_prime(1) == prime < 2**24
+        prime = _largest_prime(LEAF)
+        assert _largest_prime(1) == prime < 2**24
         assert all(_blocked(width, prime) for width in range(1, LEAF + 1))
         assert not _blocked(LEAF + 1, prime)
+        # Each is the largest: a prime the kernel admits, with no prime
+        # between it and the first modulus rejected (`_blocked` is monotone
+        # in the modulus).
+        for width in (1, LEAF, 153, 861, 9007):
+            largest = _largest_prime(width)
+            assert is_prime(largest) and _blocked(width, largest)
+            rejected = next(q for q in count(largest) if not _blocked(width, q))
+            assert not any(map(is_prime, range(largest + 1, rejected + 1)))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -336,28 +356,34 @@ class TestBlockedElimination:
         # Below LEAF_ROWS columns the leaf's sums still run over up to
         # LEAF_ROWS rows, so `_blocked` bounds them as LEAF_ROWS columns;
         # at the largest prime it then admits, the kernel stays exact.
-        modulus = largest_blocked_prime(n_cols)
+        modulus = _largest_prime(n_cols)
         a = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, zero_cols, staircase=True)
         pivots, tail, independent = _rref(floats(a), modulus)
-        want_rows, want_cols = _eliminate(a % modulus, modulus)
+        want_rows, want_cols = eliminate(a % modulus, modulus)
         assert independent.tolist() == want_rows
         assert sorted(pivots.tolist()) == sorted(want_cols)
         assert _rank(floats(a), modulus) == len(want_rows)
 
-    def test_guard_falls_back_at_largest_prime(self):
-        # Float64 products of entries near 2**31 are inexact, so wide slices
-        # at this prime must take the int64 route, joint rank included.
-        prime = 2**31 - 1
+    def test_prime_above_the_kernel_limit_is_rejected(self):
+        # Float64 products of entries near 2**31 are inexact, so [9,7]'s 153
+        # columns at that prime are an error naming the largest prime the
+        # kernel admits there; at that prime [9,7] is certified.
         partition = Partition([9, 7])
-        (trial,) = secant_trials(partition, 1, SEED, prime=prime)
-        f, g = (
-            tangent_slice(_draw_cofactors(partition, derive_seed(trial.seed, k), prime), 16)
-            for k in (0, 1)
-        )
-        assert f.shape[1] == 153
-        assert not _blocked(f.shape[1], prime)
-        want = (rank(f, prime), rank(np.vstack([f, g]), prime))
-        assert (trial.dim_IF, trial.rank_joint) == want
+        with pytest.raises(ValueError, match="admits primes up to 7672711 on its 153 columns"):
+            secant_trials(partition, 1, SEED, prime=2**31 - 1)
+        assert verify(partition, prime=7_672_711).certified
+
+    @pytest.mark.parametrize(
+        "d, largest", [(16, 7_672_711), (40, 3_234_383), (132, 1_005_373), (133, 997_897)]
+    )
+    def test_check_prime_names_the_largest_admitted_prime(self, d, largest):
+        # Degrees 132 and 133 bracket the default prime: the kernel takes it
+        # on 8,911 columns, not on 9,045.
+        check_prime(d, largest)
+        above = next(q for q in count(largest + 1) if is_prime(q))
+        columns = num_monomials(d)
+        with pytest.raises(ValueError, match=f"degree {d}: .* up to {largest} on its {columns} columns"):
+            check_prime(d, above)
 
 
 class TestNullspace:
@@ -402,9 +428,8 @@ def slice_dims_one_degree_at_a_time(partition, seed, prime):
 class TestSliceDimensions:
     @settings(max_examples=60, deadline=None)
     @given(
-        # Every slice ([9,7] and [14,10,6] at 153 and 496 columns included)
-        # takes the blocked kernel at p = 7 and p = P, and `_eliminate` at
-        # p = 2**31 - 1.
+        # Every slice, [9,7]'s and [14,10,6]'s 153 and 496 columns included,
+        # at p = 7, p = P and the largest prime the kernel admits at degree d.
         parts=st.one_of(st.sampled_from(SMALL_PARTITIONS), st.sampled_from([(9, 7), (14, 10, 6)])),
         seed=st.integers(0, 2**32),
         prime=PRIMES,
@@ -413,6 +438,7 @@ class TestSliceDimensions:
         # p = 7 makes non-generic draws common, and the identity holds for
         # those too.
         partition = Partition(parts)
+        prime = at_width(prime, num_monomials(partition.d))
         want = slice_dims_one_degree_at_a_time(partition, derive_seed(seed, 0), prime)
         assert next(_trial_ranks(partition, [seed], prime))[0] == want
 
@@ -467,7 +493,7 @@ class TestSecantMeasurements:
         ],
     )
     def test_intersection_examples(self, parts, want):
-        assert oracle_dim_IZ(Partition(parts), 3, SEED, prime=P) == want
+        assert verify(Partition(parts), prime=P, trials=3, base_seed=SEED).measured["dim_IZ"] == want
 
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
@@ -502,18 +528,16 @@ class TestSecantMeasurements:
         assert report.trial_dim_IZ == tuple(t.dim_IZ for t in trials)
 
     @pytest.mark.parametrize(
-        "parts, prime, blocked",
-        [([5, 3], P, True), ([9, 7], P, True), ([9, 7], 2**31 - 1, False)],
+        "parts, prime",
+        [([5, 3], P), ([9, 7], P), ([9, 7], 7_672_711)],
         # The first id dates from when [5,3]'s 45 columns took the int64
-        # route at P; with no width floor it takes the kernel.
-        ids=["parts0-1000003-False", "parts1-1000003-True", "parts2-2147483647-False"],
+        # route at P; every slice takes the kernel, [9,7]'s 153 columns up
+        # to 7,672,711, the largest prime it admits there.
+        ids=["parts0-1000003-False", "parts1-1000003-True", "parts2-7672711-True"],
     )
-    def test_trial_matches_separate_eliminations(self, parts, prime, blocked):
+    def test_trial_matches_separate_eliminations(self, parts, prime):
         # One elimination per trial gives F's slice dimensions for every j,
-        # rank F and the stacked rank; each must equal its own elimination,
-        # on both routes. Float64 products of entries near 2**31 are
-        # inexact, so [9,7] (153 columns) must take the int64 route at that
-        # prime.
+        # rank F and the stacked rank; each must equal its own elimination.
         partition = Partition(parts)
         seeds = [derive_seed(SEED, k) for k in range(2)]
         for seed, (slice_dims, rank_joint) in zip(seeds, _trial_ranks(partition, seeds, prime)):
@@ -521,7 +545,7 @@ class TestSecantMeasurements:
                 tangent_slice(_draw_cofactors(partition, derive_seed(seed, k), prime), partition.d)
                 for k in (0, 1)
             )
-            assert _blocked(f.shape[1], prime) == blocked
+            assert _blocked(f.shape[1], prime)
             assert slice_dims[-1] == rank(f, prime)
             assert rank_joint == rank(np.vstack([f, g]), prime)
             assert slice_dims == slice_dims_one_degree_at_a_time(
@@ -621,6 +645,12 @@ def partitions_off_their_ceilings(d_max):
     return off
 
 
+# The partitions whose two tangent slices share the block F'G' S_{d1-s}.
+SHARED_BLOCK_PARTITIONS = [
+    p.parts for p in enumerate_partitions(16) if p.parts[0] >= p.d - p.parts[0]
+]
+
+
 class TestCeilings:
     # Every prediction equals its a priori ceiling, so a trial that reaches
     # every ceiling proves the whole record.
@@ -630,6 +660,30 @@ class TestCeilings:
     @pytest.mark.slow
     def test_predictions_sit_on_their_ceilings_to_degree_40(self):
         assert partitions_off_their_ceilings(40) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(parts=st.sampled_from(SHARED_BLOCK_PARTITIONS), seed=st.integers(0, 2**32))
+    def test_shared_block_lies_in_both_tangent_slices(self, parts, seed):
+        # The subtracted term of the stacked ceiling, on matrices: write
+        # F = F1 F' and G = G1 G' with F1 and G1 the degree-d1 factors. The
+        # rows of F'G' S_{d1-s} have rank C(d1 - s + 2, 2) and reduce to zero
+        # against the basis of each point's degree-d slice.
+        partition = Partition(parts)
+        d1, s = parts[0], partition.d - parts[0]
+        field = PrimeField(P)
+        points = [derive_seed(seed, k) for k in (0, 1)]
+        rests = []
+        for point in points:
+            _, *others = (random_form(field, di, derive_seed(point, i)) for i, di in enumerate(parts))
+            rest = others[0]
+            for factor in others[1:]:
+                rest = multiply(rest, factor, P)
+            rests.append(rest)
+        block = monomial_multiples(multiply(*rests, P), partition.d)
+        assert rank(block, P) == num_monomials(d1 - s)
+        for point in points:
+            pivots, tail, _ = _rref(tangent_slice(_draw_cofactors(partition, point, P), partition.d), P)
+            assert not _reduce(pivots, tail, floats(block), P).any()
 
 
 class TestVerify:
