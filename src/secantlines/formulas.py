@@ -48,14 +48,12 @@ def hilbert_function_theory(partition: Partition, j: int) -> int:
     """
     if j < 0:
         raise NegativeDegreeError(f"degree must be >= 0, got {j}")
-    q = derived(partition)
-    if j >= q.d:
-        return q.D
-    value = comb(j + 2, 2) - sum(
-        comb(max(j - q.d + di, -1) + 2, 2) for di in partition.parts
-    )
-    if j >= q.d - 2:
-        _check_agreement("hilbert_function_theory", partition, value, q.D)
+    d = partition.d
+    if j >= d:
+        return derived(partition).D
+    value = comb(j + 2, 2) - sum(comb(max(j - d + di, -1) + 2, 2) for di in partition.parts)
+    if j >= d - 2:
+        _check_agreement("hilbert_function_theory", partition, value, derived(partition).D)
     return value
 
 

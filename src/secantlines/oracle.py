@@ -2,19 +2,20 @@
 
 The oracle works over a prime field. Ranks of matrices specialized from a
 generic construction can only drop, never rise, and each rank it measures has
-an a priori ceiling on its generic value (`_ceilings`). Trials run one at a
-time, at most the number asked for, and stop at the first trial whose every
-rank reaches its ceiling: that trial proves every generic value, at any prime,
-and agreement with the closed form certifies both sides. Short of that, the
-maximum rank seen over the trials is a lower bound for the generic rank. Each
-trial draws two points F and G and runs one elimination, of F's degree-d
-tangent slice with its rows sorted so that every smaller slice is a prefix.
-Its row rank profile gives F's whole Hilbert function, and the rank of F's and
-G's slices stacked (by Terracini's lemma, dim sigma2 plus one). The dimension
-of the intersection of the two row spaces is taken as 2m minus the stacked
-rank, with m the largest slice rank seen: the stacked rank can only drop, so
-once m is generic that value can only sit at or above the generic
-intersection, and its minimum over trials is aggregated.
+an a priori ceiling on its generic value (`_ceilings`). `verify` runs the
+trials one at a time, at most the number asked for, and stops at the first
+trial whose every rank reaches its ceiling: that trial proves every generic
+value, at any prime, and agreement with the closed form certifies both sides.
+Short of that, the maximum rank seen over the trials is a lower bound for the
+generic rank. Each trial (`_trial_ranks`) draws two points F and G and runs
+one elimination, of F's degree-d tangent slice with its rows sorted so that
+every smaller slice is a prefix. Its row rank profile gives F's whole Hilbert
+function, and the rank of F's and G's slices stacked (by Terracini's lemma,
+dim sigma2 plus one). The dimension of the intersection of the two row spaces
+is taken as 2m minus the stacked rank, with m the largest slice rank seen:
+the stacked rank can only drop, so once m is generic that value can only sit
+at or above the generic intersection, and its minimum over trials is
+aggregated.
 
 Every elimination runs one exact float64 kernel (`_rref`); `check_prime`
 rejects a prime at which its sums could leave the exact range (`_blocked`)."""
@@ -377,22 +378,6 @@ def _ceilings(partition: Partition, report: ClassificationReport) -> list[int]:
     ]
 
 
-def _pair_ranks(slices: Iterator[np.ndarray], modulus: int) -> tuple[np.ndarray, int]:
-    """Row rank profile of a matrix F and the rank of F stacked over G, for
-    float64 matrices F and G with entries in [0, modulus) given one after
-    the other by `slices`, on which `_blocked` allows the kernel.
-
-    The stacked matrix is never built: F's elimination gives its profile
-    and its basis, the stacked rank is rank F plus the rank of G reduced
-    against that basis, and G is taken from `slices` only once F is gone, so
-    one slice is held at a time.
-    """
-    slice_f = next(slices)
-    pivots, tail, independent = _rref(slice_f, modulus)
-    del slice_f
-    return independent, pivots.size + _rank(_reduce(pivots, tail, next(slices), modulus), modulus)
-
-
 def _trial_ranks(
     partition: Partition, seeds: Iterable[int], prime: int
 ) -> Iterator[tuple[list[int], int]]:
@@ -401,98 +386,26 @@ def _trial_ranks(
     first point F, drawn at derive_seed(seed, 0), and the rank of the
     degree-d slices of F and of its second point G, drawn at
     derive_seed(seed, 1), stacked. A caller that stops iterating draws and
-    eliminates no further trial.
+    eliminates no further trial. `_blocked` must admit the prime on degree-d
+    slices (`check_prime`).
 
     F's slice is built in Hilbert order (`_hilbert_order`); G's rows stay in
-    block order, which leaves the stacked rank alone. The pair goes through
-    `_pair_ranks`, so `_blocked` must admit the prime on degree-d slices
-    (`check_prime`).
+    block order, which leaves the stacked rank alone. The stacked matrix is
+    never built: F's elimination gives its profile and its basis, the
+    stacked rank is rank F plus the rank of G reduced against that basis,
+    and G's slice is built only once F's is gone and is gone itself before
+    that rank is taken, so one slice is held at a time.
     """
     d = partition.d
     hilbert_rows, counts = _hilbert_order(partition)
     for seed in seeds:
-        slices = (
-            tangent_slice(_draw_cofactors(partition, derive_seed(seed, k), prime), d, rows)
-            for k, rows in ((0, hilbert_rows), (1, None))
-        )
-        independent, rank_joint = _pair_ranks(slices, prime)
+        cofactors = _draw_cofactors(partition, derive_seed(seed, 0), prime)
+        pivots, tail, independent = _rref(tangent_slice(cofactors, d, hilbert_rows), prime)
+        cofactors = _draw_cofactors(partition, derive_seed(seed, 1), prime)
+        residual = _reduce(pivots, tail, tangent_slice(cofactors, d), prime)
+        rank_joint = pivots.size + _rank(residual, prime)
+        del pivots, tail, residual  # so that the next trial starts from F's slice alone
         yield np.searchsorted(independent, counts).tolist(), rank_joint
-
-
-@dataclass(frozen=True)
-class SecantTrial:
-    """Measurements from one independent pair of factor draws F and G.
-
-    slice_dims are the dimensions of F's degree-j tangent slices, j = 0..d;
-    dim_IZ is 2m - rank_joint, with m the largest degree-d slice rank over
-    the trials it was measured with.
-    """
-
-    seed: int
-    slice_dims: tuple[int, ...]
-    rank_joint: int
-    dim_IZ: int
-
-    @property
-    def dim_IF(self) -> int:
-        return self.slice_dims[-1]
-
-    @property
-    def dim_sigma2(self) -> int:
-        return self.rank_joint - 1
-
-
-def secant_trials(
-    partition: Partition,
-    trials: int,
-    base_seed: int,
-    *,
-    prime: int = DEFAULT_PRIME,
-) -> list[SecantTrial]:
-    """Run independent two-point trials in seed order, at most `trials` of
-    them, and stop after the first whose every rank reaches its ceiling
-    (`_ceilings`). Each trial draws factor sets for two general points F
-    and G, and measures, with one elimination (`_trial_ranks`), F's whole
-    Hilbert function and the rank of the two degree-d tangent slices
-    stacked.
-
-    Per trial: dim_sigma2 = rank(stacked) - 1 and, through the dimension
-    formula for a sum of subspaces, dim_IZ = 2m - rank(stacked), with m the
-    largest rank of F's degree-d slice over the trials run. A stacked rank
-    never exceeds its generic value, so once m is generic no trial's dim_IZ
-    falls below the generic intersection dimension, however unlucky its
-    draw. A rank above its ceiling is impossible and raises
-    SemicontinuityError. Once a trial reaches every ceiling, m is generic,
-    the maximum of every rank is its ceiling, and the minimum of dim_IZ is
-    2m minus the stacked ceiling, so the trials not run would change no
-    maximum and no minimum. G's slice rank is not measured: G is drawn
-    through the same code as F, independently and with the same
-    distribution, so any fault that could push G's rank above generic shows
-    in F's. A prime that `check_prime` rejects at degree d raises
-    ValueError before any draw.
-    """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    check_prime(partition.d, prime)
-    ceilings = _ceilings(partition, classify(partition))
-    seeds = [derive_seed(base_seed, t) for t in range(trials)]
-    measured = []
-    for slice_dims, rank_joint in _trial_ranks(partition, seeds, prime):
-        ranks = [*slice_dims, rank_joint]
-        for j, (value, ceiling) in enumerate(zip(ranks, ceilings)):
-            if value > ceiling:
-                what = f"degree-{j} slice rank" if j <= partition.d else "stacked rank"
-                raise SemicontinuityError(
-                    f"{partition}: {what} {value} above its ceiling {ceiling}"
-                )
-        measured.append((slice_dims, rank_joint))
-        if ranks == ceilings:
-            break
-    m = max(slice_dims[-1] for slice_dims, _ in measured)
-    return [
-        SecantTrial(seed, tuple(slice_dims), rank_joint, 2 * m - rank_joint)
-        for seed, (slice_dims, rank_joint) in zip(seeds, measured)
-    ]
 
 
 @dataclass(frozen=True)
@@ -543,7 +456,7 @@ def _verdict(measured: dict, predicted: dict) -> str:
     value, so measured > predicted is the impossible side. Hilbert values are
     coranks: measured < predicted is impossible. dim_IZ below its prediction
     is impossible only once a slice rank reached the generic value (see
-    `secant_trials`), so it counts as above only when dim_IF_d matches.
+    `verify`), so it counts as above only when dim_IF_d matches.
     """
     above = below = False
     for key in ("dim_IF_d", "dim_sigma2"):
@@ -578,12 +491,30 @@ def verify(
     """Measure every predicted dimension for one partition and compare.
 
     The predictions are read off one `classify` and, per degree,
-    `hilbert_function_theory`. Every measurement comes from the trials of
-    `secant_trials`, one elimination each, which stop at the first trial
-    that reaches every ceiling: each slice dimension of the Hilbert function
-    j = 0..d (whose j = d entry is the degree-d slice dimension) is the max
-    over the trial points, the secant-line dimension the max over trials,
-    and the intersection dimension the min over trials of 2m - rank_joint.
+    `hilbert_function_theory`. The measurements come from independent
+    two-point trials in seed order, at most `trials` of them, which stop
+    after the first whose every rank reaches its ceiling (`_ceilings`). Each
+    trial draws factor sets for two general points F and G, and measures,
+    with one elimination (`_trial_ranks`), F's whole Hilbert function and
+    the rank of the two degree-d tangent slices stacked. Each slice
+    dimension of the Hilbert function j = 0..d (whose j = d entry is the
+    degree-d slice dimension) is the max over the trial points, and the
+    secant-line dimension, rank(stacked) - 1, the max over trials.
+
+    Through the dimension formula for a sum of subspaces, each trial's
+    dim_IZ is 2m - rank(stacked), with m the largest rank of F's degree-d
+    slice over the trials run, and the intersection dimension is their
+    min. A stacked rank never exceeds its generic value, so once m is
+    generic no trial's dim_IZ falls below the generic intersection
+    dimension, however unlucky its draw. A rank above its ceiling is
+    impossible and raises SemicontinuityError. Once a trial reaches every
+    ceiling, m is generic, the maximum of every rank is its ceiling, and
+    the minimum of dim_IZ is 2m minus the stacked ceiling, so the trials not
+    run would change no maximum and no minimum. G's slice rank is not
+    measured: G is drawn through the same code as F, independently and with
+    the same distribution, so any fault that could push G's rank above
+    generic shows in F's. A prime that `check_prime` rejects at degree d
+    raises ValueError before any draw.
     """
     report = classify(partition)
     predicted = {
@@ -592,14 +523,31 @@ def verify(
         "dim_sigma2": report.dim_sigma2,
         "dim_IZ": report.dim_IZ,
     }
-    trial_data = secant_trials(partition, trials, base_seed, prime=prime)
-    slice_dims = [max(dims) for dims in zip(*(t.slice_dims for t in trial_data))]
-    rank_joint = max(t.rank_joint for t in trial_data)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    check_prime(partition.d, prime)
+    ceilings = _ceilings(partition, report)
+    seeds = [derive_seed(base_seed, t) for t in range(trials)]
+    trial_dims, joints = [], []
+    for dims, joint in _trial_ranks(partition, seeds, prime):
+        ranks = [*dims, joint]
+        for j, (value, ceiling) in enumerate(zip(ranks, ceilings)):
+            if value > ceiling:
+                what = f"degree-{j} slice rank" if j <= partition.d else "stacked rank"
+                raise SemicontinuityError(
+                    f"{partition}: {what} {value} above its ceiling {ceiling}"
+                )
+        trial_dims.append(dims)
+        joints.append(joint)
+        if ranks == ceilings:
+            break
+    slice_dims = [max(dims) for dims in zip(*trial_dims)]
+    m, rank_joint = slice_dims[-1], max(joints)
     measured = {
-        "dim_IF_d": slice_dims[-1],
+        "dim_IF_d": m,
         "hilbert": [num_monomials(j) - dim for j, dim in enumerate(slice_dims)],
         "dim_sigma2": rank_joint - 1,
-        "dim_IZ": min(t.dim_IZ for t in trial_data),
+        "dim_IZ": 2 * m - rank_joint,
     }
     verdict = _verdict(measured, predicted)
     return OracleReport(
@@ -607,12 +555,11 @@ def verify(
         prime=prime,
         trials=trials,
         base_seed=base_seed,
-        seeds=tuple(t.seed for t in trial_data),
+        seeds=tuple(seeds[: len(joints)]),
         measured=measured,
         predicted=predicted,
-        trial_dim_sigma2=tuple(t.dim_sigma2 for t in trial_data),
-        trial_dim_IZ=tuple(t.dim_IZ for t in trial_data),
+        trial_dim_sigma2=tuple(joint - 1 for joint in joints),
+        trial_dim_IZ=tuple(2 * m - joint for joint in joints),
         verdict=verdict,
-        certified=verdict == VERDICT_MATCH
-        and [*slice_dims, rank_joint] == _ceilings(partition, report),
+        certified=verdict == VERDICT_MATCH and [*slice_dims, rank_joint] == ceilings,
     )

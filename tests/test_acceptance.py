@@ -16,7 +16,7 @@ from secantlines.gfpoly import derive_seed
 from secantlines.oracle import (
     VERDICT_ABOVE,
     VERDICT_MATCH,
-    secant_trials,
+    _trial_ranks,
     verify,
 )
 from secantlines.partitions import Partition, derived, enumerate_partitions
@@ -62,14 +62,14 @@ def exhaustive_reports():
     ]
 
 
-Specialization = namedtuple("Specialization", "partition e reduced trials_full trials_reduced")
+Specialization = namedtuple("Specialization", "partition e reduced report_full report_reduced")
 
 
 @pytest.fixture(scope="module")
 def specializations():
     """Criterion 8 corpus: every (partition, e) with d <= 9 at which a
-    line-splitting bound applies, with the trials of the partition and of its
-    reduction partition.decrement(e), of total degree d - 1."""
+    line-splitting bound applies, with the verify reports of the partition
+    and of its reduction partition.decrement(e), of total degree d - 1."""
     corpus = []
     for p in enumerate_partitions(9):
         q = derived(p)
@@ -84,8 +84,8 @@ def specializations():
                         p,
                         e,
                         reduced,
-                        secant_trials(p, TRIALS, derive_seed(SEED, 0), prime=PRIME),
-                        secant_trials(reduced, TRIALS, derive_seed(SEED, 1), prime=PRIME),
+                        verify(p, prime=PRIME, trials=TRIALS, base_seed=derive_seed(SEED, 0)),
+                        verify(reduced, prime=PRIME, trials=TRIALS, base_seed=derive_seed(SEED, 1)),
                     )
                 )
     return corpus
@@ -125,7 +125,7 @@ def test_criterion_2_hilbert_function_reproduction():
         # the oracle reproduces the formula at every degree for d <= 8
         for p in enumerate_partitions(8):
             point_seed = SEED + p.d
-            slice_dims = secant_trials(p, 1, point_seed, prime=PRIME)[0].slice_dims
+            slice_dims, _ = next(_trial_ranks(p, [derive_seed(point_seed, 0)], PRIME))
             for j, dim in enumerate(slice_dims):
                 assert comb(j + 2, 2) - dim == hilbert_function_theory(p, j)
         ok = True
@@ -258,11 +258,11 @@ def test_criterion_8_specialization_inequalities(specializations):
     ok = False
     try:
         assert specializations, "no applicable (partition, e) pairs found"
-        for p, e, _, trials_full, trials_reduced in specializations:
+        for p, e, _, report_full, report_reduced in specializations:
             q = derived(p)
             d_e = p.parts[e - 1]
-            dim_IZ = min(t.dim_IZ for t in trials_full)
-            dim_IZ_reduced = min(t.dim_IZ for t in trials_reduced)
+            dim_IZ = report_full.measured["dim_IZ"]
+            dim_IZ_reduced = report_reduced.measured["dim_IZ"]
             if d_e < q.d - d_e:
                 assert dim_IZ <= dim_IZ_reduced, (p, e)
             if e == 1 and p.parts[0] >= q.s - 1:
@@ -288,11 +288,11 @@ def test_criterion_9_semicontinuity_guard(exhaustive_reports, specializations):
         for spec in specializations:
             cap_full = classify(spec.partition).dim_sigma2
             cap_reduced = classify(spec.reduced).dim_sigma2
-            for trial in spec.trials_full:
-                assert trial.dim_sigma2 <= cap_full
+            for value in spec.report_full.trial_dim_sigma2:
+                assert value <= cap_full
                 trial_count += 1
-            for trial in spec.trials_reduced:
-                assert trial.dim_sigma2 <= cap_reduced
+            for value in spec.report_reduced.trial_dim_sigma2:
+                assert value <= cap_reduced
                 trial_count += 1
         ok = True
     finally:

@@ -181,10 +181,14 @@ class TestCaseLabels:
         assert classify(Partition(parts)).case_label is label
 
     def test_total_and_sign_consistent(self):
-        for p in enumerate_partitions(14):
+        # Every partition with d <= 30, the classify-sweep range, on both sides.
+        sides = set()
+        for p in enumerate_partitions(30):
             q = derived(p)
-            label = classify(p).case_label
-            assert label.defective_side == (2 * q.p - 3 * q.s > 0)
+            side = 2 * q.p - 3 * q.s > 0
+            assert classify(p).case_label.defective_side == side, p
+            sides.add(side)
+        assert sides == {False, True}
 
     def test_three_factor_nonpositive_tails(self):
         # sweeping 1 <= d3 <= d2 <= 14, the tails with 2p - 3s <= 0
@@ -286,10 +290,10 @@ class TestClassifyCalls:
                 monkeypatch.setattr(module, "classify", counted)
         return calls
 
-    def test_verify_classifies_twice(self, calls):
-        # Once for the predictions, once in secant_trials for its caps.
+    def test_verify_classifies_once(self, calls):
+        # One report gives both the predictions and the ceilings.
         oracle.verify(Partition([25, 15]), trials=1)
-        assert calls == [Partition([25, 15])] * 2
+        assert calls == [Partition([25, 15])]
 
     def test_descent_table_classifies_each_partition_once(self, calls):
         rows = cli.table_rows("lemma46")

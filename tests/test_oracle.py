@@ -1,6 +1,6 @@
 import json
 from dataclasses import replace
-from itertools import count
+from itertools import count, permutations
 from math import comb
 
 import numpy as np
@@ -22,14 +22,12 @@ from secantlines.oracle import (
     _hilbert_order,
     _largest_prime,
     _mod,
-    _pair_ranks,
     _rank,
     _reduce,
     _rref,
     _trial_ranks,
     _verdict,
     check_prime,
-    secant_trials,
     tangent_slice,
     verify,
 )
@@ -48,7 +46,7 @@ def hilbert(partition, seed):
 
 
 def sigma2(partition, trials, seed):
-    return max(t.dim_sigma2 for t in secant_trials(partition, trials, seed, prime=P))
+    return verify(partition, prime=P, trials=trials, base_seed=seed).measured["dim_sigma2"]
 
 
 class TestRank:
@@ -261,15 +259,15 @@ class TestBlockedElimination:
         partition = Partition([9, 7])
         prime = _largest_prime(num_monomials(partition.d))
         hilbert_rows, counts = _hilbert_order(partition)
-        trials = secant_trials(partition, 2, SEED, prime=prime)
-        for trial in trials:
+        seeds = [derive_seed(SEED, t) for t in range(2)]
+        for seed, (slice_dims, rank_joint) in zip(seeds, _trial_ranks(partition, seeds, prime)):
             f, g = (
-                tangent_slice(_draw_cofactors(partition, derive_seed(trial.seed, k), prime), 16, rows)
+                tangent_slice(_draw_cofactors(partition, derive_seed(seed, k), prime), 16, rows)
                 for k, rows in ((0, hilbert_rows), (1, None))
             )
             independent = eliminate(np.vstack([f, g]).astype(np.int64), prime)[0]
-            assert trial.rank_joint == len(independent)
-            assert list(trial.slice_dims) == np.searchsorted(independent, counts).tolist()
+            assert rank_joint == len(independent)
+            assert slice_dims == np.searchsorted(independent, counts).tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -298,12 +296,15 @@ class TestBlockedElimination:
         modulus=st.sampled_from([2, 7, P]),
     )
     def test_pair_ranks_match_separate_ranks(self, seed, n_rows, n_cols, r, modulus):
-        # `_pair_ranks` is the kernel's; `test_largest_blocked_prime_matches_the_int64_route`
+        # The kernel composed as `_trial_ranks` composes it: F's profile and
+        # basis from `_rref`, the stacked rank as rank F plus the rank of G
+        # reduced against that basis; `test_largest_blocked_prime_matches_the_int64_route`
         # checks whole trials at the largest prime it admits.
         f = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
         g = low_rank(seed + 1, n_rows + 3, n_cols, min(r, n_cols), modulus, staircase=True)
         g[:n_rows:2] = f[::2]  # so that the row spaces meet
-        independent, rank_joint = _pair_ranks(iter([floats(f), floats(g)]), modulus)
+        pivots, tail, independent = _rref(floats(f), modulus)
+        rank_joint = pivots.size + _rank(_reduce(pivots, tail, floats(g), modulus), modulus)
         assert independent.tolist() == column_loop_pivots(f.T, modulus)
         assert (independent.size, rank_joint) == (rank(f, modulus), rank(np.vstack([f, g]), modulus))
 
@@ -370,7 +371,7 @@ class TestBlockedElimination:
         # kernel admits there; at that prime [9,7] is certified.
         partition = Partition([9, 7])
         with pytest.raises(ValueError, match="admits primes up to 7672711 on its 153 columns"):
-            secant_trials(partition, 1, SEED, prime=2**31 - 1)
+            verify(partition, prime=2**31 - 1, trials=1, base_seed=SEED)
         assert verify(partition, prime=7_672_711).certified
 
     @pytest.mark.parametrize(
@@ -497,7 +498,7 @@ class TestSecantMeasurements:
 
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
-            secant_trials(Partition([2, 1]), 0, SEED, prime=P)
+            verify(Partition([2, 1]), prime=P, trials=0, base_seed=SEED)
 
     @pytest.mark.parametrize("parts", [[2, 1], [2, 2, 1], [3, 1, 1]])
     def test_grassmann_identity_via_orthogonal_complements(self, parts):
@@ -516,16 +517,14 @@ class TestSecantMeasurements:
 
     def test_trials_record_all_ranks(self):
         partition = Partition([2, 2, 1])
-        trials = secant_trials(partition, 3, SEED, prime=P)
-        assert 1 <= len(trials) <= 3
-        assert [t.seed for t in trials] == [derive_seed(SEED, k) for k in range(len(trials))]
-        m = max(t.dim_IF for t in trials)
-        for t in trials:
-            assert t.dim_sigma2 == t.rank_joint - 1
-            assert t.dim_IF == t.slice_dims[-1]
-            assert t.dim_IZ == 2 * m - t.rank_joint
         report = verify(partition, prime=P, trials=3, base_seed=SEED)
-        assert report.trial_dim_IZ == tuple(t.dim_IZ for t in trials)
+        assert 1 <= len(report.seeds) <= 3
+        assert list(report.seeds) == [derive_seed(SEED, k) for k in range(len(report.seeds))]
+        trials = list(_trial_ranks(partition, report.seeds, P))
+        m = max(slice_dims[-1] for slice_dims, _ in trials)
+        assert report.measured["dim_IF_d"] == m
+        assert report.trial_dim_sigma2 == tuple(rank_joint - 1 for _, rank_joint in trials)
+        assert report.trial_dim_IZ == tuple(2 * m - rank_joint for _, rank_joint in trials)
 
     @pytest.mark.parametrize(
         "parts, prime",
@@ -621,7 +620,7 @@ class TestSecantMeasurements:
 
         monkeypatch.setattr(oracle, "_trial_ranks", over_reporting)
         with pytest.raises(SemicontinuityError, match=message):
-            secant_trials(Partition(parts), 1, SEED, prime=P)
+            verify(Partition(parts), prime=P, trials=1, base_seed=SEED)
 
 
 def partitions_off_their_ceilings(d_max):
@@ -722,6 +721,23 @@ class TestVerify:
         assert payload["seeds"] == list(report.seeds)
         assert payload["measured"] == report.measured
         assert list(payload)[-2:] == ["verdict", "certified"]
+
+    @settings(max_examples=20, deadline=None)
+    @given(parts=st.lists(st.integers(1, 12), min_size=2, max_size=6))
+    def test_reports_ignore_the_order_of_the_parts(self, parts):
+        # Every order of the parts gives the same classify report and line.
+        # verify reads only the canonical parts, so one verify per distinct
+        # canonical tuple the orders build covers every order.
+        report = classify(Partition(parts))
+        record = verify(Partition(parts), trials=1).to_dict()
+        records = {}
+        for order in permutations(parts):
+            partition = Partition(order)
+            got = classify(partition)
+            assert got == report and got.json_line() == report.json_line()
+            if partition.parts not in records:
+                records[partition.parts] = verify(partition, trials=1).to_dict()
+        assert list(records.values()) == [record]
 
 
 class TestVerdict:
