@@ -298,7 +298,10 @@ def classify(partition: Partition) -> ClassificationReport:
     delta2 = _defect(partition, q, defective, exp_dim_IZ)
     dim_IZ = _dim_IZ(partition, q, exp_dim_IZ, delta2)
     dim_sigma2 = _dim_sigma2(partition, exp_dim_sigma2, delta2, dim_X, dim_IZ)
-    return ClassificationReport(
+    # One dict update: the frozen __init__'s object.__setattr__ per field
+    # costs ten times as much. Keyword order must be field order.
+    report = object.__new__(ClassificationReport)
+    vars(report).update(
         partition=partition,
         d=q.d,
         D=D,
@@ -316,3 +319,4 @@ def classify(partition: Partition) -> ClassificationReport:
         fills_ambient=_fills_ambient(partition, q, dim_sigma2),
         case_label=_case_label(partition, q),
     )
+    return report

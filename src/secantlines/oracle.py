@@ -23,6 +23,7 @@ rejects a prime at which its sums could leave the exact range (`_blocked`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import tee
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -527,9 +528,10 @@ def verify(
         raise ValueError(f"need at least one trial, got {trials}")
     check_prime(partition.d, prime)
     ceilings = _ceilings(partition, report)
-    seeds = [derive_seed(base_seed, t) for t in range(trials)]
-    trial_dims, joints = [], []
-    for dims, joint in _trial_ranks(partition, seeds, prime):
+    # Each seed is derived as its trial starts: `trials` is only a cap.
+    ahead, trial_seeds = tee(derive_seed(base_seed, t) for t in range(trials))
+    seeds, trial_dims, joints = [], [], []
+    for seed, (dims, joint) in zip(ahead, _trial_ranks(partition, trial_seeds, prime)):
         ranks = [*dims, joint]
         for j, (value, ceiling) in enumerate(zip(ranks, ceilings)):
             if value > ceiling:
@@ -537,6 +539,7 @@ def verify(
                 raise SemicontinuityError(
                     f"{partition}: {what} {value} above its ceiling {ceiling}"
                 )
+        seeds.append(seed)
         trial_dims.append(dims)
         joints.append(joint)
         if ranks == ceilings:
@@ -555,7 +558,7 @@ def verify(
         prime=prime,
         trials=trials,
         base_seed=base_seed,
-        seeds=tuple(seeds[: len(joints)]),
+        seeds=tuple(seeds),
         measured=measured,
         predicted=predicted,
         trial_dim_sigma2=tuple(joint - 1 for joint in joints),

@@ -117,7 +117,10 @@ def derived(partition: Partition) -> DerivedQuantities:
         raise OverflowError(f"derived quantities of {partition} exceed 64-bit range")
     s = d - parts[0]
     p = D - parts[0] * s
-    return DerivedQuantities(d=d, D=D, N=N, s=s, p=p, two_p_minus_three_s=2 * p - 3 * s)
+    # One dict update in place of the frozen __init__'s setattr per field.
+    q = object.__new__(DerivedQuantities)
+    vars(q).update(d=d, D=D, N=N, s=s, p=p, two_p_minus_three_s=2 * p - 3 * s)
+    return q
 
 
 def enumerate_partitions(

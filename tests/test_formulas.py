@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from math import comb
 
 import pytest
@@ -324,6 +324,48 @@ class TestClassificationReport:
         report = classify(Partition([2, 2, 2, 1]))
         assert report.fills_ambient and not report.defective
         assert report.dim_IZ == 0 and report.dim_sigma2 == report.N == 35
+
+
+def assert_equals_its_init_rebuild(value):
+    # The same fields through the class's generated __init__.
+    rebuilt = type(value)(**{f.name: getattr(value, f.name) for f in fields(value)})
+    assert value == rebuilt and hash(value) == hash(rebuilt)
+    assert repr(value) == repr(rebuilt)
+    return rebuilt
+
+
+class TestFastConstruction:
+    # `classify` and `derived` fill each frozen instance with one dict update
+    # and never call __init__; every record with d <= 30 must equal the one
+    # the generated __init__ builds.
+    def test_equals_the_generated_init_to_degree_30(self):
+        count = 0
+        for p in enumerate_partitions(30):
+            report = classify(p)
+            rebuilt = assert_equals_its_init_rebuild(report)
+            assert report.json_line() == rebuilt.json_line()
+            assert report.to_dict() == rebuilt.to_dict()
+            assert_equals_its_init_rebuild(derived(p))
+            count += 1
+        assert count == 28598
+
+    def test_sets_every_field_in_field_order(self):
+        # A field added to the class but not to the dict update fails here.
+        p = Partition([9, 7, 2])
+        for value in (classify(p), derived(p)):
+            assert list(vars(value)) == [f.name for f in fields(value)]
+
+    def test_stays_frozen(self):
+        p = Partition([9, 7, 2])
+        for value in (classify(p), derived(p)):
+            for f in fields(value):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(value, f.name, None)
+            assert replace(value) == value
+
+    def test_derived_still_rejects_values_past_64_bits(self):
+        with pytest.raises(OverflowError):
+            derived(Partition([2**40, 2**40]))
 
 
 def assert_json_line_is_the_record(report):

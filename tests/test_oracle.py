@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from secantlines.formulas import classify, hilbert_function_theory
 import secantlines.oracle as oracle
-from secantlines.field import PrimeField, is_prime
+from secantlines.field import DEFAULT_SEED, PrimeField, is_prime
 from secantlines.gfpoly import derive_seed, monomial_multiples, multiply, num_monomials, random_form
 from secantlines.oracle import (
     SemicontinuityError,
@@ -721,6 +721,23 @@ class TestVerify:
         assert payload["seeds"] == list(report.seeds)
         assert payload["measured"] == report.measured
         assert list(payload)[-2:] == ["verdict", "certified"]
+
+    def test_trials_is_a_cap_on_the_seeds_derived(self, monkeypatch):
+        # Each trial's seed is derived as the trial starts, so a cap of a
+        # million derives one seed when the first trial certifies.
+        calls = []
+        real = oracle.derive_seed
+
+        def counted(seed, *tags):
+            calls.append((seed, *tags))
+            return real(seed, *tags)
+
+        monkeypatch.setattr(oracle, "derive_seed", counted)
+        report = verify(Partition([2, 1]), trials=10**6)
+        assert [call for call in calls if call[0] == DEFAULT_SEED] == [(DEFAULT_SEED, 0)]
+        assert report.seeds == (real(DEFAULT_SEED, 0),)
+        assert report.trials == 10**6
+        assert report.verdict == VERDICT_MATCH and report.certified
 
     @settings(max_examples=20, deadline=None)
     @given(parts=st.lists(st.integers(1, 12), min_size=2, max_size=6))
