@@ -4,17 +4,16 @@ A form of degree d is an int64 numpy vector of its C(d+2, 2) coefficients in
 the graded-lex order on monomials x0^a x1^b x2^c: a descending, then b
 descending, so x0^d comes first and x2^d last. The degree follows from the
 length. That order is known only to `product_index`; products and monomial
-shifts are scatters through the positions it returns. Leading axes make a
-stack of forms of one degree, which `multiply`, `cofactor_products` and
-`monomial_multiples` treat in one call. The prime defaults to 1,000,003 and
-is capped below 2**31, so every product of two reduced coefficients fits in
-int64 and all arithmetic stays exact.
+shifts are scatters through the positions it returns. The prime defaults to
+1,000,003 and is capped below 2**31, so every product of two reduced
+coefficients fits in int64 and all arithmetic stays exact.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb, isqrt, prod
+from functools import lru_cache, partial
+from itertools import accumulate
+from math import comb, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -73,9 +72,8 @@ def num_monomials(degree: int) -> int:
 
 
 def form_degree(f: np.ndarray) -> int:
-    """Degree of a form, read off its coefficient count C(d+2, 2) along the
-    last axis (any leading axes index a stack of forms)."""
-    count = f.shape[-1]
+    """Degree of a form, read off its coefficient count C(d+2, 2)."""
+    count = len(f)
     degree = (isqrt(8 * count + 1) - 3) // 2
     if degree < 0 or num_monomials(degree) != count:
         raise ValueError(f"{count} coefficients is not C(d+2, 2) for any degree d")
@@ -149,43 +147,35 @@ def random_form(field: PrimeField, degree: int, seed: int) -> np.ndarray:
 
 
 def multiply(f: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray:
-    """Exact product mod `modulus`, reduced to [0, modulus); the leading axes
-    of f and g broadcast, so one call multiplies a stack of forms.
+    """Exact product mod `modulus`, reduced to [0, modulus).
 
     Each term f_i g_k (below 2**62 for coefficients below 2**31) is reduced
     before the terms are summed into their positions, so no int64 overflows.
-    The whole stack is one scatter into a flat array: numpy's
-    one-dimensional `np.add.at` is about twice as fast as one over a stack.
+    The scatter takes flattened operands: numpy's one-dimensional
+    `np.add.at` is about twice as fast as a two-dimensional one.
     """
     m, n = form_degree(f), form_degree(g)
-    terms = f[..., :, None] * g[..., None, :] % modulus
-    size = num_monomials(m + n)
-    forms = prod(terms.shape[:-2])
-    out = np.zeros(forms * size, dtype=np.int64)
-    positions = product_index(m, n).ravel() + size * np.arange(forms)[:, None]
-    np.add.at(out, positions.ravel(), terms.ravel())
-    return out.reshape(terms.shape[:-2] + (size,)) % modulus
+    terms = np.multiply.outer(f, g) % modulus
+    out = np.zeros(num_monomials(m + n), dtype=np.int64)
+    np.add.at(out, product_index(m, n).ravel(), terms.ravel())
+    return out % modulus
 
 
 def cofactor_products(factors: Sequence[np.ndarray], modulus: int) -> list[np.ndarray]:
     """For factors F1..Fr return the r products each omitting one factor.
 
-    Output i is prod_{j != i} Fj, of degree d - d_i. Built from prefix and
-    suffix products, so only O(r) full multiplications are performed, each
-    for every form of a stack at once when the factors carry leading axes.
+    Output i is prod_{j != i} Fj, of degree d - d_i, a new array reduced to
+    [0, modulus). Built from prefix and suffix products: 3r - 6
+    multiplications, none for r = 2.
     """
     r = len(factors)
     if r < 2:
         raise ValueError(f"need at least two factors, got {r}")
-    one = np.ones(1, dtype=np.int64)
-    prefix = [one]  # prefix[i] = F1 * ... * Fi
-    for f in factors[:-1]:
-        prefix.append(multiply(prefix[-1], f, modulus))
-    suffix = [one]  # after reversal, suffix[i] = F_{i+2} * ... * Fr
-    for f in reversed(factors[1:]):
-        suffix.append(multiply(f, suffix[-1], modulus))
-    suffix.reverse()
-    return [multiply(prefix[i], suffix[i], modulus) for i in range(r)]
+    times = partial(multiply, modulus=modulus)
+    prefix = list(accumulate(factors[:-1], times))  # prefix[i] = F1 * ... * F_{i+1}
+    suffix = list(accumulate(factors[:0:-1], times))[::-1]  # suffix[i] = F_{i+2} * ... * Fr
+    middle = (times(prefix[i - 1], suffix[i]) for i in range(1, r - 1))
+    return [suffix[0] % modulus, *middle, prefix[-1] % modulus]
 
 
 def monomial_multiples(
@@ -195,22 +185,19 @@ def monomial_multiples(
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matrix whose rows are the products m * f for m a monomial of degree
-    target_degree - deg f, in graded-lex order of m; a stack of them when f
-    carries leading axes.
+    target_degree - deg f, in graded-lex order of m.
 
     It has no rows when the target degree is below the degree of f (such a
     generator contributes nothing to that graded piece). Given `out`, zero
-    where the products go, product k is written into row rows[k] of `out`
-    (of every matrix of its stack) in place of a new matrix, and `out` is
-    returned; rows[k] defaults to k.
+    where the products go, product k is written into row rows[k] of `out` in
+    place of a new matrix, and `out` is returned; rows[k] defaults to k.
     """
     degree = form_degree(f)
     count = num_monomials(target_degree - degree) if target_degree >= degree else 0
     if out is None:
-        out = np.zeros(f.shape[:-1] + (count, num_monomials(target_degree)), dtype=f.dtype)
+        out = np.zeros((count, num_monomials(target_degree)), dtype=f.dtype)
     if rows is None:
         rows = np.arange(count)
     if count:
-        positions = product_index(target_degree - degree, degree)
-        out[..., rows[:, None], positions] = f[..., None, :]
+        out[rows[:, None], product_index(target_degree - degree, degree)] = f
     return out

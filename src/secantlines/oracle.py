@@ -17,8 +17,9 @@ the stacked rank can only drop, so once m is generic that value can only sit
 at or above the generic intersection, and its minimum over trials is
 aggregated.
 
-Every elimination runs one exact float64 kernel (`_rref`); `check_prime`
-rejects a prime at which its sums could leave the exact range (`_blocked`)."""
+Every elimination runs one exact kernel (`_rref`): float64 products between
+blocks, and int64 elimination within each leaf window. `check_prime` rejects
+a prime at which its sums could leave the exact range (`_blocked`)."""
 
 from __future__ import annotations
 
@@ -78,20 +79,22 @@ def _mod(x: np.ndarray, modulus: int) -> np.ndarray:
     h = p // 2 + 1, the bound on a balanced residue, every entry it stores is
     an input entry in [0, p) or a balanced residue, so at most
     M = max(p - 1, h), and every product it forms has one factor of at most
-    h and the other of at most M (an inverse in [1, p) counts as at most M):
+    h and the other of at most M:
     - the `_reduce` product adds to an entry at most M one product of a row
       (at most M) by the basis tail (balanced) per pivot, at most n of them,
       n being the column count `_blocked` admitted: at most n M h + M; the
       merge in `_rref` is such a product, on the top basis's tail;
-    - a leaf update (`_leaf`) adds to each entry of its window at most one
-      product of a balanced multiplier and a balanced pivot row per pivot,
-      and the window is reduced before it has more than LEAF_ROWS pivots:
-      at most LEAF_ROWS h**2 + M; a pivot row is reduced before it is
-      scaled by an inverse: at most M h;
+    - a leaf window (`_leaf`) is eliminated in int64 and reduced with `%`,
+      not here. An entry starts at most M <= p and takes one product of a
+      multiplier and a pivot row entry, both in [0, p), per pivot; fewer
+      than LEAF_ROWS of them stay unreduced, as a pivot row is replaced by
+      its reduced form at its turn and a live row that takes no pivot
+      leaves fewer pivots than rows. So |entry| < p + LEAF_ROWS (p - 1)**2,
+      below 2**63 for every prime `_blocked` admits, all below 2**24;
     - the window transform applies at most LEAF_ROWS balanced rows to
       entries at most M: at most LEAF_ROWS M h, however few columns the
       matrix has.
-    Since h <= M, each sum is at most max(n, LEAF_ROWS) M h + M. For p >= 3,
+    Since h <= M, each float64 sum is at most max(n, LEAF_ROWS) M h + M. For p >= 3,
     h <= p - 1, so M = p - 1 and M h is about half of (p - 1)**2. Small
     primes need the max: at p = 2, h = 2 exceeds p - 1 = 1 (this is the one
     prime with p // 2 + 1 > p - 1), so M = 2. `_blocked` admits the kernel
@@ -180,21 +183,24 @@ def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_rref` of a matrix of at most LEAF_ROWS rows, one window of
-    LEAF_WINDOW columns at a time, in float64 throughout.
+    LEAF_WINDOW columns at a time, each eliminated in int64.
 
     A row is live until it is found dependent, and pending while it is live
     and not a pivot row. Each window starts at the first column on which a
     pending row is non-zero; pending rows that are zero on every column from
     there on are dependent and leave. The live rows' window, with the
-    identity appended, is eliminated in row order without swaps. A pending
-    row's turn reduces that row; if it is non-zero on the window, its first
-    non-zero column there becomes a pivot, the row is scaled to 1 at it and
-    reduced again, and the reduced multiplier column times the row is taken
-    from every other live row, pivot rows of earlier windows included. No
-    other entry is reduced before the window ends, so each takes at most one
-    unreduced update per pivot (see `_mod` for the bound). The transform
-    accumulated on the identity then updates the remaining columns with one
-    product and one reduction. The profile is sorted by row at the end.
+    identity appended, is eliminated in row order without swaps, as an
+    int64 block; where at most 2 LEAF_WINDOW columns are left, the window
+    takes them all and needs no identity. A pending row's turn reduces that
+    row; if it is non-zero on the window, its first non-zero column there
+    becomes a pivot, the row is scaled to 1 at it and reduced again, and the
+    reduced multiplier column times the row is taken from every other live
+    row, pivot rows of earlier windows included. No other entry is reduced
+    before the window ends, so each takes at most one unreduced update per
+    pivot (see `_mod` for the bound). The block is then reduced to balanced
+    residues, and the transform accumulated on the identity updates the
+    remaining columns with one float64 product and one reduction. The
+    profile is sorted by row at the end.
 
     Why this is the row rank profile: by induction on windows, after each
     window the pivot rows are the rows independent of the rows above them
@@ -231,26 +237,26 @@ def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if occupied.size == 0:
             break
         start += int(occupied[0])
-        stop = min(start + LEAF_WINDOW, n_cols)
+        stop = n_cols if n_cols - start <= 2 * LEAF_WINDOW else start + LEAF_WINDOW
         width = stop - start
         members = np.flatnonzero(live)
-        block = np.concatenate([work[members, start:stop], np.eye(members.size)], axis=1)
-        for k, i in enumerate(members):
-            if is_pivot[i]:
-                continue
-            row = _mod(block[k], modulus)
+        block = work[members, start:stop].astype(np.int64)
+        if stop < n_cols:
+            block = np.concatenate([block, np.eye(members.size, dtype=np.int64)], axis=1)
+        for k in np.flatnonzero(~is_pivot[members]):
+            row = block[k] % modulus
             hits = row[:width].nonzero()[0]
             if hits.size == 0:
                 continue
             col = int(hits[0])
-            row = _mod(row * pow(int(row[col]), -1, modulus), modulus)
+            row = row * pow(int(row[col]), -1, modulus) % modulus
             # Row k takes its own update too, and is then set to the pivot row.
-            block -= np.multiply.outer(_mod(block[:, col], modulus), row)
+            block -= np.multiply.outer(block[:, col] % modulus, row)
             block[k] = row
-            is_pivot[i] = True
-            rows.append(i)
+            is_pivot[members[k]] = True
+            rows.append(members[k])
             cols.append(start + col)
-        block = _mod(block, modulus)
+        block = _mod((block % modulus).astype(np.float64), modulus)
         work[members, start:stop] = block[:, :width]
         if stop < n_cols:
             work[members, stop:] = _mod(block[:, width:] @ work[members, stop:], modulus)
@@ -263,7 +269,9 @@ def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _complement(pivots: np.ndarray, n_cols: int) -> np.ndarray:
     """The columns 0..n_cols-1 that are not pivots, in increasing order."""
-    return np.delete(np.arange(n_cols), pivots)
+    free = np.ones(n_cols, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
 
 
 def _reduce(
@@ -348,7 +356,9 @@ def _hilbert_order(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(order), counts
 
 
-def _ceilings(partition: Partition, report: ClassificationReport) -> list[int]:
+def _ceilings(
+    partition: Partition, report: ClassificationReport, counts: np.ndarray
+) -> list[int]:
     """A priori ceilings on the generic ranks a trial measures: F's slice
     ranks j = 0..d, then the rank of F's and G's degree-d slices stacked.
 
@@ -357,8 +367,8 @@ def _ceilings(partition: Partition, report: ClassificationReport) -> list[int]:
     ceiling. So a trial whose every rank equals its ceiling has measured
     every generic rank, at any prime, and a rank above its ceiling is a
     fault of the oracle.
-    - j < d: the degree-j slice's row count (`_hilbert_order`) or its column
-      count C(j+2, 2), whichever is smaller.
+    - j < d: the degree-j slice's row count, counts[j] (`_hilbert_order`),
+      or its column count C(j+2, 2), whichever is smaller.
     - j = d: dim X + 1. The slice has sum_i C(d_i + 2, 2) = dim X + r rows,
       and the r - 1 relations F_i (F / F_i) = F_1 (F / F_1), i = 2..r, hold
       among them.
@@ -368,10 +378,15 @@ def _ceilings(partition: Partition, report: ClassificationReport) -> list[int]:
       F'G' S_{d1-s} lies in F' S_{d1} and in G' S_{d1}. Multiplying by F'G'
       is injective, so the stacked rank is at most
       2(dim X + 1) - C(d1 - s + 2, 2).
+      That falls below N + 1 exactly when 2p - 3s > 0, with p the sum of the
+      pairwise products of d2, ..., dr. As D = d1 s + p, dim X = N - D and
+      N + 1 = C(d1 + s + 2, 2), the gap is
+      (N + 1) - (2(dim X + 1) - C(d1 - s + 2, 2))
+      = 2D + C(d1 - s + 2, 2) - C(d1 + s + 2, 2) = 2p - 3s, an identity in
+      (d1, s, p), since C(d1 - s + 2, 2) - C(d1 + s + 2, 2) = -s(2 d1 + 3).
     """
     d1, s = partition.parts[0], report.s
     shared = num_monomials(d1 - s) if d1 >= s else 0
-    counts = _hilbert_order(partition)[1]
     return [
         *(min(int(counts[j]), num_monomials(j)) for j in range(partition.d)),
         report.dim_X + 1,
@@ -380,7 +395,7 @@ def _ceilings(partition: Partition, report: ClassificationReport) -> list[int]:
 
 
 def _trial_ranks(
-    partition: Partition, seeds: Iterable[int], prime: int
+    partition: Partition, seeds: Iterable[int], prime: int, rows: np.ndarray, counts: np.ndarray
 ) -> Iterator[tuple[list[int], int]]:
     """Each trial's measurements, one elimination per trial, yielded as each
     trial ends: for each trial seed, the slice dimensions j = 0..d at its
@@ -390,7 +405,8 @@ def _trial_ranks(
     eliminates no further trial. `_blocked` must admit the prime on degree-d
     slices (`check_prime`).
 
-    F's slice is built in Hilbert order (`_hilbert_order`); G's rows stay in
+    F's slice is built in Hilbert order: rows and counts are
+    `_hilbert_order(partition)`. G's rows stay in
     block order, which leaves the stacked rank alone. The stacked matrix is
     never built: F's elimination gives its profile and its basis, the
     stacked rank is rank F plus the rank of G reduced against that basis,
@@ -398,10 +414,9 @@ def _trial_ranks(
     that rank is taken, so one slice is held at a time.
     """
     d = partition.d
-    hilbert_rows, counts = _hilbert_order(partition)
     for seed in seeds:
         cofactors = _draw_cofactors(partition, derive_seed(seed, 0), prime)
-        pivots, tail, independent = _rref(tangent_slice(cofactors, d, hilbert_rows), prime)
+        pivots, tail, independent = _rref(tangent_slice(cofactors, d, rows), prime)
         cofactors = _draw_cofactors(partition, derive_seed(seed, 1), prime)
         residual = _reduce(pivots, tail, tangent_slice(cofactors, d), prime)
         rank_joint = pivots.size + _rank(residual, prime)
@@ -527,11 +542,12 @@ def verify(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     check_prime(partition.d, prime)
-    ceilings = _ceilings(partition, report)
+    rows, counts = _hilbert_order(partition)
+    ceilings = _ceilings(partition, report, counts)
     # Each seed is derived as its trial starts: `trials` is only a cap.
-    ahead, trial_seeds = tee(derive_seed(base_seed, t) for t in range(trials))
+    ahead, to_run = tee(derive_seed(base_seed, t) for t in range(trials))
     seeds, trial_dims, joints = [], [], []
-    for seed, (dims, joint) in zip(ahead, _trial_ranks(partition, trial_seeds, prime)):
+    for seed, (dims, joint) in zip(ahead, _trial_ranks(partition, to_run, prime, rows, counts)):
         ranks = [*dims, joint]
         for j, (value, ceiling) in enumerate(zip(ranks, ceilings)):
             if value > ceiling:

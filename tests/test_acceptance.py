@@ -16,6 +16,7 @@ from secantlines.gfpoly import derive_seed
 from secantlines.oracle import (
     VERDICT_ABOVE,
     VERDICT_MATCH,
+    _hilbert_order,
     _trial_ranks,
     verify,
 )
@@ -125,7 +126,8 @@ def test_criterion_2_hilbert_function_reproduction():
         # the oracle reproduces the formula at every degree for d <= 8
         for p in enumerate_partitions(8):
             point_seed = SEED + p.d
-            slice_dims, _ = next(_trial_ranks(p, [derive_seed(point_seed, 0)], PRIME))
+            seeds = [derive_seed(point_seed, 0)]
+            slice_dims, _ = next(_trial_ranks(p, seeds, PRIME, *_hilbert_order(p)))
             for j, dim in enumerate(slice_dims):
                 assert comb(j + 2, 2) - dim == hilbert_function_theory(p, j)
         ok = True

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from secantlines import gfpoly
 from secantlines.field import DEFAULT_PRIME, PrimeField, is_prime
 from secantlines.gfpoly import (
     _CACHED_INDEX_ENTRIES,
@@ -212,17 +213,6 @@ class TestMultiply:
         f, g = random_form(field, m, 1), random_form(field, n, 2)
         assert multiply(f, g, field.modulus).tolist() == schoolbook(f, g, field.modulus)
 
-    def test_stack_matches_each_form(self):
-        # Leading axes broadcast: one call multiplies every form of a stack,
-        # also by a single form, exactly as form by form.
-        f = np.array([random_form(F, 4, seed) for seed in range(3)])
-        g = np.array([random_form(F, 2, seed) for seed in range(3, 6)])
-        h = random_form(F, 3, 6)
-        assert multiply(f, g, P).shape == (3, num_monomials(6))
-        for k in range(3):
-            np.testing.assert_array_equal(multiply(f, g, P)[k], multiply(f[k], g[k], P))
-            np.testing.assert_array_equal(multiply(f, h, P)[k], multiply(f[k], h, P))
-
     def test_degree_cap(self):
         # There is no cap on product degrees: degree 33 times degree 33 works.
         f = random_form(F, 33, 0)
@@ -260,15 +250,46 @@ class TestCofactorProducts:
         for factor, cofactor in zip(factors, cofactors):
             np.testing.assert_array_equal(multiply(factor, cofactor, P), full)
 
-    def test_stack_matches_each_point(self):
-        factors = [
-            np.array([random_form(F, deg, 10 * point + i) for point in range(4)])
-            for i, deg in enumerate((3, 2, 2, 1))
-        ]
-        stacked = cofactor_products(factors, P)
-        for point in range(4):
-            alone = cofactor_products([f[point] for f in factors], P)
-            assert_forms_equal([c[point] for c in stacked], alone)
+    @pytest.mark.parametrize(
+        "degrees",
+        [(2, 1), (2, 1, 1), (3, 2, 2, 1), (4, 3, 2, 2, 1)],
+        ids=lambda degrees: f"r{len(degrees)}",
+    )
+    def test_each_output_omits_one_factor(self, monkeypatch, degrees):
+        # Output i is the product of every factor but the i-th, built from
+        # prefix and suffix products with 3r - 6 multiplications, none at r = 2.
+        factors = [random_form(F, deg, seed) for seed, deg in enumerate(degrees)]
+        want = []
+        for i in range(len(factors)):
+            others = factors[:i] + factors[i + 1 :]
+            product = others[0] % P
+            for factor in others[1:]:
+                product = multiply(product, factor, P)
+            want.append(product)
+        calls = []
+
+        def counted(f, g, modulus):
+            calls.append(modulus)
+            return multiply(f, g, modulus)
+
+        monkeypatch.setattr(gfpoly, "multiply", counted)
+        assert_forms_equal(cofactor_products(factors, P), want)
+        assert len(calls) == 3 * len(factors) - 6
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_outputs_are_reduced_new_arrays(self, r):
+        # Unreduced inputs give reduced outputs, also at r = 2, where nothing
+        # is multiplied; and writing to an output changes no input and no
+        # other output.
+        factors = [np.array([-1, P, P + 2], dtype=np.int64) + k for k in range(r)]
+        inputs = [f.copy() for f in factors]
+        cofactors = cofactor_products(factors, P)
+        reduced = cofactor_products([f % P for f in factors], P)
+        assert_forms_equal(cofactors, reduced)
+        assert all(((0 <= c) & (c < P)).all() for c in cofactors)
+        cofactors[0][:] = -7
+        assert_forms_equal(factors, inputs)
+        assert_forms_equal(cofactors[1:], reduced[1:])
 
     def test_too_few(self):
         with pytest.raises(ValueError):
@@ -294,16 +315,15 @@ class TestMonomialMultiples:
         for row, (a, b, c) in zip(got, exponents(2)):
             np.testing.assert_array_equal(row, multiply(monomial(a, b, c), f, P))
 
-    def test_stack_written_into_given_rows(self):
-        # A stack of forms, each block written into chosen rows of a given
-        # array: row rows[k] of each matrix is the k-th multiple of its form.
-        f = np.array([random_form(F, 2, seed) for seed in range(2)])
-        out = np.zeros((2, 8, num_monomials(4)))
+    def test_written_into_given_rows(self):
+        # The block written into chosen rows of a given array: row rows[k]
+        # is the k-th multiple of the form, and the other rows stay zero.
+        f = random_form(F, 2, 0)
+        out = np.zeros((8, num_monomials(4)))
         rows = np.array([7, 0, 3, 5, 1, 6])
         assert monomial_multiples(f, 4, out, rows) is out
-        for k in range(2):
-            np.testing.assert_array_equal(out[k][rows], monomial_multiples(f[k], 4))
-        assert not out[:, [2, 4]].any()
+        np.testing.assert_array_equal(out[rows], monomial_multiples(f, 4))
+        assert not out[[2, 4]].any()
 
     def test_below_degree_is_empty(self):
         assert monomial_multiples(random_form(F, 3, 4), 2).shape == (0, num_monomials(2))

@@ -1,6 +1,6 @@
 import json
 from dataclasses import replace
-from itertools import count, permutations
+from itertools import count, permutations, product
 from math import comb
 
 import numpy as np
@@ -41,7 +41,7 @@ SEED = 1234
 
 def hilbert(partition, seed):
     """Measured Hilbert function j = 0..d at one random point."""
-    dims, _ = next(_trial_ranks(partition, [seed], P))
+    dims, _ = next(_trial_ranks(partition, [seed], P, *_hilbert_order(partition)))
     return [num_monomials(j) - dim for j, dim in enumerate(dims)]
 
 
@@ -140,6 +140,20 @@ def floats(a):
     return np.asarray(a, dtype=np.float64)
 
 
+def assert_basis_matches_eliminate(a, modulus, pivots, tail):
+    """The kernel's basis (pivots, tail) of the rows of `a` against the
+    reference `eliminate`, and every row of `a` in its span."""
+    # The tail holds balanced residues of the reduced row echelon form,
+    # which the reference `eliminate` gives in [0, modulus).
+    assert ((tail == np.rint(tail)) & (np.abs(tail) <= modulus / 2 + 1)).all()
+    work = a % modulus
+    rows, cols = eliminate(work, modulus)
+    free = np.delete(np.arange(a.shape[1]), cols)
+    reference = {c: [-int(v) % modulus for v in work[i, free]] for i, c in zip(rows, cols)}
+    assert {int(c): [int(v) % modulus for v in t] for c, t in zip(pivots, tail)} == reference
+    assert not _reduce(pivots, tail, floats(a), modulus).any()
+
+
 class TestBlockedElimination:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -169,16 +183,7 @@ class TestBlockedElimination:
         pivots, tail, independent = _rref(floats(a), modulus)
         assert pivots.size == independent.size == want == _rank(floats(a), modulus)
         assert tail.shape == (want, n_cols - want)
-        # The tail holds balanced residues of the reduced row echelon form,
-        # which the reference `eliminate` gives in [0, modulus).
-        assert ((tail == np.rint(tail)) & (np.abs(tail) <= modulus / 2 + 1)).all()
-        work = a % modulus
-        rows, cols = eliminate(work, modulus)
-        free = np.delete(np.arange(n_cols), cols)
-        reference = {c: [-int(v) % modulus for v in work[i, free]] for i, c in zip(rows, cols)}
-        assert {int(c): [int(v) % modulus for v in t] for c, t in zip(pivots, tail)} == reference
-        # Every row of `a` lies in the span of the basis.
-        assert not _reduce(pivots, tail, floats(a), modulus).any()
+        assert_basis_matches_eliminate(a, modulus, pivots, tail)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -250,6 +255,47 @@ class TestBlockedElimination:
         assert _rank(floats(a), modulus) == len(want)
         assert not _reduce(pivots, tail, floats(a), modulus).any()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_rows=st.integers(1, 2 * LEAF),
+        lead=st.integers(0, WINDOW + 3),
+        windows=st.integers(0, 1),
+        width=st.integers(WINDOW + 1, 2 * WINDOW),
+        r=st.integers(0, 2 * LEAF),
+        modulus=PRIMES,
+    )
+    def test_wide_last_window_matches_column_loop(
+        self, seed, n_rows, lead, windows, width, r, modulus
+    ):
+        # From a window start with LEAF_WINDOW + 1 to 2 LEAF_WINDOW columns
+        # left, a leaf takes them all in one window with no identity block:
+        # right after `lead` zero columns, or after one ordinary window.
+        n_cols = lead + windows * WINDOW + width
+        modulus = at_width(modulus, n_cols)
+        a = low_rank(seed, n_rows, n_cols, min(r, n_rows, n_cols), modulus, lead, staircase=True)
+        pivots, tail, independent = _rref(floats(a), modulus)
+        assert independent.tolist() == column_loop_pivots(a.T, modulus)
+        assert _rank(floats(a), modulus) == independent.size
+        assert_basis_matches_eliminate(a, modulus, pivots, tail)
+
+    @pytest.mark.parametrize("n_cols", [LEAF, 3 * WINDOW + 5])
+    @pytest.mark.parametrize("modulus", [2, 3, LARGEST])
+    def test_int64_window_headroom(self, modulus, n_cols):
+        # `_mod`'s int64 bound on a leaf window, where it is tightest: a leaf
+        # of LEAF_ROWS rows with every entry p - 1 but a zero diagonal, so
+        # its first window takes LEAF_ROWS pivots, at the largest prime
+        # `_blocked` admits for the width (`_largest_prime(LEAF_ROWS)` on
+        # LEAF_ROWS columns) and at p = 2 and 3. det(J - I) = -31 is a unit
+        # mod each of them. An int32 block fails here.
+        modulus = at_width(modulus, n_cols)
+        a = np.full((LEAF, n_cols), modulus - 1, dtype=np.int64)
+        np.fill_diagonal(a, 0)
+        pivots, tail, independent = _rref(floats(a), modulus)
+        assert independent.tolist() == list(range(LEAF))
+        assert sorted(pivots.tolist()) == list(range(LEAF))
+        assert_basis_matches_eliminate(a, modulus, pivots, tail)
+
     def test_largest_blocked_prime_matches_the_int64_route(self):
         # At the largest prime the kernel takes for [9,7]'s 153 columns its
         # sums come closest to 2**52; each trial must equal the int64
@@ -260,7 +306,9 @@ class TestBlockedElimination:
         prime = _largest_prime(num_monomials(partition.d))
         hilbert_rows, counts = _hilbert_order(partition)
         seeds = [derive_seed(SEED, t) for t in range(2)]
-        for seed, (slice_dims, rank_joint) in zip(seeds, _trial_ranks(partition, seeds, prime)):
+        for seed, (slice_dims, rank_joint) in zip(
+            seeds, _trial_ranks(partition, seeds, prime, hilbert_rows, counts)
+        ):
             f, g = (
                 tangent_slice(_draw_cofactors(partition, derive_seed(seed, k), prime), 16, rows)
                 for k, rows in ((0, hilbert_rows), (1, None))
@@ -441,14 +489,15 @@ class TestSliceDimensions:
         partition = Partition(parts)
         prime = at_width(prime, num_monomials(partition.d))
         want = slice_dims_one_degree_at_a_time(partition, derive_seed(seed, 0), prime)
-        assert next(_trial_ranks(partition, [seed], prime))[0] == want
+        assert next(_trial_ranks(partition, [seed], prime, *_hilbert_order(partition)))[0] == want
 
     @pytest.mark.parametrize(
         "parts, j, want",
         [([1, 1], 2, 5), ([2, 1], 3, 8), ([1, 1, 1], 3, 7)],
     )
     def test_examples(self, parts, j, want):
-        assert next(_trial_ranks(Partition(parts), [SEED], P))[0][j] == want
+        partition = Partition(parts)
+        assert next(_trial_ranks(partition, [SEED], P, *_hilbert_order(partition)))[0][j] == want
 
     def test_hilbert_examples(self):
         assert hilbert(Partition([1, 1, 1]), SEED)[1] == 3
@@ -520,7 +569,7 @@ class TestSecantMeasurements:
         report = verify(partition, prime=P, trials=3, base_seed=SEED)
         assert 1 <= len(report.seeds) <= 3
         assert list(report.seeds) == [derive_seed(SEED, k) for k in range(len(report.seeds))]
-        trials = list(_trial_ranks(partition, report.seeds, P))
+        trials = list(_trial_ranks(partition, report.seeds, P, *_hilbert_order(partition)))
         m = max(slice_dims[-1] for slice_dims, _ in trials)
         assert report.measured["dim_IF_d"] == m
         assert report.trial_dim_sigma2 == tuple(rank_joint - 1 for _, rank_joint in trials)
@@ -539,7 +588,8 @@ class TestSecantMeasurements:
         # rank F and the stacked rank; each must equal its own elimination.
         partition = Partition(parts)
         seeds = [derive_seed(SEED, k) for k in range(2)]
-        for seed, (slice_dims, rank_joint) in zip(seeds, _trial_ranks(partition, seeds, prime)):
+        trials = _trial_ranks(partition, seeds, prime, *_hilbert_order(partition))
+        for seed, (slice_dims, rank_joint) in zip(seeds, trials):
             f, g = (
                 tangent_slice(_draw_cofactors(partition, derive_seed(seed, k), prime), partition.d)
                 for k in (0, 1)
@@ -568,9 +618,10 @@ class TestSecantMeasurements:
             "dim_sigma2": report.dim_sigma2,
             "dim_IZ": report.dim_IZ,
         }
-        ceilings = _ceilings(partition, report)
+        hilbert_rows, counts = _hilbert_order(partition)
+        ceilings = _ceilings(partition, report, counts)
         seeds = [derive_seed(SEED, k) for k in range(5)]
-        every = list(_trial_ranks(partition, seeds, prime))
+        every = list(_trial_ranks(partition, seeds, prime, hilbert_rows, counts))
         for n in (1, 3, 5):
             trials = every[:n]
             slice_dims = [max(column) for column in zip(*(dims for dims, _ in trials))]
@@ -612,8 +663,8 @@ class TestSecantMeasurements:
         # [2,1]'s 10 columns took the int64 route; both take the kernel.
         true_trial_ranks = oracle._trial_ranks
 
-        def over_reporting(partition, seeds, prime):
-            for slice_dims, rank_joint in true_trial_ranks(partition, seeds, prime):
+        def over_reporting(partition, seeds, prime, *order):
+            for slice_dims, rank_joint in true_trial_ranks(partition, seeds, prime, *order):
                 ranks = [*slice_dims, rank_joint]
                 ranks[position] += 1
                 yield ranks[:-1], ranks[-1]
@@ -631,7 +682,7 @@ def partitions_off_their_ceilings(d_max):
     off = []
     for partition in enumerate_partitions(d_max):
         report = classify(partition)
-        *slices, top, joint = _ceilings(partition, report)
+        *slices, top, joint = _ceilings(partition, report, _hilbert_order(partition)[1])
         hilbert = [hilbert_function_theory(partition, j) for j in range(partition.d + 1)]
         if (
             [num_monomials(j) - h for j, h in enumerate(hilbert)] != [*slices, top]
@@ -653,6 +704,16 @@ SHARED_BLOCK_PARTITIONS = [
 class TestCeilings:
     # Every prediction equals its a priori ceiling, so a trial that reaches
     # every ceiling proves the whole record.
+    def test_ceiling_gap_is_2p_minus_3s(self):
+        # `_ceilings`: (N + 1) - (2(dim X + 1) - C(d1 - s + 2, 2)) = 2p - 3s,
+        # with d = d1 + s, D = d1 s + p and dim X + 1 = C(d + 2, 2) - D. Both
+        # sides are polynomials of degree at most 2 in each of d1, s and p
+        # (C(k + 2, 2) = num_monomials(k) for k >= -2), so agreeing on the
+        # grid {0, 1, 2}^3 makes them equal everywhere.
+        for d1, s, p in product(range(3), repeat=3):
+            top = num_monomials(d1 + s)
+            dim_X_plus_1 = top - (d1 * s + p)
+            assert top - (2 * dim_X_plus_1 - num_monomials(d1 - s)) == 2 * p - 3 * s
     def test_predictions_sit_on_their_ceilings(self):
         assert partitions_off_their_ceilings(24) == []
 
@@ -806,7 +867,8 @@ class TestVerdict:
         # `_trial_ranks`.
         partition = Partition([2, 1])
         report = verify(partition, prime=2, trials=3, base_seed=0)
-        trials = list(_trial_ranks(partition, [derive_seed(0, k) for k in range(3)], 2))
+        seeds = [derive_seed(0, k) for k in range(3)]
+        trials = list(_trial_ranks(partition, seeds, 2, *_hilbert_order(partition)))
         m = max(dims[-1] for dims, _ in trials)
         unlucky_dims, unlucky_joint = trials[1]
         assert (unlucky_dims[-1], 2 * m - unlucky_joint) == (3, 6)
