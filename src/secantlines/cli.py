@@ -28,7 +28,7 @@ from functools import partial
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, PrimeField
+from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, is_prime
 from .formulas import ClassificationReport, classify
 from .partitions import Partition, PartitionError, enumerate_partitions
 
@@ -390,12 +390,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def prime_modulus(text: str) -> int:
-    """argparse type for --prime: an integer that PrimeField accepts."""
+    """argparse type for --prime: a prime; `check_prime` bounds it by degree."""
     value = int(text)
-    try:
-        PrimeField(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"modulus {value} is not prime")
     return value
 
 

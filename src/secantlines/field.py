@@ -1,17 +1,17 @@
-"""The prime field GF(p) and the oracle's default draw settings, in plain
-integers.
+"""The oracle's default draw settings and the primality test for its prime
+field GF(p), in plain integers.
 
 Nothing here imports numpy, so the command line can build its parser and
-check `--prime` without loading it; only the oracle's commands do.
+check that `--prime` is prime without loading it; only the oracle's commands
+do. Whether the oracle's kernel is exact at that prime depends on the degree,
+and `oracle.check_prime` decides it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 DEFAULT_PRIME = 1_000_003
-MAX_MODULUS = 2**31 - 1
 DEFAULT_TRIALS = 3
 DEFAULT_SEED = 0
 
@@ -39,18 +39,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """Prime field GF(modulus); elements are ints in [0, modulus)."""
-
-    modulus: int = DEFAULT_PRIME
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.modulus <= MAX_MODULUS:
-            raise ValueError(
-                f"modulus must be in [2, {MAX_MODULUS}], got {self.modulus}"
-            )
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")

@@ -4,9 +4,9 @@ A form of degree d is an int64 numpy vector of its C(d+2, 2) coefficients in
 the graded-lex order on monomials x0^a x1^b x2^c: a descending, then b
 descending, so x0^d comes first and x2^d last. The degree follows from the
 length. That order is known only to `product_index`; products and monomial
-shifts are scatters through the positions it returns. The prime defaults to
-1,000,003 and is capped below 2**31, so every product of two reduced
-coefficients fits in int64 and all arithmetic stays exact.
+shifts are scatters through the positions it returns. `multiply` is exact
+for a modulus below 2**31; the oracle's primes are far below that, as
+`oracle.check_prime` admits none above about 1.7e7.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from math import comb, isqrt
 from typing import Sequence
 
 import numpy as np
-
-from .field import PrimeField
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -132,8 +130,8 @@ def product_index(m: int, n: int) -> np.ndarray:
     return _product_index(m, n)
 
 
-def random_form(field: PrimeField, degree: int, seed: int) -> np.ndarray:
-    """A form with every coefficient drawn independently and uniformly from the field.
+def random_form(modulus: int, degree: int, seed: int) -> np.ndarray:
+    """A form with every coefficient drawn independently and uniformly mod `modulus`.
 
     Deterministic: the same (modulus, degree, seed) always produces the same form.
     """
@@ -141,16 +139,17 @@ def random_form(field: PrimeField, degree: int, seed: int) -> np.ndarray:
         raise ValueError(f"random forms need degree >= 1, got {degree}")
     stream = SeedStream(seed)
     return np.array(
-        [stream.field_element(field.modulus) for _ in range(num_monomials(degree))],
+        [stream.field_element(modulus) for _ in range(num_monomials(degree))],
         dtype=np.int64,
     )
 
 
 def multiply(f: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray:
-    """Exact product mod `modulus`, reduced to [0, modulus).
+    """Exact product mod `modulus`, reduced to [0, modulus), for a modulus
+    below 2**31 and coefficients in [0, modulus).
 
-    Each term f_i g_k (below 2**62 for coefficients below 2**31) is reduced
-    before the terms are summed into their positions, so no int64 overflows.
+    Each term f_i g_k (below 2**62) is reduced before the terms are summed
+    into their positions, so no int64 overflows.
     The scatter takes flattened operands: numpy's one-dimensional
     `np.add.at` is about twice as fast as a two-dimensional one.
     """

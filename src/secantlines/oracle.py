@@ -2,36 +2,36 @@
 
 The oracle works over a prime field. Ranks of matrices specialized from a
 generic construction can only drop, never rise, and each rank it measures has
-an a priori ceiling on its generic value (`_ceilings`). `verify` runs the
-trials one at a time, at most the number asked for, and stops at the first
-trial whose every rank reaches its ceiling: that trial proves every generic
-value, at any prime, and agreement with the closed form certifies both sides.
-Short of that, the maximum rank seen over the trials is a lower bound for the
-generic rank. Each trial (`_trial_ranks`) draws two points F and G and runs
-one elimination, of F's degree-d tangent slice with its rows sorted so that
-every smaller slice is a prefix. Its row rank profile gives F's whole Hilbert
-function, and the rank of F's and G's slices stacked (by Terracini's lemma,
-dim sigma2 plus one). The dimension of the intersection of the two row spaces
-is taken as 2m minus the stacked rank, with m the largest slice rank seen:
-the stacked rank can only drop, so once m is generic that value can only sit
-at or above the generic intersection, and its minimum over trials is
-aggregated.
+an a priori ceiling on its generic value (`_ceilings`), which `verify`
+checks each prediction equals before it runs the trials one at a time, at
+most the number asked for, stopping at the first trial whose every rank
+reaches its ceiling: that trial proves every generic value, at any prime,
+and agreement with the closed form certifies both sides. Short of that, the
+maximum rank seen over the trials is a lower bound for the generic rank.
+Each trial (`_trial`) draws two points F and G and runs one elimination, of
+F's degree-d tangent slice with its rows sorted so that every smaller slice
+is a prefix. Its row rank profile gives F's whole Hilbert function, and the
+rank of F's and G's slices stacked (by Terracini's lemma, dim sigma2 plus
+one). The dimension of the intersection of the two row spaces is taken as 2m
+minus the stacked rank, with m the largest slice rank seen: the stacked rank
+can only drop, so once m is generic that value can only sit at or above the
+generic intersection, and its minimum over trials is aggregated.
 
 Every elimination runs one exact kernel (`_rref`): float64 products between
 blocks, and int64 elimination within each leaf window. `check_prime` rejects
-a prime at which its sums could leave the exact range (`_blocked`)."""
+a modulus that is not prime, or at which its sums could leave the exact
+range (`_blocked`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import tee
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, PrimeField, is_prime
-from .formulas import ClassificationReport, classify, hilbert_function_theory
+from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, is_prime
+from .formulas import ClassificationReport, _check_agreement, classify, hilbert_function_theory
 from .gfpoly import (
     cofactor_products,
     derive_seed,
@@ -45,7 +45,6 @@ from .partitions import Partition
 
 VERDICT_MATCH = "MATCH"
 VERDICT_BELOW = "ORACLE_BELOW_THEORY"
-VERDICT_ABOVE = "ORACLE_ABOVE_THEORY"
 
 # Rows per leaf of the blocked kernel `_rref`, and columns per window of a
 # leaf (`_leaf`).
@@ -132,9 +131,11 @@ def _largest_prime(n_cols: int) -> int:
 
 
 def check_prime(d: int, prime: int) -> None:
-    """Raise ValueError unless the kernel is exact mod `prime` on the
-    degree-d tangent slices, the widest matrices a partition of d
+    """Raise ValueError unless `prime` is prime and the kernel is exact mod
+    it on the degree-d tangent slices, the widest matrices a partition of d
     eliminates, naming the largest prime it admits there."""
+    if not is_prime(prime):
+        raise ValueError(f"modulus {prime} is not prime")
     n_cols = num_monomials(d)
     if not _blocked(n_cols, prime):
         raise ValueError(
@@ -332,8 +333,7 @@ def tangent_slice(
 def _draw_cofactors(partition: Partition, seed: int, prime: int) -> list[np.ndarray]:
     """Cofactor products of one random point: one factor per degree, each
     drawn from its own derived seed stream."""
-    field = PrimeField(prime)
-    factors = [random_form(field, di, derive_seed(seed, i)) for i, di in enumerate(partition.parts)]
+    factors = [random_form(prime, di, derive_seed(seed, i)) for i, di in enumerate(partition.parts)]
     return cofactor_products(factors, prime)
 
 
@@ -394,16 +394,14 @@ def _ceilings(
     ]
 
 
-def _trial_ranks(
-    partition: Partition, seeds: Iterable[int], prime: int, rows: np.ndarray, counts: np.ndarray
-) -> Iterator[tuple[list[int], int]]:
-    """Each trial's measurements, one elimination per trial, yielded as each
-    trial ends: for each trial seed, the slice dimensions j = 0..d at its
-    first point F, drawn at derive_seed(seed, 0), and the rank of the
-    degree-d slices of F and of its second point G, drawn at
-    derive_seed(seed, 1), stacked. A caller that stops iterating draws and
-    eliminates no further trial. `_blocked` must admit the prime on degree-d
-    slices (`check_prime`).
+def _trial(
+    partition: Partition, seed: int, prime: int, rows: np.ndarray, counts: np.ndarray
+) -> tuple[list[int], int]:
+    """One trial's measurements, from one elimination: the slice dimensions
+    j = 0..d at its first point F, drawn at derive_seed(seed, 0), and the
+    rank of the degree-d slices of F and of its second point G, drawn at
+    derive_seed(seed, 1), stacked. `_blocked` must admit the prime on
+    degree-d slices (`check_prime`).
 
     F's slice is built in Hilbert order: rows and counts are
     `_hilbert_order(partition)`. G's rows stay in
@@ -414,27 +412,23 @@ def _trial_ranks(
     that rank is taken, so one slice is held at a time.
     """
     d = partition.d
-    for seed in seeds:
-        cofactors = _draw_cofactors(partition, derive_seed(seed, 0), prime)
-        pivots, tail, independent = _rref(tangent_slice(cofactors, d, rows), prime)
-        cofactors = _draw_cofactors(partition, derive_seed(seed, 1), prime)
-        residual = _reduce(pivots, tail, tangent_slice(cofactors, d), prime)
-        rank_joint = pivots.size + _rank(residual, prime)
-        del pivots, tail, residual  # so that the next trial starts from F's slice alone
-        yield np.searchsorted(independent, counts).tolist(), rank_joint
+    cofactors = _draw_cofactors(partition, derive_seed(seed, 0), prime)
+    pivots, tail, independent = _rref(tangent_slice(cofactors, d, rows), prime)
+    cofactors = _draw_cofactors(partition, derive_seed(seed, 1), prime)
+    residual = _reduce(pivots, tail, tangent_slice(cofactors, d), prime)
+    return np.searchsorted(independent, counts).tolist(), pivots.size + _rank(residual, prime)
 
 
 @dataclass(frozen=True)
 class OracleReport:
     """Measured ranks and dimensions for one partition, paired with predictions.
 
-    The verdict is MATCH when every measurement equals its prediction,
-    ORACLE_ABOVE_THEORY when any measurement lands on the side semicontinuity
-    forbids (a hard failure), and ORACLE_BELOW_THEORY otherwise (a non-generic
-    draw, which more trials would fix). `certified` is true when every
-    measured rank also equals its ceiling (see `_ceilings`): then the MATCH
-    is proved, at any prime. `trials` is the cap asked for; `seeds` and the
-    per-trial tuples list the trials actually run.
+    The verdict is MATCH when every measurement equals its prediction, which
+    is when every measured rank reached its ceiling (`verify`): a MATCH is
+    proved, at any prime, and `certified` is the same bool. Otherwise it is
+    ORACLE_BELOW_THEORY, a non-generic draw, which more trials would fix.
+    `trials` is the cap asked for; `seeds` and the per-trial tuples list the
+    trials actually run.
     """
 
     partition: Partition
@@ -465,38 +459,6 @@ class OracleReport:
         }
 
 
-def _verdict(measured: dict, predicted: dict) -> str:
-    """Classify the measurement against the prediction, direction-aware.
-
-    dim_IF_d and dim_sigma2 are ranks: they can only sit at or below the generic
-    value, so measured > predicted is the impossible side. Hilbert values are
-    coranks: measured < predicted is impossible. dim_IZ below its prediction
-    is impossible only once a slice rank reached the generic value (see
-    `verify`), so it counts as above only when dim_IF_d matches.
-    """
-    above = below = False
-    for key in ("dim_IF_d", "dim_sigma2"):
-        if measured[key] > predicted[key]:
-            above = True
-        elif measured[key] < predicted[key]:
-            below = True
-    for m, pr in zip(measured["hilbert"], predicted["hilbert"]):
-        if m < pr:
-            above = True
-        elif m > pr:
-            below = True
-    if (
-        measured["dim_IZ"] < predicted["dim_IZ"]
-        and measured["dim_IF_d"] == predicted["dim_IF_d"]
-    ):
-        above = True
-    elif measured["dim_IZ"] != predicted["dim_IZ"]:
-        below = True
-    if above:
-        return VERDICT_ABOVE
-    return VERDICT_BELOW if below else VERDICT_MATCH
-
-
 def verify(
     partition: Partition,
     *,
@@ -507,15 +469,17 @@ def verify(
     """Measure every predicted dimension for one partition and compare.
 
     The predictions are read off one `classify` and, per degree,
-    `hilbert_function_theory`. The measurements come from independent
-    two-point trials in seed order, at most `trials` of them, which stop
-    after the first whose every rank reaches its ceiling (`_ceilings`). Each
+    `hilbert_function_theory`. Before any draw, the ranks they predict must
+    equal the ceilings `_ceilings` derives on its own, or
+    DerivationMismatchError is raised. The measurements come from
+    independent two-point trials in seed order, at most `trials` of them,
+    which stop after the first whose every rank reaches its ceiling. Each
     trial draws factor sets for two general points F and G, and measures,
-    with one elimination (`_trial_ranks`), F's whole Hilbert function and
-    the rank of the two degree-d tangent slices stacked. Each slice
-    dimension of the Hilbert function j = 0..d (whose j = d entry is the
-    degree-d slice dimension) is the max over the trial points, and the
-    secant-line dimension, rank(stacked) - 1, the max over trials.
+    with one elimination (`_trial`), F's whole Hilbert function and the rank
+    of the two degree-d tangent slices stacked. Each slice dimension of the
+    Hilbert function j = 0..d (whose j = d entry is the degree-d slice
+    dimension) is the max over the trial points, and the secant-line
+    dimension, rank(stacked) - 1, the max over trials.
 
     Through the dimension formula for a sum of subspaces, each trial's
     dim_IZ is 2m - rank(stacked), with m the largest rank of F's degree-d
@@ -523,10 +487,9 @@ def verify(
     min. A stacked rank never exceeds its generic value, so once m is
     generic no trial's dim_IZ falls below the generic intersection
     dimension, however unlucky its draw. A rank above its ceiling is
-    impossible and raises SemicontinuityError. Once a trial reaches every
-    ceiling, m is generic, the maximum of every rank is its ceiling, and
-    the minimum of dim_IZ is 2m minus the stacked ceiling, so the trials not
-    run would change no maximum and no minimum. G's slice rank is not
+    impossible and raises SemicontinuityError. So the measurements equal the
+    predictions exactly when every rank reaches its ceiling, and the trials
+    not run would change no maximum and no minimum. G's slice rank is not
     measured: G is drawn through the same code as F, independently and with
     the same distribution, so any fault that could push G's rank above
     generic shows in F's. A prime that `check_prime` rejects at degree d
@@ -544,10 +507,14 @@ def verify(
     check_prime(partition.d, prime)
     rows, counts = _hilbert_order(partition)
     ceilings = _ceilings(partition, report, counts)
-    # Each seed is derived as its trial starts: `trials` is only a cap.
-    ahead, to_run = tee(derive_seed(base_seed, t) for t in range(trials))
+    # dim_IF_d and dim_IZ follow from these, by `classify`'s own checks.
+    slice_ranks = [num_monomials(j) - h for j, h in enumerate(predicted["hilbert"])]
+    _check_agreement("ceilings", partition, ceilings, [*slice_ranks, predicted["dim_sigma2"] + 1])
     seeds, trial_dims, joints = [], [], []
-    for seed, (dims, joint) in zip(ahead, _trial_ranks(partition, to_run, prime, rows, counts)):
+    for t in range(trials):
+        # Each seed is derived as its trial starts: `trials` is only a cap.
+        seeds.append(derive_seed(base_seed, t))
+        dims, joint = _trial(partition, seeds[-1], prime, rows, counts)
         ranks = [*dims, joint]
         for j, (value, ceiling) in enumerate(zip(ranks, ceilings)):
             if value > ceiling:
@@ -555,7 +522,6 @@ def verify(
                 raise SemicontinuityError(
                     f"{partition}: {what} {value} above its ceiling {ceiling}"
                 )
-        seeds.append(seed)
         trial_dims.append(dims)
         joints.append(joint)
         if ranks == ceilings:
@@ -568,7 +534,7 @@ def verify(
         "dim_sigma2": rank_joint - 1,
         "dim_IZ": 2 * m - rank_joint,
     }
-    verdict = _verdict(measured, predicted)
+    matched = measured == predicted
     return OracleReport(
         partition=partition,
         prime=prime,
@@ -579,6 +545,6 @@ def verify(
         predicted=predicted,
         trial_dim_sigma2=tuple(joint - 1 for joint in joints),
         trial_dim_IZ=tuple(2 * m - joint for joint in joints),
-        verdict=verdict,
-        certified=verdict == VERDICT_MATCH and [*slice_dims, rank_joint] == ceilings,
+        verdict=VERDICT_MATCH if matched else VERDICT_BELOW,
+        certified=matched,
     )

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from secantlines import gfpoly
-from secantlines.field import DEFAULT_PRIME, PrimeField, is_prime
+from secantlines import gfpoly, oracle
+from secantlines.field import DEFAULT_PRIME, is_prime
 from secantlines.gfpoly import (
     _CACHED_INDEX_ENTRIES,
     SeedStream,
@@ -16,9 +16,9 @@ from secantlines.gfpoly import (
     random_form,
     x0_codegree,
 )
+from secantlines.partitions import Partition
 
-F = PrimeField()
-P = F.modulus
+P = DEFAULT_PRIME
 ONE = np.ones(1, dtype=np.int64)
 
 
@@ -71,12 +71,16 @@ class TestPrimality:
         for n in (0, 1, 561, 1_000_004, 10**12):
             assert not is_prime(n)
 
-    def test_field_validation(self):
-        assert PrimeField(2**31 - 1).modulus == 2**31 - 1
-        with pytest.raises(ValueError):
-            PrimeField(1_000_004)
-        with pytest.raises(ValueError):
-            PrimeField(2**31)
+    def test_field_validation(self, monkeypatch):
+        # `check_prime` is the one prime check of an in-process verify, and
+        # it runs before any draw.
+        with pytest.raises(ValueError, match="modulus 1000004 is not prime"):
+            oracle.check_prime(3, 1_000_004)
+        draws = []
+        monkeypatch.setattr(oracle, "_draw_cofactors", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            oracle.verify(Partition([2, 1]), prime=4)
+        assert draws == []
 
 
 class TestMonomialIndex:
@@ -159,7 +163,7 @@ class TestForm:
         np.testing.assert_array_equal(multiply(form, ONE, P), [P - 1, 0, 2])
 
     def test_zero_one_monomial(self):
-        assert not multiply(np.zeros(10, dtype=np.int64), random_form(F, 2, 3), P).any()
+        assert not multiply(np.zeros(10, dtype=np.int64), random_form(P, 2, 3), P).any()
         np.testing.assert_array_equal(multiply(ONE, ONE, P), [1])
         assert x(0)[exponents(1).index((1, 0, 0))] == 1
         assert x(0)[exponents(1).index((0, 1, 0))] == 0
@@ -167,19 +171,19 @@ class TestForm:
 
 class TestRandomForm:
     def test_deterministic(self):
-        np.testing.assert_array_equal(random_form(F, 2, 42), random_form(F, 2, 42))
+        np.testing.assert_array_equal(random_form(P, 2, 42), random_form(P, 2, 42))
 
     def test_seed_sensitivity(self):
-        assert not np.array_equal(random_form(F, 2, 0), random_form(F, 2, 1))
+        assert not np.array_equal(random_form(P, 2, 0), random_form(P, 2, 1))
 
     def test_shape_and_range(self):
-        form = random_form(F, 3, 7)
+        form = random_form(P, 3, 7)
         assert form.shape == (10,) and form.dtype == np.int64
         assert ((0 <= form) & (form < P)).all()
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
-            random_form(F, 0, 1)
+            random_form(P, 0, 1)
 
 
 class TestMultiply:
@@ -187,7 +191,7 @@ class TestMultiply:
         np.testing.assert_array_equal(multiply(x(0), x(1), P), monomial(1, 1, 0))
 
     def test_identity(self):
-        f = random_form(F, 3, 5)
+        f = random_form(P, 3, 5)
         np.testing.assert_array_equal(multiply(f, ONE, P), f)
 
     def test_difference_of_squares(self):
@@ -197,9 +201,9 @@ class TestMultiply:
         np.testing.assert_array_equal(multiply(plus, minus, P), want)
 
     def test_commutative_and_associative(self):
-        f = random_form(F, 2, 11)
-        g = random_form(F, 3, 12)
-        h = random_form(F, 1, 13)
+        f = random_form(P, 2, 11)
+        g = random_form(P, 3, 12)
+        h = random_form(P, 1, 13)
         np.testing.assert_array_equal(multiply(f, g, P), multiply(g, f, P))
         np.testing.assert_array_equal(
             multiply(multiply(f, g, P), h, P), multiply(f, multiply(g, h, P), P)
@@ -209,41 +213,41 @@ class TestMultiply:
     def test_matches_schoolbook_at_largest_modulus(self, m, n):
         # Coefficients near 2**31 make every pairwise product near 2**62, where
         # a sum taken before reducing would overflow int64.
-        field = PrimeField(2**31 - 1)
-        f, g = random_form(field, m, 1), random_form(field, n, 2)
-        assert multiply(f, g, field.modulus).tolist() == schoolbook(f, g, field.modulus)
+        modulus = 2**31 - 1
+        f, g = random_form(modulus, m, 1), random_form(modulus, n, 2)
+        assert multiply(f, g, modulus).tolist() == schoolbook(f, g, modulus)
 
     def test_degree_cap(self):
         # There is no cap on product degrees: degree 33 times degree 33 works.
-        f = random_form(F, 33, 0)
+        f = random_form(P, 33, 0)
         assert form_degree(multiply(f, f, P)) == 66
 
 
 class TestCofactorProducts:
     def test_two_factors_swap(self):
-        f1, f2 = random_form(F, 2, 1), random_form(F, 1, 2)
+        f1, f2 = random_form(P, 2, 1), random_form(P, 1, 2)
         assert_forms_equal(cofactor_products([f1, f2], P), [f2, f1])
 
     def test_three_factors(self):
-        f1, f2, f3 = (random_form(F, deg, seed) for deg, seed in ((2, 1), (1, 2), (1, 3)))
+        f1, f2, f3 = (random_form(P, deg, seed) for deg, seed in ((2, 1), (1, 2), (1, 3)))
         assert_forms_equal(
             cofactor_products([f1, f2, f3], P),
             [multiply(f2, f3, P), multiply(f1, f3, P), multiply(f1, f2, P)],
         )
 
     def test_degrees(self):
-        factors = [random_form(F, deg, s) for s, deg in enumerate((2, 1, 1))]
+        factors = [random_form(P, deg, s) for s, deg in enumerate((2, 1, 1))]
         assert [form_degree(c) for c in cofactor_products(factors, P)] == [2, 3, 3]
 
     def test_product_reconstruction(self):
-        factors = [random_form(F, deg, s) for s, deg in enumerate((3, 2, 2))]
+        factors = [random_form(P, deg, s) for s, deg in enumerate((3, 2, 2))]
         full = multiply(multiply(factors[0], factors[1], P), factors[2], P)
         for factor, cofactor in zip(factors, cofactor_products(factors, P)):
             np.testing.assert_array_equal(multiply(factor, cofactor, P), full)
 
     def test_product_degree_66(self):
         # Beyond the former cap of 64 on product degrees.
-        factors = [random_form(F, deg, s) for s, deg in enumerate((33, 32, 1))]
+        factors = [random_form(P, deg, s) for s, deg in enumerate((33, 32, 1))]
         full = multiply(multiply(factors[0], factors[1], P), factors[2], P)
         cofactors = cofactor_products(factors, P)
         assert [form_degree(c) for c in cofactors] == [33, 34, 65]
@@ -258,7 +262,7 @@ class TestCofactorProducts:
     def test_each_output_omits_one_factor(self, monkeypatch, degrees):
         # Output i is the product of every factor but the i-th, built from
         # prefix and suffix products with 3r - 6 multiplications, none at r = 2.
-        factors = [random_form(F, deg, seed) for seed, deg in enumerate(degrees)]
+        factors = [random_form(P, deg, seed) for seed, deg in enumerate(degrees)]
         want = []
         for i in range(len(factors)):
             others = factors[:i] + factors[i + 1 :]
@@ -293,12 +297,12 @@ class TestCofactorProducts:
 
     def test_too_few(self):
         with pytest.raises(ValueError):
-            cofactor_products([random_form(F, 1, 0)], P)
+            cofactor_products([random_form(P, 1, 0)], P)
 
 
 class TestMonomialMultiples:
     def test_same_degree(self):
-        f = random_form(F, 3, 9)
+        f = random_form(P, 3, 9)
         np.testing.assert_array_equal(monomial_multiples(f, 3), [f])
 
     def test_variable_shifts(self):
@@ -308,7 +312,7 @@ class TestMonomialMultiples:
         )
 
     def test_counts(self):
-        f = random_form(F, 3, 4)
+        f = random_form(P, 3, 4)
         got = monomial_multiples(f, 5)
         assert got.shape == (6, num_monomials(5))
         # row i is the i-th degree-2 monomial times f
@@ -318,7 +322,7 @@ class TestMonomialMultiples:
     def test_written_into_given_rows(self):
         # The block written into chosen rows of a given array: row rows[k]
         # is the k-th multiple of the form, and the other rows stay zero.
-        f = random_form(F, 2, 0)
+        f = random_form(P, 2, 0)
         out = np.zeros((8, num_monomials(4)))
         rows = np.array([7, 0, 3, 5, 1, 6])
         assert monomial_multiples(f, 4, out, rows) is out
@@ -326,7 +330,7 @@ class TestMonomialMultiples:
         assert not out[[2, 4]].any()
 
     def test_below_degree_is_empty(self):
-        assert monomial_multiples(random_form(F, 3, 4), 2).shape == (0, num_monomials(2))
+        assert monomial_multiples(random_form(P, 3, 4), 2).shape == (0, num_monomials(2))
 
 
 class TestSeeds:

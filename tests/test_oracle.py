@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secantlines.formulas import classify, hilbert_function_theory
+from secantlines.formulas import DerivationMismatchError, classify, hilbert_function_theory
 import secantlines.oracle as oracle
-from secantlines.field import DEFAULT_SEED, PrimeField, is_prime
+from secantlines.field import DEFAULT_SEED, is_prime
 from secantlines.gfpoly import derive_seed, monomial_multiples, multiply, num_monomials, random_form
 from secantlines.oracle import (
     SemicontinuityError,
-    VERDICT_ABOVE,
     VERDICT_BELOW,
     VERDICT_MATCH,
     _blocked,
@@ -25,8 +24,7 @@ from secantlines.oracle import (
     _rank,
     _reduce,
     _rref,
-    _trial_ranks,
-    _verdict,
+    _trial,
     check_prime,
     tangent_slice,
     verify,
@@ -41,7 +39,7 @@ SEED = 1234
 
 def hilbert(partition, seed):
     """Measured Hilbert function j = 0..d at one random point."""
-    dims, _ = next(_trial_ranks(partition, [seed], P, *_hilbert_order(partition)))
+    dims, _ = _trial(partition, seed, P, *_hilbert_order(partition))
     return [num_monomials(j) - dim for j, dim in enumerate(dims)]
 
 
@@ -306,9 +304,8 @@ class TestBlockedElimination:
         prime = _largest_prime(num_monomials(partition.d))
         hilbert_rows, counts = _hilbert_order(partition)
         seeds = [derive_seed(SEED, t) for t in range(2)]
-        for seed, (slice_dims, rank_joint) in zip(
-            seeds, _trial_ranks(partition, seeds, prime, hilbert_rows, counts)
-        ):
+        for seed in seeds:
+            slice_dims, rank_joint = _trial(partition, seed, prime, hilbert_rows, counts)
             f, g = (
                 tangent_slice(_draw_cofactors(partition, derive_seed(seed, k), prime), 16, rows)
                 for k, rows in ((0, hilbert_rows), (1, None))
@@ -344,7 +341,7 @@ class TestBlockedElimination:
         modulus=st.sampled_from([2, 7, P]),
     )
     def test_pair_ranks_match_separate_ranks(self, seed, n_rows, n_cols, r, modulus):
-        # The kernel composed as `_trial_ranks` composes it: F's profile and
+        # The kernel composed as `_trial` composes it: F's profile and
         # basis from `_rref`, the stacked rank as rank F plus the rank of G
         # reduced against that basis; `test_largest_blocked_prime_matches_the_int64_route`
         # checks whole trials at the largest prime it admits.
@@ -489,7 +486,7 @@ class TestSliceDimensions:
         partition = Partition(parts)
         prime = at_width(prime, num_monomials(partition.d))
         want = slice_dims_one_degree_at_a_time(partition, derive_seed(seed, 0), prime)
-        assert next(_trial_ranks(partition, [seed], prime, *_hilbert_order(partition)))[0] == want
+        assert _trial(partition, seed, prime, *_hilbert_order(partition))[0] == want
 
     @pytest.mark.parametrize(
         "parts, j, want",
@@ -497,7 +494,7 @@ class TestSliceDimensions:
     )
     def test_examples(self, parts, j, want):
         partition = Partition(parts)
-        assert next(_trial_ranks(partition, [SEED], P, *_hilbert_order(partition)))[0][j] == want
+        assert _trial(partition, SEED, P, *_hilbert_order(partition))[0][j] == want
 
     def test_hilbert_examples(self):
         assert hilbert(Partition([1, 1, 1]), SEED)[1] == 3
@@ -569,7 +566,7 @@ class TestSecantMeasurements:
         report = verify(partition, prime=P, trials=3, base_seed=SEED)
         assert 1 <= len(report.seeds) <= 3
         assert list(report.seeds) == [derive_seed(SEED, k) for k in range(len(report.seeds))]
-        trials = list(_trial_ranks(partition, report.seeds, P, *_hilbert_order(partition)))
+        trials = [_trial(partition, seed, P, *_hilbert_order(partition)) for seed in report.seeds]
         m = max(slice_dims[-1] for slice_dims, _ in trials)
         assert report.measured["dim_IF_d"] == m
         assert report.trial_dim_sigma2 == tuple(rank_joint - 1 for _, rank_joint in trials)
@@ -588,8 +585,8 @@ class TestSecantMeasurements:
         # rank F and the stacked rank; each must equal its own elimination.
         partition = Partition(parts)
         seeds = [derive_seed(SEED, k) for k in range(2)]
-        trials = _trial_ranks(partition, seeds, prime, *_hilbert_order(partition))
-        for seed, (slice_dims, rank_joint) in zip(seeds, trials):
+        for seed in seeds:
+            slice_dims, rank_joint = _trial(partition, seed, prime, *_hilbert_order(partition))
             f, g = (
                 tangent_slice(_draw_cofactors(partition, derive_seed(seed, k), prime), partition.d)
                 for k in (0, 1)
@@ -607,7 +604,7 @@ class TestSecantMeasurements:
         # Trials stop at the first that reaches every ceiling, and that
         # changes no number of the record: at each cap N, `verify` must give
         # the measured values, predictions and verdict of all N trials, each
-        # measured through `_trial_ranks`, and list the seeds up to the first
+        # measured through `_trial`, and list the seeds up to the first
         # certifying trial, or all N when none certifies. (The name dates
         # from when the N trials were eliminated as one stack.)
         partition = Partition(parts)
@@ -621,7 +618,7 @@ class TestSecantMeasurements:
         hilbert_rows, counts = _hilbert_order(partition)
         ceilings = _ceilings(partition, report, counts)
         seeds = [derive_seed(SEED, k) for k in range(5)]
-        every = list(_trial_ranks(partition, seeds, prime, hilbert_rows, counts))
+        every = [_trial(partition, seed, prime, hilbert_rows, counts) for seed in seeds]
         for n in (1, 3, 5):
             trials = every[:n]
             slice_dims = [max(column) for column in zip(*(dims for dims, _ in trials))]
@@ -636,14 +633,13 @@ class TestSecantMeasurements:
             run = certifying[0] + 1 if certifying else n
             got = verify(partition, prime=prime, trials=n, base_seed=SEED)
             assert (got.measured, got.predicted) == (measured, predicted)
-            assert got.verdict == _verdict(measured, predicted)
+            assert got.verdict == (VERDICT_MATCH if measured == predicted else VERDICT_BELOW)
             assert got.trials == n
             assert got.seeds == tuple(seeds[:run])
             assert got.trial_dim_sigma2 == tuple(r - 1 for _, r in trials[:run])
             assert got.trial_dim_IZ == tuple(2 * m - r for _, r in trials[:run])
-            assert got.certified == (
-                measured == predicted and [*slice_dims, max(r for _, r in trials)] == ceilings
-            )
+            assert got.certified == (measured == predicted)
+            assert got.certified == ([*slice_dims, max(r for _, r in trials)] == ceilings)
             assert got.certified or not certifying
 
     @pytest.mark.parametrize(
@@ -661,38 +657,75 @@ class TestSecantMeasurements:
         # A slice rank of any degree or a stacked rank reported one above its
         # ceiling must be refused, also under -O. The ids date from when
         # [2,1]'s 10 columns took the int64 route; both take the kernel.
-        true_trial_ranks = oracle._trial_ranks
-
-        def over_reporting(partition, seeds, prime, *order):
-            for slice_dims, rank_joint in true_trial_ranks(partition, seeds, prime, *order):
-                ranks = [*slice_dims, rank_joint]
-                ranks[position] += 1
-                yield ranks[:-1], ranks[-1]
-
-        monkeypatch.setattr(oracle, "_trial_ranks", over_reporting)
+        shift_trial_ranks(monkeypatch, {position: 1})
         with pytest.raises(SemicontinuityError, match=message):
             verify(Partition(parts), prime=P, trials=1, base_seed=SEED)
 
 
+def closed_form_counts(partition):
+    """`_hilbert_order`'s row counts without its arrays: the rows of degree
+    at most j from the cofactor of degree d - d_i are the monomial multiples
+    of degree j - d + d_i, C(j - d + d_i + 2, 2) of them, for d_i >= d - j."""
+    d = partition.d
+    return [
+        sum(comb(j - d + di + 2, 2) for di in partition.parts if di >= d - j)
+        for j in range(d + 1)
+    ]
+
+
+def off_its_ceilings(partition, counts):
+    """Whether some prediction for `partition` is not its ceiling: the slice
+    ranks j < d against the Hilbert function, dim X + 1 against the degree-d
+    slice rank and the point count D, and the stacked rank against
+    dim sigma2 + 1 and, through 2m - rank_joint, dim_IZ."""
+    report = classify(partition)
+    *slices, top, joint = _ceilings(partition, report, counts)
+    hilbert = [hilbert_function_theory(partition, j) for j in range(partition.d + 1)]
+    return (
+        [num_monomials(j) - h for j, h in enumerate(hilbert)] != [*slices, top]
+        or top != report.dim_X + 1
+        or hilbert[-1] != report.D
+        or joint != report.dim_sigma2 + 1
+        or 2 * top - joint != report.dim_IZ
+    )
+
+
+def shift_trial_ranks(monkeypatch, shifts):
+    """Make every `_trial` report its ranks (its slices j = 0..d, then the
+    stacked rank) moved by `shifts`, a map from position to amount."""
+    true_trial = oracle._trial
+
+    def shifted(*args):
+        slice_dims, rank_joint = true_trial(*args)
+        ranks = [*slice_dims, rank_joint]
+        for position, amount in shifts.items():
+            ranks[position] += amount
+        return ranks[:-1], ranks[-1]
+
+    monkeypatch.setattr(oracle, "_trial", shifted)
+
+
 def partitions_off_their_ceilings(d_max):
     """Partitions with d <= d_max some prediction of which is not its
-    ceiling: the slice ranks j < d against the Hilbert function, dim X + 1
-    against the degree-d slice rank and the point count D, and the stacked
-    rank against dim sigma2 + 1 and, through 2m - rank_joint, dim_IZ."""
+    ceiling, or whose `_hilbert_order` counts differ from their closed form."""
     off = []
     for partition in enumerate_partitions(d_max):
-        report = classify(partition)
-        *slices, top, joint = _ceilings(partition, report, _hilbert_order(partition)[1])
-        hilbert = [hilbert_function_theory(partition, j) for j in range(partition.d + 1)]
-        if (
-            [num_monomials(j) - h for j, h in enumerate(hilbert)] != [*slices, top]
-            or top != report.dim_X + 1
-            or hilbert[-1] != report.D
-            or joint != report.dim_sigma2 + 1
-            or 2 * top - joint != report.dim_IZ
-        ):
+        counts = _hilbert_order(partition)[1]
+        if counts.tolist() != closed_form_counts(partition) or off_its_ceilings(partition, counts):
             off.append(partition.parts)
     return off
+
+
+# Parts up to 10**3; the second half is built with d1 >= s - 1, where the
+# shared block and the defect live, which uniform parts rarely reach.
+LARGE_PARTITIONS = st.one_of(
+    st.lists(st.integers(1, 1000), min_size=2, max_size=6),
+    st.lists(st.integers(1, 250), min_size=1, max_size=4).flatmap(
+        lambda tail: st.integers(max(sum(tail) - 1, max(tail)), 1000).map(
+            lambda d1: [d1, *tail]
+        )
+    ),
+)
 
 
 # The partitions whose two tangent slices share the block F'G' S_{d1-s}.
@@ -714,8 +747,17 @@ class TestCeilings:
             top = num_monomials(d1 + s)
             dim_X_plus_1 = top - (d1 * s + p)
             assert top - (2 * dim_X_plus_1 - num_monomials(d1 - s)) == 2 * p - 3 * s
+
     def test_predictions_sit_on_their_ceilings(self):
         assert partitions_off_their_ceilings(24) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(parts=LARGE_PARTITIONS)
+    def test_predictions_sit_on_their_ceilings_for_large_parts(self, parts):
+        # Closed forms only, no matrix: the identity under `_ceilings` and
+        # the Hilbert counts hold for every d, not just where a sweep reaches.
+        partition = Partition(parts)
+        assert not off_its_ceilings(partition, closed_form_counts(partition))
 
     @pytest.mark.slow
     def test_predictions_sit_on_their_ceilings_to_degree_40(self):
@@ -730,11 +772,10 @@ class TestCeilings:
         # against the basis of each point's degree-d slice.
         partition = Partition(parts)
         d1, s = parts[0], partition.d - parts[0]
-        field = PrimeField(P)
         points = [derive_seed(seed, k) for k in (0, 1)]
         rests = []
         for point in points:
-            _, *others = (random_form(field, di, derive_seed(point, i)) for i, di in enumerate(parts))
+            _, *others = (random_form(P, di, derive_seed(point, i)) for i, di in enumerate(parts))
             rest = others[0]
             for factor in others[1:]:
                 rest = multiply(rest, factor, P)
@@ -819,56 +860,108 @@ class TestVerify:
 
 
 class TestVerdict:
-    BASE_MEASURED = {
-        "dim_IF_d": 8,
-        "hilbert": [1, 3, 3],
-        "dim_sigma2": 9,
-        "dim_IZ": 4,
-    }
+    # `verify` checks every prediction against its ceiling before any draw
+    # and refuses every rank above its ceiling, so one comparison decides:
+    # the measurements equal the predictions exactly when every rank
+    # reaches its ceiling. Each case shifts the ranks of [2,1]'s one trial.
+    def shifted(self, monkeypatch, shifts):
+        shift_trial_ranks(monkeypatch, shifts)
+        return verify(Partition([2, 1]), prime=P, trials=1, base_seed=SEED)
 
-    def test_match(self):
-        assert _verdict(self.BASE_MEASURED, dict(self.BASE_MEASURED)) == VERDICT_MATCH
+    def test_match(self, monkeypatch):
+        report = self.shifted(monkeypatch, {})
+        assert report.measured == report.predicted
+        assert report.verdict == VERDICT_MATCH and report.certified
 
-    def test_below_when_rank_short(self):
-        measured = dict(self.BASE_MEASURED, dim_sigma2=8)
-        assert _verdict(measured, self.BASE_MEASURED) == VERDICT_BELOW
+    def test_below_when_rank_short(self, monkeypatch):
+        report = self.shifted(monkeypatch, {2: -1})
+        assert report.measured["hilbert"][2] == report.predicted["hilbert"][2] + 1
+        assert report.verdict == VERDICT_BELOW and not report.certified
 
-    def test_above_when_rank_exceeds(self):
-        measured = dict(self.BASE_MEASURED, dim_sigma2=10)
-        assert _verdict(measured, self.BASE_MEASURED) == VERDICT_ABOVE
+    def test_above_when_rank_exceeds(self, monkeypatch):
+        with pytest.raises(SemicontinuityError, match="degree-3 slice rank 9 above its ceiling 8"):
+            self.shifted(monkeypatch, {-2: 1})
 
-    def test_above_when_hilbert_drops(self):
-        measured = dict(self.BASE_MEASURED, hilbert=[1, 2, 3])
-        assert _verdict(measured, self.BASE_MEASURED) == VERDICT_ABOVE
+    def test_above_when_hilbert_drops(self, monkeypatch):
+        # A Hilbert value below its prediction is a slice rank above its ceiling.
+        with pytest.raises(SemicontinuityError, match="degree-1 slice rank 2 above its ceiling 1"):
+            self.shifted(monkeypatch, {1: 1})
 
-    def test_below_when_intersection_grows(self):
-        measured = dict(self.BASE_MEASURED, dim_IZ=5)
-        assert _verdict(measured, self.BASE_MEASURED) == VERDICT_BELOW
+    def test_below_when_intersection_grows(self, monkeypatch):
+        report = self.shifted(monkeypatch, {-1: -1})
+        assert report.measured["dim_IZ"] == report.predicted["dim_IZ"] + 1
+        assert report.verdict == VERDICT_BELOW and not report.certified
 
-    def test_above_when_intersection_shrinks(self):
-        measured = dict(self.BASE_MEASURED, dim_IZ=3)
-        assert _verdict(measured, self.BASE_MEASURED) == VERDICT_ABOVE
+    def test_above_when_intersection_shrinks(self, monkeypatch):
+        # With m generic, an intersection below its prediction is a stacked
+        # rank above its ceiling.
+        with pytest.raises(SemicontinuityError, match="stacked rank 11 above its ceiling 10"):
+            self.shifted(monkeypatch, {-1: 1})
 
-    def test_intersection_shrinks_with_a_short_slice_rank_is_below(self):
+    def test_intersection_shrinks_with_a_short_slice_rank_is_below(self, monkeypatch):
         # Below the generic slice rank, 2m - rank_joint can fall under the
         # generic intersection: not the impossible side.
-        measured = dict(self.BASE_MEASURED, dim_IF_d=7, dim_IZ=3)
-        assert _verdict(measured, self.BASE_MEASURED) == VERDICT_BELOW
+        report = self.shifted(monkeypatch, {-2: -1, -1: -1})
+        assert report.measured["dim_IZ"] == report.predicted["dim_IZ"] - 1
+        assert report.verdict == VERDICT_BELOW and not report.certified
 
-    def test_above_wins_over_below(self):
-        measured = dict(self.BASE_MEASURED, dim_sigma2=10, dim_IZ=5)
-        assert _verdict(measured, self.BASE_MEASURED) == VERDICT_ABOVE
+    def test_above_wins_over_below(self, monkeypatch):
+        with pytest.raises(SemicontinuityError, match="stacked rank 11 above its ceiling 10"):
+            self.shifted(monkeypatch, {-2: -1, -1: 1})
+
+    def count_draws(self, monkeypatch):
+        draws = []
+        true_draw = oracle._draw_cofactors
+
+        def counting(*args):
+            draws.append(args)
+            return true_draw(*args)
+
+        monkeypatch.setattr(oracle, "_draw_cofactors", counting)
+        return draws
+
+    def test_prediction_off_its_ceiling_raises_before_any_draw(self, monkeypatch):
+        # A closed form one off, with its own checks passing, must be caught
+        # against the ceilings before the oracle draws, also under -O.
+        draws = self.count_draws(monkeypatch)
+        true_classify = oracle.classify
+
+        def one_off(partition):
+            report = true_classify(partition)
+            return replace(report, dim_sigma2=report.dim_sigma2 + 1)
+
+        monkeypatch.setattr(oracle, "classify", one_off)
+        with pytest.raises(DerivationMismatchError, match=r"^ceilings\[2,1\]: the two derivations give "):
+            verify(Partition([2, 1]), prime=P)
+        assert draws == []
+
+    def test_ceiling_off_its_prediction_raises_before_any_draw(self, monkeypatch):
+        # The shared-block term of `_ceilings` as C(d1 - s + 3, 2), on the
+        # first defective partition, where that term decides the stacked
+        # ceiling.
+        draws = self.count_draws(monkeypatch)
+        true_ceilings = oracle._ceilings
+
+        def wider_shared_block(partition, report, counts):
+            *ranks, _ = true_ceilings(partition, report, counts)
+            shared = num_monomials(partition.parts[0] - report.s + 1)
+            return [*ranks, min(report.N + 1, 2 * (report.dim_X + 1) - shared)]
+
+        monkeypatch.setattr(oracle, "_ceilings", wider_shared_block)
+        partition = next(p for p in enumerate_partitions(12) if classify(p).defective)
+        with pytest.raises(DerivationMismatchError, match="ceilings"):
+            verify(partition, prime=P)
+        assert draws == []
 
     def test_unlucky_small_prime_draw_is_not_above(self):
         # At p = 2 the second trial of [2,1] has a slice of rank 3 of 8. Its
         # dim_IZ is 2m - rank_joint with m = 8 from the first trial, so it
         # does not fall below the generic 6. The first trial reaches every
         # ceiling, so `verify` runs it alone; all three are read off
-        # `_trial_ranks`.
+        # `_trial`.
         partition = Partition([2, 1])
         report = verify(partition, prime=2, trials=3, base_seed=0)
-        seeds = [derive_seed(0, k) for k in range(3)]
-        trials = list(_trial_ranks(partition, seeds, 2, *_hilbert_order(partition)))
+        trials = [_trial(partition, derive_seed(0, k), 2, *_hilbert_order(partition)) for k in range(3)]
         m = max(dims[-1] for dims, _ in trials)
         unlucky_dims, unlucky_joint = trials[1]
         assert (unlucky_dims[-1], 2 * m - unlucky_joint) == (3, 6)
@@ -879,15 +972,15 @@ class TestVerdict:
         assert report.verdict == VERDICT_MATCH
 
     def test_no_impossible_verdict_at_small_primes(self):
-        # Semicontinuity makes ORACLE_ABOVE_THEORY a proof of an oracle
-        # fault, so no draw, however unlucky, may produce it.
-        above = [
-            (partition.parts, prime)
+        # No draw, however unlucky, may produce a verdict other than these
+        # two, and MATCH is always certified.
+        records = [
+            verify(partition, prime=prime)
             for prime in (2, 3, 5, 7, 11, 13)
             for partition in enumerate_partitions(8)
-            if verify(partition, prime=prime).verdict == VERDICT_ABOVE
         ]
-        assert above == []
+        assert {r.verdict for r in records} <= {VERDICT_MATCH, VERDICT_BELOW}
+        assert all(r.certified == (r.verdict == VERDICT_MATCH) for r in records)
 
     def test_replace_keeps_dataclass_frozen(self):
         report = verify(Partition([2, 1]), prime=P, trials=1, base_seed=SEED)
