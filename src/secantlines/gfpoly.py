@@ -98,11 +98,11 @@ def x0_codegree(degree: int) -> np.ndarray:
     return _grading(degree)[0]
 
 
-def _product_index(m: int, n: int) -> np.ndarray:
+def _product_index(m: int, n: int, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
     t_m, c_m = _grading(m)
     t_n, c_n = _grading(n)
-    t = t_m[:, None] + t_n[None, :]
-    index = t * (t + 1) // 2 + c_m[:, None] + c_n[None, :]
+    t = t_m[rows, None] + t_n[None, :]
+    index = t * (t + 1) // 2 + c_m[rows, None] + c_n[None, :]
     index.setflags(write=False)
     return index
 
@@ -116,15 +116,18 @@ _CACHED_INDEX_ENTRIES = 4096
 _cached_product_index = lru_cache(maxsize=128)(_product_index)
 
 
-def product_index(m: int, n: int) -> np.ndarray:
+def product_index(m: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
     """Positions, among degree-(m+n) monomials, of monomial products (read-only).
 
     Entry (i, k) is the position of the product of the i-th degree-m monomial
     and the k-th degree-n monomial. Since t and c add under multiplication,
-    it is (t_i + t_k)(t_i + t_k + 1)/2 + c_i + c_k.
+    it is (t_i + t_k)(t_i + t_k + 1)/2 + c_i + c_k. Given `rows`, only the
+    table's rows at those positions are built, uncached.
     """
     if m < 0 or n < 0:
         raise ValueError(f"degrees must be >= 0, got {m} and {n}")
+    if rows is not None:
+        return _product_index(m, n, rows)
     if num_monomials(m) * num_monomials(n) <= _CACHED_INDEX_ENTRIES:
         return _cached_product_index(m, n)
     return _product_index(m, n)
@@ -182,9 +185,11 @@ def monomial_multiples(
     target_degree: int,
     out: np.ndarray | None = None,
     rows: np.ndarray | None = None,
+    monomials: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matrix whose rows are the products m * f for m a monomial of degree
-    target_degree - deg f, in graded-lex order of m.
+    target_degree - deg f, in graded-lex order of m; given `monomials`, only
+    the products by the monomials at those positions of that order, in turn.
 
     It has no rows when the target degree is below the degree of f (such a
     generator contributes nothing to that graded piece). Given `out`, zero
@@ -192,11 +197,15 @@ def monomial_multiples(
     place of a new matrix, and `out` is returned; rows[k] defaults to k.
     """
     degree = form_degree(f)
-    count = num_monomials(target_degree - degree) if target_degree >= degree else 0
+    shift = target_degree - degree
+    if monomials is not None:
+        count = len(monomials)
+    else:
+        count = num_monomials(shift) if shift >= 0 else 0
     if out is None:
         out = np.zeros((count, num_monomials(target_degree)), dtype=f.dtype)
     if rows is None:
         rows = np.arange(count)
     if count:
-        out[rows[:, None], product_index(target_degree - degree, degree)] = f
+        out[rows[:, None], product_index(shift, degree, monomials)] = f
     return out

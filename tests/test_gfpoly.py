@@ -329,6 +329,16 @@ class TestMonomialMultiples:
         np.testing.assert_array_equal(out[rows], monomial_multiples(f, 4))
         assert not out[[2, 4]].any()
 
+    def test_chosen_monomials(self):
+        # Only the products by the chosen monomials, in the order given,
+        # from those rows of the product table alone.
+        f = random_form(P, 2, 0)
+        chosen = np.array([4, 0, 5])
+        np.testing.assert_array_equal(
+            monomial_multiples(f, 4, monomials=chosen), monomial_multiples(f, 4)[chosen]
+        )
+        np.testing.assert_array_equal(product_index(2, 2, chosen), product_index(2, 2)[chosen])
+
     def test_below_degree_is_empty(self):
         assert monomial_multiples(random_form(P, 3, 4), 2).shape == (0, num_monomials(2))
 
