@@ -371,12 +371,15 @@ def tangent_slice(
     if stop is None:
         stop = rows.size
     out = np.zeros((stop - start, num_monomials(j)))
+    ranged = start > 0 or stop < rows.size
     first = 0
     for cofactor, size in zip(cofactors, sizes):
-        targets = rows[first : first + size] - start
-        kept = np.flatnonzero((targets >= 0) & (targets < len(out)))
-        # No selection when every multiple is kept: its table may be cached.
-        monomial_multiples(cofactor, j, out, targets[kept], None if kept.size == size else kept)
+        targets, kept = rows[first : first + size] - start, None
+        # A whole slice selects no multiples, so its tables can come cached.
+        if ranged:
+            kept = np.flatnonzero((targets >= 0) & (targets < len(out)))
+            targets = targets[kept]
+        monomial_multiples(cofactor, j, out, targets, kept)
         first += size
     return out
 
