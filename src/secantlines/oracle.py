@@ -16,8 +16,9 @@ one). The dimension of the intersection of the two row spaces is taken as 2m
 minus the stacked rank, with m the largest slice rank seen: the stacked rank
 can only drop, so once m is generic that value can only sit at or above the
 generic intersection, and its minimum over trials is aggregated.
-No trial holds a whole slice: each is built BLOCK_ROWS rows at a time and
-reduced as it is built, except for F's top half, which is eliminated whole.
+No trial holds more than a block of a slice: each is built BLOCK_ROWS rows
+at a time, and every block is reduced against the basis of the rows above
+it as it is built.
 
 Every elimination runs one exact kernel (`_rref`): float64 products between
 blocks, and int64 elimination within each leaf window. `check_prime` rejects
@@ -484,14 +485,14 @@ def _trial(
     the stacked rank alone. The stacked matrix is never built: F's
     elimination gives its profile and its basis, and the stacked rank is
     rank F plus the rank of G reduced against that basis. Neither slice is
-    held whole: F's is eliminated half at a time (`_eliminate_slice`), G's
-    is built and reduced BLOCK_ROWS rows at a time into one residual
+    held whole: F's is eliminated in `_rref`'s halves (`_eliminate_slice`),
+    G's is built and reduced BLOCK_ROWS rows at a time into one residual
     (`_reduced_slice`), and F's basis is dropped before the residual's rank
     is taken. A slice of at most BLOCK_ROWS rows is built in one piece.
     """
     d, n_rows = partition.d, rows.size
     pivots, tail, independent = _eliminate_slice(
-        _draw_cofactors(partition, derive_seed(seed, 0), prime), d, rows, prime
+        _draw_cofactors(partition, derive_seed(seed, 0), prime), d, rows, 0, n_rows, prime
     )
     cofactors = _draw_cofactors(partition, derive_seed(seed, 1), prime)
     residual = _reduced_slice(cofactors, d, None, 0, n_rows, pivots, tail, prime)
@@ -501,19 +502,19 @@ def _trial(
 
 
 def _eliminate_slice(
-    cofactors: Sequence[np.ndarray], d: int, rows: np.ndarray, prime: int
+    cofactors: Sequence[np.ndarray], d: int, rows: np.ndarray, start: int, stop: int, prime: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_rref` of the degree-d tangent slice with its rows reordered by
-    `rows`. A slice of more than BLOCK_ROWS rows is split where `_rref`
-    splits it: its top half is built and eliminated, then its bottom half
-    is built into the residual a block at a time (`_reduced_slice`), so at
-    most half of it is held at once."""
-    n_rows = rows.size
-    if n_rows <= BLOCK_ROWS:
-        return _rref(tangent_slice(cofactors, d, rows), prime)
-    half = n_rows // 2
-    top = _rref(tangent_slice(cofactors, d, rows, 0, half), prime)
-    bottom = _rref(_reduced_slice(cofactors, d, rows, half, n_rows, *top[:2], prime), prime)
+    """`_rref` of rows start..stop-1 of the degree-d tangent slice, its rows
+    reordered by `rows`, split where `_rref` splits them. A run of at most
+    BLOCK_ROWS rows is built whole. A longer run's top half is eliminated
+    the same way, and its bottom half is built into the residual a block at
+    a time (`_reduced_slice`), so no more than a block of the slice is held
+    at once."""
+    if stop - start <= BLOCK_ROWS:
+        return _rref(tangent_slice(cofactors, d, rows, start, stop), prime)
+    half = (stop - start) // 2
+    top = _eliminate_slice(cofactors, d, rows, start, start + half, prime)
+    bottom = _rref(_reduced_slice(cofactors, d, rows, start + half, stop, *top[:2], prime), prime)
     return _merge(top, bottom, half, num_monomials(d), prime)
 
 
