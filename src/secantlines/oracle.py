@@ -16,9 +16,9 @@ one). The dimension of the intersection of the two row spaces is taken as 2m
 minus the stacked rank, with m the largest slice rank seen: the stacked rank
 can only drop, so once m is generic that value can only sit at or above the
 generic intersection, and its minimum over trials is aggregated.
-No trial holds more than a block of a slice: each is built BLOCK_ROWS rows
-at a time, and every block is reduced against the basis of the rows above
-it as it is built.
+No trial holds a whole slice: each is built a block of rows at a time
+(`_block_rows`), and every block is reduced against the basis of the rows
+above it as it is built.
 
 Every elimination runs one exact kernel (`_rref`): float64 products between
 blocks, and int64 elimination within each leaf window. `check_prime` rejects
@@ -53,8 +53,11 @@ VERDICT_BELOW = "ORACLE_BELOW_THEORY"
 # leaf (`_leaf`).
 LEAF_ROWS = 32
 LEAF_WINDOW = 32
-# Rows per block that `_reduce` reduces and `_trial` builds at a time.
+# The fewest rows per block that `_reduce` reduces and `_trial` builds at a
+# time, and the share of a basis tail that a larger block may fill
+# (`_block_rows`).
 BLOCK_ROWS = 64
+TAIL_SHARE = 0.25
 
 
 class SemicontinuityError(RuntimeError):
@@ -312,24 +315,40 @@ def _reduce(
     `out` (a new matrix by default) and returned. Its rank is the rank `rows`
     add to the basis.
 
-    One product and one reduction mod p per block of BLOCK_ROWS rows, formed
-    in that block's rows of `out`: each column of the block is copied once,
-    the pivot columns into the product's operand, the others into the sum.
-    So no temporary is larger than a block, whatever the number of rows, and
-    fewer fresh pages are touched: with whole slices and whole-matrix
+    One product and one reduction mod p per block of `_block_rows(tail)`
+    rows, formed in that block's rows of `out`: each column of the block is
+    copied once, the pivot columns into the product's operand, the others
+    into the sum. So no temporary is larger than a block, whatever the
+    number of rows, and fewer fresh pages are touched: with whole slices and whole-matrix
     temporaries, `verify 25,15` took 9,927 minor page faults and `verify
     40,30,10` 47,671, against 7,433 and 35,571 in blocks.
     """
     free = _complement(pivots, rows.shape[1])
     if out is None:
         out = np.empty((rows.shape[0], free.size))
-    for start in range(0, rows.shape[0], BLOCK_ROWS):
-        block = rows[start : start + BLOCK_ROWS]
-        part = out[start : start + BLOCK_ROWS]
+    step = _block_rows(tail)
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        part = out[start : start + step]
         np.matmul(block[:, pivots], tail, out=part)
         part += block[:, free]
         part[...] = _mod(part, modulus)
     return out
+
+
+def _block_rows(tail: np.ndarray) -> int:
+    """Rows per block of a reduction against a basis with this tail:
+    BLOCK_ROWS, or as many as fill a TAIL_SHARE of the tail's size at the
+    basis's full width, whichever is more.
+
+    Each block's product streams the whole tail, so a large tail is streamed
+    fewer times in larger blocks, while a block's full-width temporaries
+    stay within that share of what the tail already holds. A tail small
+    enough for BLOCK_ROWS (every one at d <= 40) keeps 64-row blocks: at
+    d = 132, 64-row blocks took 15.5-18.5 s of CPU time on `verify
+    60,50,22` against 12.9-13.4 s with a quarter share (which peaks at 421
+    MB against 369 MB)."""
+    return max(BLOCK_ROWS, int(tail.size * TAIL_SHARE) // max(sum(tail.shape), 1))
 
 
 def _rank(a: np.ndarray, modulus: int) -> int:
@@ -372,15 +391,11 @@ def tangent_slice(
     if stop is None:
         stop = rows.size
     out = np.zeros((stop - start, num_monomials(j)))
-    ranged = start > 0 or stop < rows.size
     first = 0
     for cofactor, size in zip(cofactors, sizes):
-        targets, kept = rows[first : first + size] - start, None
-        # A whole slice selects no multiples, so its tables can come cached.
-        if ranged:
-            kept = np.flatnonzero((targets >= 0) & (targets < len(out)))
-            targets = targets[kept]
-        monomial_multiples(cofactor, j, out, targets, kept)
+        targets = rows[first : first + size] - start
+        kept = np.flatnonzero((targets >= 0) & (targets < len(out)))
+        monomial_multiples(cofactor, j, out, targets[kept], kept)
         first += size
     return out
 
@@ -396,12 +411,13 @@ def _reduced_slice(
     modulus: int,
 ) -> np.ndarray:
     """Rows start..stop-1 of a tangent slice (`tangent_slice`) reduced
-    against the basis (pivots, tail) (`_reduce`), built and reduced
-    BLOCK_ROWS rows at a time into one matrix, so that no more than a block
-    of the slice is held at once."""
+    against the basis (pivots, tail) (`_reduce`), built and reduced a block
+    of `_block_rows(tail)` rows at a time into one matrix, so that no more
+    than a block of the slice is held at once."""
     out = np.empty((stop - start, tail.shape[1]))
-    for first in range(start, stop, BLOCK_ROWS):
-        last = min(first + BLOCK_ROWS, stop)
+    step = _block_rows(tail)
+    for first in range(start, stop, step):
+        last = min(first + step, stop)
         block = tangent_slice(cofactors, j, rows, first, last)
         _reduce(pivots, tail, block, modulus, out[first - start : last - start])
     return out
@@ -486,7 +502,7 @@ def _trial(
     elimination gives its profile and its basis, and the stacked rank is
     rank F plus the rank of G reduced against that basis. Neither slice is
     held whole: F's is eliminated in `_rref`'s halves (`_eliminate_slice`),
-    G's is built and reduced BLOCK_ROWS rows at a time into one residual
+    G's is built and reduced a block of rows at a time into one residual
     (`_reduced_slice`), and F's basis is dropped before the residual's rank
     is taken. A slice of at most BLOCK_ROWS rows is built in one piece.
     """

@@ -477,9 +477,11 @@ class TestBlocks:
                 ]
                 np.testing.assert_array_equal(np.vstack([whole[:0], *pieces]), whole)
 
-    def test_block_edges_lose_no_row(self, monkeypatch):
+    @pytest.mark.parametrize("share", [oracle.TAIL_SHARE, 1.0])
+    def test_block_edges_lose_no_row(self, monkeypatch, share):
         # With 7-row blocks every slice of more than 7 rows is eliminated in
-        # halves and built in blocks, and `_reduce` works in blocks of 7.
+        # halves and built in blocks, and `_reduce` works in blocks of 7, or,
+        # at a full tail share, of as many rows as each tail sets.
         trials = [
             (partition, derive_seed(SEED, t), *_hilbert_order(partition))
             for partition in enumerate_partitions(9)
@@ -487,6 +489,7 @@ class TestBlocks:
         ]
         want = [_trial(partition, seed, P, rows, counts) for partition, seed, rows, counts in trials]
         monkeypatch.setattr(oracle, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(oracle, "TAIL_SHARE", share)
         assert [_trial(partition, seed, P, rows, counts) for partition, seed, rows, counts in trials] == want
 
     def test_verify_holds_at_most_two_and_a_quarter_slices(self):
