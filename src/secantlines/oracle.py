@@ -339,15 +339,11 @@ def _reduce(
 def _block_rows(tail: np.ndarray) -> int:
     """Rows per block of a reduction against a basis with this tail:
     BLOCK_ROWS, or as many as fill a TAIL_SHARE of the tail's size at the
-    basis's full width, whichever is more.
-
-    Each block's product streams the whole tail, so a large tail is streamed
-    fewer times in larger blocks, while a block's full-width temporaries
-    stay within that share of what the tail already holds. A tail small
-    enough for BLOCK_ROWS (every one at d <= 40) keeps 64-row blocks: at
-    d = 132, 64-row blocks took 15.5-18.5 s of CPU time on `verify
-    60,50,22` against 12.9-13.4 s with a quarter share (which peaks at 421
-    MB against 369 MB)."""
+    basis's full width, whichever is more. Each block's product streams the
+    whole tail, so a large tail is streamed fewer times, while a block's
+    full-width temporaries stay within that share of what the tail holds.
+    A tail has at most n**2 / 4 entries at width n, so below 1,024 columns
+    (d <= 43) every block has BLOCK_ROWS rows."""
     return max(BLOCK_ROWS, int(tail.size * TAIL_SHARE) // max(sum(tail.shape), 1))
 
 

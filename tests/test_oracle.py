@@ -463,7 +463,7 @@ class TestTangentSlice:
 
 
 class TestBlocks:
-    # Slices are built, and reduced, BLOCK_ROWS rows at a time; a block edge
+    # Slices are built, and reduced, a block of rows at a time; a block edge
     # can fall inside a cofactor's rows or between two cofactors.
     def test_row_ranges_concatenate_to_the_slice(self):
         for partition in enumerate_partitions(9):
