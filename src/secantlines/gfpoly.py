@@ -117,20 +117,20 @@ _cached_product_index = lru_cache(maxsize=128)(_product_index)
 
 
 def product_index(m: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
-    """Positions, among degree-(m+n) monomials, of monomial products (read-only).
+    """Positions, among degree-(m+n) monomials, of monomial products.
 
     Entry (i, k) is the position of the product of the i-th degree-m monomial
     and the k-th degree-n monomial. Since t and c add under multiplication,
     it is (t_i + t_k)(t_i + t_k + 1)/2 + c_i + c_k. Given `rows`, only the
-    table's rows at those positions are built, uncached.
+    table's rows at those positions, taken from the cached table where it is
+    small enough (a whole table is read-only).
     """
     if m < 0 or n < 0:
         raise ValueError(f"degrees must be >= 0, got {m} and {n}")
-    if rows is not None:
-        return _product_index(m, n, rows)
-    if num_monomials(m) * num_monomials(n) <= _CACHED_INDEX_ENTRIES:
-        return _cached_product_index(m, n)
-    return _product_index(m, n)
+    if num_monomials(m) * num_monomials(n) > _CACHED_INDEX_ENTRIES:
+        return _product_index(m, n, slice(None) if rows is None else rows)
+    table = _cached_product_index(m, n)
+    return table if rows is None else table[rows]
 
 
 def random_form(modulus: int, degree: int, seed: int) -> np.ndarray:
