@@ -387,11 +387,12 @@ def tangent_slice(
     if stop is None:
         stop = rows.size
     out = np.zeros((stop - start, num_monomials(j)))
+    targets = rows - start
+    inside = (targets >= 0) & (targets < len(out))
     first = 0
     for cofactor, size in zip(cofactors, sizes):
-        targets = rows[first : first + size] - start
-        kept = np.flatnonzero((targets >= 0) & (targets < len(out)))
-        monomial_multiples(cofactor, j, out, targets[kept], kept)
+        kept = np.flatnonzero(inside[first : first + size])
+        monomial_multiples(cofactor, j, out, targets[first:][kept], kept)
         first += size
     return out
 
