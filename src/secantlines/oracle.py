@@ -319,9 +319,10 @@ def _reduce(
     rows, formed in that block's rows of `out`: each column of the block is
     copied once, the pivot columns into the product's operand, the others
     into the sum. So no temporary is larger than a block, whatever the
-    number of rows, and fewer fresh pages are touched: with whole slices and whole-matrix
-    temporaries, `verify 25,15` took 9,927 minor page faults and `verify
-    40,30,10` 47,671, against 7,433 and 35,571 in blocks.
+    number of rows, and fewer fresh pages are touched: with whole slices
+    and whole-matrix temporaries, `verify 25,15` took 9,927 minor page
+    faults and `verify 40,30,10` 47,671, against 7,433 and 35,571 in
+    blocks.
     """
     free = _complement(pivots, rows.shape[1])
     if out is None:
