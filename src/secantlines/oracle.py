@@ -16,9 +16,9 @@ one). The dimension of the intersection of the two row spaces is taken as 2m
 minus the stacked rank, with m the largest slice rank seen: the stacked rank
 can only drop, so once m is generic that value can only sit at or above the
 generic intersection, and its minimum over trials is aggregated.
-No trial holds a whole slice: each is built a block of rows at a time
-(`_block_rows`), and every block is reduced against the basis of the rows
-above it as it is built.
+No trial holds a whole slice: each is read through a `_Slice`, which builds
+rows a block at a time (`_block_rows`) as the kernel reads them, and every
+block is reduced against the basis of the rows above it as it is built.
 
 Every elimination runs one exact kernel (`_rref`): float64 products between
 blocks, and int64 elimination within each leaf window. `check_prime` rejects
@@ -53,9 +53,9 @@ VERDICT_BELOW = "ORACLE_BELOW_THEORY"
 # leaf (`_leaf`).
 LEAF_ROWS = 32
 LEAF_WINDOW = 32
-# The fewest rows per block that `_reduce` reduces and `_trial` builds at a
-# time, and the share of a basis tail that a larger block may fill
-# (`_block_rows`).
+# The fewest rows per block that `_reduce` reduces (and builds, from a
+# `_Slice`), the longest `_Slice` run that `_rref` builds whole, and the
+# share of a basis tail that a larger block may fill (`_block_rows`).
 BLOCK_ROWS = 64
 TAIL_SHARE = 0.25
 
@@ -152,7 +152,7 @@ def check_prime(d: int, prime: int) -> None:
         )
 
 
-def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rref(a: np.ndarray | _Slice, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduced row echelon basis of the row space of a float64 matrix with
     integer entries in [0, modulus) or balanced residues (see `_mod`), on
     which `_blocked` allows the kernel, and its row rank profile.
@@ -164,50 +164,41 @@ def _rref(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     in increasing order, the rows that are independent of the rows above
     them.
 
-    Recursive: eliminate the top half of the rows, reduce the bottom half
-    against that basis with one product (`_reduce`), eliminate the residual,
-    which is already on the non-pivot columns, and clear its pivot columns
-    from the top basis with a second product. A residual row is non-zero
-    modulo the top half's span exactly when its row is independent of the
-    rows above it, so the profile is the top half's followed by the
-    residual's, shifted by the half (`_merge`). `a` is dropped once its
-    bottom half is reduced, which frees it if the caller keeps no other
-    reference, and the residual once it is eliminated. Leaves of at most
-    LEAF_ROWS rows go through `_leaf`.
+    Eliminate the top half of the rows, recursively, reduce the bottom half
+    against that basis with one product (`_reduce`), and go on with the
+    residual, already on the non-pivot columns, down to a leaf of at most
+    LEAF_ROWS rows (`_leaf`); each residual replaces, and so frees, the
+    matrix it came from. Then, from the leaf up, each level's residual basis
+    clears its pivot columns from the level's top basis with a second
+    product, written straight into the merged tail. A residual row is
+    non-zero modulo the top half's span exactly when its row is independent
+    of the rows above it, so the profile is the top half's followed by the
+    residual's, shifted by the half. A `_Slice` is built as it is read: a
+    run of at most BLOCK_ROWS rows, or a leaf, whole, and a longer run's
+    bottom half into its residual a block at a time.
     """
-    n_rows, n_cols = a.shape
-    if n_rows <= LEAF_ROWS:
-        return _leaf(a, modulus)
-    half = n_rows // 2
-    top = _rref(a[:half], modulus)
-    bottom = _reduce(*top[:2], a[half:], modulus)
+    if a.shape[0] <= BLOCK_ROWS:
+        a = np.asarray(a)
+    levels = []
+    while a.shape[0] > LEAF_ROWS:
+        half = a.shape[0] // 2
+        # Held only by the list, so each top basis is freed once merged.
+        levels.append((half, a.shape[1], *_rref(a[:half], modulus)))
+        a = _reduce(*levels[-1][2:4], a[half:], modulus)
+    pivots, tail, independent = _leaf(np.asarray(a), modulus)
     del a
-    # Rebound, so the residual is freed before the merge.
-    bottom = _rref(bottom, modulus)
-    return _merge(top, bottom, half, n_cols, modulus)
-
-
-def _merge(
-    top: tuple[np.ndarray, np.ndarray, np.ndarray],
-    bottom: tuple[np.ndarray, np.ndarray, np.ndarray],
-    half: int,
-    n_cols: int,
-    modulus: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_rref` of a matrix with `n_cols` columns from `_rref` of its top
-    `half` rows (top) and of its other rows reduced against that basis
-    (bottom): the bottom basis clears its pivot columns from the top basis
-    with one product, written straight into the merged tail."""
-    pivots, tail, independent = top
-    new_pivots, new_tail, new_independent = bottom
-    independent = np.concatenate([independent, half + new_independent])
-    if new_pivots.size == 0:
-        return pivots, tail, independent
-    merged = np.empty((pivots.size + new_pivots.size, new_tail.shape[1]))
-    _reduce(new_pivots, new_tail, tail, modulus, merged[: pivots.size])
-    merged[pivots.size :] = new_tail
-    free = _complement(pivots, n_cols)
-    return np.concatenate([pivots, free[new_pivots]]), merged, independent
+    while levels:
+        half, n_cols, top_pivots, top_tail, top_independent = levels.pop()
+        independent = np.concatenate([top_independent, half + independent])
+        if pivots.size == 0:
+            pivots, tail = top_pivots, top_tail
+            continue
+        merged = np.empty((top_pivots.size + pivots.size, tail.shape[1]))
+        _reduce(pivots, tail, top_tail, modulus, merged[: top_pivots.size])
+        merged[top_pivots.size :] = tail
+        pivots = np.concatenate([top_pivots, _complement(top_pivots, n_cols)[pivots]])
+        tail = merged
+    return pivots, tail, independent
 
 
 def _leaf(a: np.ndarray, modulus: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,7 +297,7 @@ def _complement(pivots: np.ndarray, n_cols: int) -> np.ndarray:
 def _reduce(
     pivots: np.ndarray,
     tail: np.ndarray,
-    rows: np.ndarray,
+    rows: np.ndarray | _Slice,
     modulus: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -322,14 +313,14 @@ def _reduce(
     number of rows, and fewer fresh pages are touched: with whole slices
     and whole-matrix temporaries, `verify 25,15` took 9,927 minor page
     faults and `verify 40,30,10` 47,671, against 7,433 and 35,571 in
-    blocks.
+    blocks. A `_Slice` is built a block at a time as it is reduced.
     """
     free = _complement(pivots, rows.shape[1])
     if out is None:
         out = np.empty((rows.shape[0], free.size))
     step = _block_rows(tail)
     for start in range(0, rows.shape[0], step):
-        block = rows[start : start + step]
+        block = np.asarray(rows[start : start + step])
         part = out[start : start + step]
         np.matmul(block[:, pivots], tail, out=part)
         part += block[:, free]
@@ -398,27 +389,29 @@ def tangent_slice(
     return out
 
 
-def _reduced_slice(
-    cofactors: Sequence[np.ndarray],
-    j: int,
-    rows: np.ndarray | None,
-    start: int,
-    stop: int,
-    pivots: np.ndarray,
-    tail: np.ndarray,
-    modulus: int,
-) -> np.ndarray:
-    """Rows start..stop-1 of a tangent slice (`tangent_slice`) reduced
-    against the basis (pivots, tail) (`_reduce`), built and reduced a block
-    of `_block_rows(tail)` rows at a time into one matrix, so that no more
-    than a block of the slice is held at once."""
-    out = np.empty((stop - start, tail.shape[1]))
-    step = _block_rows(tail)
-    for first in range(start, stop, step):
-        last = min(first + step, stop)
-        block = tangent_slice(cofactors, j, rows, first, last)
-        _reduce(pivots, tail, block, modulus, out[first - start : last - start])
-    return out
+@dataclass(frozen=True, eq=False)
+class _Slice:
+    """Rows start..stop-1 of a tangent slice (`tangent_slice`), built only
+    when read with `np.asarray`. Slicing it with [a:b] gives another run of
+    rows and builds nothing."""
+
+    cofactors: Sequence[np.ndarray]
+    j: int
+    rows: np.ndarray | None
+    start: int
+    stop: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.stop - self.start, num_monomials(self.j)
+
+    def __getitem__(self, key: slice) -> _Slice:
+        first, last, _ = key.indices(self.stop - self.start)
+        return _Slice(self.cofactors, self.j, self.rows, self.start + first, self.start + last)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        built = tangent_slice(self.cofactors, self.j, self.rows, self.start, self.stop)
+        return np.asarray(built, dtype=dtype)
 
 
 def _draw_cofactors(partition: Partition, seed: int, prime: int) -> list[np.ndarray]:
@@ -499,37 +492,20 @@ def _trial(
     the stacked rank alone. The stacked matrix is never built: F's
     elimination gives its profile and its basis, and the stacked rank is
     rank F plus the rank of G reduced against that basis. Neither slice is
-    held whole: F's is eliminated in `_rref`'s halves (`_eliminate_slice`),
-    G's is built and reduced a block of rows at a time into one residual
-    (`_reduced_slice`), and F's basis is dropped before the residual's rank
-    is taken. A slice of at most BLOCK_ROWS rows is built in one piece.
+    held whole: each is read through a `_Slice`, F's as `_rref` eliminates
+    it and G's a block at a time as `_reduce` reduces it into one residual.
+    Each `_Slice` is dropped once read, and F's basis before the residual's
+    rank is taken.
     """
     d, n_rows = partition.d, rows.size
-    pivots, tail, independent = _eliminate_slice(
-        _draw_cofactors(partition, derive_seed(seed, 0), prime), d, rows, 0, n_rows, prime
-    )
-    cofactors = _draw_cofactors(partition, derive_seed(seed, 1), prime)
-    residual = _reduced_slice(cofactors, d, None, 0, n_rows, pivots, tail, prime)
+    f = _Slice(_draw_cofactors(partition, derive_seed(seed, 0), prime), d, rows, 0, n_rows)
+    pivots, tail, independent = _rref(f, prime)
+    del f
+    g = _Slice(_draw_cofactors(partition, derive_seed(seed, 1), prime), d, None, 0, n_rows)
+    residual = _reduce(pivots, tail, g, prime)
     rank = pivots.size
-    del pivots, tail
+    del g, pivots, tail
     return np.searchsorted(independent, counts).tolist(), rank + _rank(residual, prime)
-
-
-def _eliminate_slice(
-    cofactors: Sequence[np.ndarray], d: int, rows: np.ndarray, start: int, stop: int, prime: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_rref` of rows start..stop-1 of the degree-d tangent slice, its rows
-    reordered by `rows`, split where `_rref` splits them. A run of at most
-    BLOCK_ROWS rows is built whole. A longer run's top half is eliminated
-    the same way, and its bottom half is built into the residual a block at
-    a time (`_reduced_slice`), so no more than a block of the slice is held
-    at once."""
-    if stop - start <= BLOCK_ROWS:
-        return _rref(tangent_slice(cofactors, d, rows, start, stop), prime)
-    half = (stop - start) // 2
-    top = _eliminate_slice(cofactors, d, rows, start, start + half, prime)
-    bottom = _rref(_reduced_slice(cofactors, d, rows, start + half, stop, *top[:2], prime), prime)
-    return _merge(top, bottom, half, num_monomials(d), prime)
 
 
 @dataclass(frozen=True)

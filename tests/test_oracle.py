@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 from dataclasses import replace
-from itertools import count, permutations, product
+from itertools import count, groupby, permutations, product
 from math import comb
 
 import numpy as np
@@ -16,6 +16,7 @@ from secantlines.oracle import (
     SemicontinuityError,
     VERDICT_BELOW,
     VERDICT_MATCH,
+    _Slice,
     _blocked,
     _ceilings,
     _draw_cofactors,
@@ -479,9 +480,10 @@ class TestBlocks:
 
     @pytest.mark.parametrize("share", [oracle.TAIL_SHARE, 1.0])
     def test_block_edges_lose_no_row(self, monkeypatch, share):
-        # With 7-row blocks every slice of more than 7 rows is eliminated in
-        # halves and built in blocks, and `_reduce` works in blocks of 7, or,
-        # at a full tail share, of as many rows as each tail sets.
+        # With 7-row blocks every slice of more than LEAF_ROWS rows is
+        # eliminated in halves, a run of at most LEAF_ROWS rows is built whole
+        # as a leaf, and `_reduce` builds and reduces blocks of 7 rows, or, at
+        # a full tail share, of as many rows as each tail sets.
         trials = [
             (partition, derive_seed(SEED, t), *_hilbert_order(partition))
             for partition in enumerate_partitions(9)
@@ -491,6 +493,47 @@ class TestBlocks:
         monkeypatch.setattr(oracle, "BLOCK_ROWS", 7)
         monkeypatch.setattr(oracle, "TAIL_SHARE", share)
         assert [_trial(partition, seed, P, rows, counts) for partition, seed, rows, counts in trials] == want
+
+    def test_lazy_and_built_slices_give_the_same_arrays(self, monkeypatch):
+        # F's slice read through a `_Slice` in 7-row blocks, and G's reduced
+        # against its basis the same way, against both slices built whole.
+        cases = []
+        for partition in enumerate_partitions(9):
+            d, (rows, _) = partition.d, _hilbert_order(partition)
+            f, g = (_draw_cofactors(partition, derive_seed(SEED, k), P) for k in (0, 1))
+            basis = _rref(tangent_slice(f, d, rows), P)
+            want = _reduce(*basis[:2], tangent_slice(g, d), P)
+            cases.append((d, rows, f, g, basis, want))
+        monkeypatch.setattr(oracle, "BLOCK_ROWS", 7)
+        for d, rows, f, g, basis, want in cases:
+            lazy = _rref(_Slice(f, d, rows, 0, rows.size), P)
+            for got, expected in zip(lazy, basis):
+                np.testing.assert_array_equal(got, expected)
+            residual = _reduce(*basis[:2], _Slice(g, d, None, 0, rows.size), P)
+            np.testing.assert_array_equal(residual, want)
+
+    def test_every_slice_row_is_built_once_a_block_at_a_time(self, monkeypatch):
+        # At d = 40 (861 columns) every block has BLOCK_ROWS rows, so a run of
+        # rows turned into an array twice, or whole, shows here.
+        partition = Partition([25, 15])
+        n_rows = sum(num_monomials(di) for di in partition.parts)
+        calls = []
+
+        def recording(cofactors, j, rows=None, start=0, stop=None):
+            # Holding each point's cofactors keeps their ids distinct.
+            calls.append((cofactors, j, start, stop))
+            return tangent_slice(cofactors, j, rows, start, stop)
+
+        monkeypatch.setattr(oracle, "tangent_slice", recording)
+        report = verify(partition)
+        points = [list(group) for _, group in groupby(calls, key=lambda call: id(call[0]))]
+        assert len(points) == 2 * len(report.seeds)
+        for point in points:
+            assert {j for _, j, _, _ in point} == {partition.d}
+            spans = sorted((start, stop) for _, _, start, stop in point)
+            assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+            assert spans[-1][1] == n_rows
+            assert max(stop - start for start, stop in spans) <= oracle.BLOCK_ROWS
 
     def test_verify_holds_at_most_two_and_a_quarter_slices(self):
         # The traced peak of a whole verify, against one degree-60 tangent
@@ -505,6 +548,22 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 2.25 * slice_bytes
+
+    @pytest.mark.slow
+    def test_large_verify_holds_under_seven_tenths_of_a_slice(self):
+        # tracemalloc counts numpy's arrays the same way on every run, where
+        # peak RSS moves with the allocator's layout. One degree-100 tangent
+        # slice of [98,1,1]: 4,956 rows of 5,151 float64 columns (194.8 MiB).
+        partition = Partition([98, 1, 1])
+        slice_bytes = 8 * num_monomials(partition.d) * sum(num_monomials(di) for di in partition.parts)
+        assert slice_bytes == 8 * 4956 * 5151
+        tracemalloc.start()
+        try:
+            assert verify(partition).certified
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.70 * slice_bytes
 
 
 SMALL_PARTITIONS = [p.parts for p in enumerate_partitions(12)]
