@@ -3,10 +3,10 @@
 A form of degree d is an int64 numpy vector of its C(d+2, 2) coefficients in
 the graded-lex order on monomials x0^a x1^b x2^c: a descending, then b
 descending, so x0^d comes first and x2^d last. The degree follows from the
-length. That order is known only to `product_index`; products and monomial
-shifts are scatters through the positions it returns. `multiply` is exact
-for a modulus below 2**31; the oracle's primes are far below that, as
-`oracle.check_prime` admits none above about 1.7e7.
+length. That order is known only to `product_index` and `monomial`; products
+and monomial shifts are scatters through the positions `product_index`
+returns. `multiply` is exact for a modulus below 2**31; the oracle's primes
+are far below that, as `oracle.check_prime` admits none above about 1.7e7.
 """
 
 from __future__ import annotations
@@ -133,6 +133,14 @@ def product_index(m: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
     return table if rows is None else table[rows]
 
 
+def monomial(a: int, b: int, c: int) -> np.ndarray:
+    """The form x0^a x1^b x2^c: a one at position t(t+1)/2 + c, t = b + c."""
+    t = b + c
+    form = np.zeros(num_monomials(a + t), dtype=np.int64)
+    form[t * (t + 1) // 2 + c] = 1
+    return form
+
+
 def random_form(modulus: int, degree: int, seed: int) -> np.ndarray:
     """A form with every coefficient drawn independently and uniformly mod `modulus`.
 
@@ -186,6 +194,7 @@ def monomial_multiples(
     out: np.ndarray | None = None,
     rows: np.ndarray | None = None,
     monomials: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matrix whose rows are the products m * f for m a monomial of degree
     target_degree - deg f, in graded-lex order of m; given `monomials`, only
@@ -195,6 +204,8 @@ def monomial_multiples(
     generator contributes nothing to that graded piece). Given `out`, zero
     where the products go, product k is written into row rows[k] of `out` in
     place of a new matrix, and `out` is returned; rows[k] defaults to k.
+    Given `columns`, the coefficient on the monomial at position i goes to
+    column columns[i] of `out`, not to column i.
     """
     degree = form_degree(f)
     shift = target_degree - degree
@@ -207,5 +218,6 @@ def monomial_multiples(
     if rows is None:
         rows = np.arange(count)
     if count:
-        out[rows[:, None], product_index(shift, degree, monomials)] = f
+        index = product_index(shift, degree, monomials)
+        out[rows[:, None], index if columns is None else columns[index]] = f
     return out

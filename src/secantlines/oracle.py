@@ -8,17 +8,24 @@ most the number asked for, stopping at the first trial whose every rank
 reaches its ceiling: that trial proves every generic value, at any prime,
 and agreement with the closed form certifies both sides. Short of that, the
 maximum rank seen over the trials is a lower bound for the generic rank.
-Each trial (`_trial`) draws two points F and G and runs one elimination, of
-F's degree-d tangent slice with its rows sorted so that every smaller slice
-is a prefix. Its row rank profile gives F's whole Hilbert function, and the
-rank of F's and G's slices stacked (by Terracini's lemma, dim sigma2 plus
-one). The dimension of the intersection of the two row spaces is taken as 2m
-minus the stacked rank, with m the largest slice rank seen: the stacked rank
-can only drop, so once m is generic that value can only sit at or above the
-generic intersection, and its minimum over trials is aggregated.
-No trial holds a whole slice: each is read through a `_Slice`, which builds
-rows a block at a time (`_block_rows`) as the kernel reads them, and every
-block is reduced against the basis of the rows above it as it is built.
+Each trial measures, at two points F and G of X, F's whole Hilbert function
+and the rank of F's and G's degree-d tangent slices stacked (by Terracini's
+lemma, dim sigma2 plus one). With r >= 4 factors (`_trial`) it draws both
+points and runs one elimination, of F's degree-d slice with its rows sorted
+so that every smaller slice is a prefix: its row rank profile gives the
+Hilbert function, and G's slice is reduced against its basis. With r <= 3
+(`_monomial_trial`) F is the monomial point x0^d1 x1^d2 (x2^d3), a special
+point whose ranks are counts, at most the generic ones like any point's; F's
+slice is the span of the monomials it reaches, so the stacked rank is their
+number plus the rank of G's slice on the other D columns, and F is neither
+drawn nor eliminated. The dimension of the intersection of the two row
+spaces is taken as 2m minus the stacked rank, with m the largest slice rank
+seen: the stacked rank can only drop, so once m is generic that value can
+only sit at or above the generic intersection, and its minimum over trials
+is aggregated. No trial holds a whole slice: each is read through a
+`_Slice`, which builds rows a block at a time (`_block_rows`) as the kernel
+reads them, and every block is reduced against the basis of the rows above
+it as it is built.
 
 Every elimination runs one exact kernel (`_rref`): float64 products between
 blocks, and int64 elimination within each leaf window. `check_prime` rejects
@@ -27,7 +34,7 @@ range (`_blocked`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 from typing import Sequence
 
@@ -39,8 +46,10 @@ from .gfpoly import (
     cofactor_products,
     derive_seed,
     form_degree,
+    monomial,
     monomial_multiples,
     num_monomials,
+    product_index,
     random_form,
     x0_codegree,
 )
@@ -339,13 +348,13 @@ def _block_rows(tail: np.ndarray) -> int:
     return max(BLOCK_ROWS, int(tail.size * TAIL_SHARE) // max(sum(tail.shape), 1))
 
 
-def _rank(a: np.ndarray, modulus: int) -> int:
+def _rank(a: np.ndarray | _Slice, modulus: int) -> int:
     """Rank of a matrix in `_rref`'s input form: the rank of its top half
     plus that of its bottom half reduced against the top half's basis, so
     the basis of the whole is never back-substituted. Leaves of at most
     LEAF_ROWS rows go through `_leaf`."""
     if a.shape[0] <= LEAF_ROWS:
-        return _leaf(a, modulus)[0].size
+        return _leaf(np.asarray(a), modulus)[0].size
     half = a.shape[0] // 2
     pivots, tail, _ = _rref(a[:half], modulus)
     residual = _reduce(pivots, tail, a[half:], modulus)
@@ -359,6 +368,7 @@ def tangent_slice(
     rows: np.ndarray | None = None,
     start: int = 0,
     stop: int | None = None,
+    columns: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows spanning the degree-j piece of the ideal generated by the
     all-but-one factor products of one factored form, as a float64 matrix.
@@ -367,9 +377,11 @@ def tangent_slice(
     Row k of the blocks, taken in turn, is row rows[k] of the slice (k by
     default). The matrix holds slice rows start..stop-1 (all of them by
     default), so a reordered slice, or any run of its rows, is built in
-    place; a run may span cofactors. Cofactors of degree above j contribute
-    no rows. At j = d the row span is the affine cone over the tangent space
-    of the variety of split forms at that point.
+    place; a run may span cofactors. Given `columns`, it holds only those
+    columns of the slice, in that order: every other monomial is written to
+    one spare column, which the view returned leaves out. Cofactors of
+    degree above j contribute no rows. At j = d the row span is the affine
+    cone over the tangent space of the variety of split forms at that point.
     """
     if j < 0:
         raise ValueError(f"degree must be >= 0, got {j}")
@@ -378,39 +390,47 @@ def tangent_slice(
         rows = np.arange(sum(sizes))
     if stop is None:
         stop = rows.size
-    out = np.zeros((stop - start, num_monomials(j)))
+    width, place = num_monomials(j), None
+    if columns is not None:
+        place = np.full(width, columns.size)
+        place[columns] = np.arange(columns.size)
+        width = columns.size + 1
+    out = np.zeros((stop - start, width))
     targets = rows - start
     inside = (targets >= 0) & (targets < len(out))
     first = 0
     for cofactor, size in zip(cofactors, sizes):
         kept = np.flatnonzero(inside[first : first + size])
-        monomial_multiples(cofactor, j, out, targets[first:][kept], kept)
+        monomial_multiples(cofactor, j, out, targets[first:][kept], kept, place)
         first += size
-    return out
+    return out if columns is None else out[:, :-1]
 
 
 @dataclass(frozen=True, eq=False)
 class _Slice:
-    """Rows start..stop-1 of a tangent slice (`tangent_slice`), built only
-    when read with `np.asarray`. Slicing it with [a:b] gives another run of
-    rows and builds nothing."""
+    """Rows start..stop-1 of a tangent slice (`tangent_slice`), on the given
+    columns only (all of them by default), built only when read with
+    `np.asarray`. Slicing it with [a:b] gives another run of rows and builds
+    nothing."""
 
     cofactors: Sequence[np.ndarray]
     j: int
     rows: np.ndarray | None
     start: int
     stop: int
+    columns: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.stop - self.start, num_monomials(self.j)
+        width = num_monomials(self.j) if self.columns is None else self.columns.size
+        return self.stop - self.start, width
 
     def __getitem__(self, key: slice) -> _Slice:
         first, last, _ = key.indices(self.stop - self.start)
-        return _Slice(self.cofactors, self.j, self.rows, self.start + first, self.start + last)
+        return replace(self, start=self.start + first, stop=self.start + last)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        built = tangent_slice(self.cofactors, self.j, self.rows, self.start, self.stop)
+        built = tangent_slice(self.cofactors, self.j, self.rows, self.start, self.stop, self.columns)
         return np.asarray(built, dtype=dtype)
 
 
@@ -484,7 +504,8 @@ def _trial(
     """One trial's measurements, from one elimination: the slice dimensions
     j = 0..d at its first point F, drawn at derive_seed(seed, 0), and the
     rank of the degree-d slices of F and of its second point G, drawn at
-    derive_seed(seed, 1), stacked. `_blocked` must admit the prime on
+    derive_seed(seed, 1), stacked. `verify` runs it for r >= 4, and
+    `_monomial_trial` for r <= 3. `_blocked` must admit the prime on
     degree-d slices (`check_prime`).
 
     F's slice is built in Hilbert order: rows and counts are
@@ -506,6 +527,55 @@ def _trial(
     rank = pivots.size
     del g, pivots, tail
     return np.searchsorted(independent, counts).tolist(), rank + _rank(residual, prime)
+
+
+def _monomial_cofactors(partition: Partition) -> list[np.ndarray]:
+    """Cofactors of the monomial point F = x0^d1 x1^d2 (x2^d3) of a
+    partition with r <= 3: each F / x_i^d_i is a monomial."""
+    exponents = (*partition.parts, 0)[:3]
+    return [
+        monomial(*(0 if k == i else e for k, e in enumerate(exponents)))
+        for i in range(partition.r)
+    ]
+
+
+def _free_columns(cofactors: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """The degree-d monomials that are multiples of none of these monomial
+    cofactors: the columns on which their degree-d slice is zero."""
+    reached = np.zeros(num_monomials(d), dtype=bool)
+    for cofactor in cofactors:
+        e = form_degree(cofactor)
+        reached[product_index(e, d - e, np.flatnonzero(cofactor))] = True
+    return np.flatnonzero(~reached)
+
+
+def _monomial_trial(
+    partition: Partition, seed: int, prime: int, rows: np.ndarray, counts: np.ndarray
+) -> tuple[list[int], int]:
+    """`_trial` for r <= 3, with the monomial point F = x0^d1 x1^d2 (x2^d3)
+    as its first point: F is neither drawn nor eliminated, and `rows` goes
+    unused. G is drawn at derive_seed(seed, 1), as in `_trial`.
+
+    Each cofactor F / x_i^d_i is a monomial, so each slice of F is spanned
+    by monomials, and its rank is a count, the same in every characteristic:
+    - j < d: any two cofactors have least common multiple F, of degree d, so
+      no degree-j monomial is a multiple of two of them, and the rank is the
+      row count counts[j];
+    - j = d: the number of monomials the slice reaches, dim X + 1.
+    F's degree-d slice is the span of those monomials, so reducing G's slice
+    against it drops their columns: the stacked rank is dim X + 1 plus the
+    rank of G's slice on the D other columns, read through a `_Slice` on
+    those columns and never held whole. F is a point of X_lambda, a special
+    one, so each of its ranks is at most the generic value, as a drawn
+    point's is (`_ceilings`), and a rank that reaches its ceiling is
+    certified in the same way.
+    """
+    d = partition.d
+    free = _free_columns(_monomial_cofactors(partition), d)
+    cofactors = _draw_cofactors(partition, derive_seed(seed, 1), prime)
+    g = _Slice(cofactors, d, None, 0, int(counts[-1]), free)
+    top = num_monomials(d) - free.size
+    return [*counts[:-1].tolist(), top], top + _rank(g, prime)
 
 
 @dataclass(frozen=True)
@@ -563,12 +633,15 @@ def verify(
     DerivationMismatchError is raised. The measurements come from
     independent two-point trials in seed order, at most `trials` of them,
     which stop after the first whose every rank reaches its ceiling. Each
-    trial draws factor sets for two general points F and G, and measures,
-    with one elimination (`_trial`), F's whole Hilbert function and the rank
-    of the two degree-d tangent slices stacked. Each slice dimension of the
-    Hilbert function j = 0..d (whose j = d entry is the degree-d slice
-    dimension) is the max over the trial points, and the secant-line
-    dimension, rank(stacked) - 1, the max over trials.
+    trial measures F's whole Hilbert function and the rank of the degree-d
+    tangent slices of two points F and G stacked. With r >= 4 it draws
+    factor sets for both and runs one elimination (`_trial`). With r <= 3,
+    F is the monomial point x0^d1 x1^d2 (x2^d3), whose ranks are counts and
+    certify as a drawn point's do, and only G is drawn (`_monomial_trial`):
+    `verify 98,1,1` (d = 100) takes a fraction of a second. Each slice
+    dimension of the Hilbert function j = 0..d (whose j = d entry is the
+    degree-d slice dimension) is the max over the trial points, and the
+    secant-line dimension, rank(stacked) - 1, the max over trials.
 
     Through the dimension formula for a sum of subspaces, each trial's
     dim_IZ is 2m - rank(stacked), with m the largest rank of F's degree-d
@@ -579,10 +652,12 @@ def verify(
     impossible and raises SemicontinuityError. So the measurements equal the
     predictions exactly when every rank reaches its ceiling, and the trials
     not run would change no maximum and no minimum. G's slice rank is not
-    measured: G is drawn through the same code as F, independently and with
-    the same distribution, so any fault that could push G's rank above
-    generic shows in F's. A prime that `check_prime` rejects at degree d
-    raises ValueError before any draw.
+    measured: with r >= 4, G is drawn through the same code as F,
+    independently and with the same distribution, so any fault that could
+    push G's rank above generic shows in F's; with r <= 3, G's slice enters
+    only through the stacked rank, which is checked against its ceiling. A
+    prime that `check_prime` rejects at degree d raises ValueError before
+    any draw.
     """
     report = classify(partition)
     predicted = {
@@ -599,11 +674,12 @@ def verify(
     # dim_IF_d and dim_IZ follow from these, by `classify`'s own checks.
     slice_ranks = [num_monomials(j) - h for j, h in enumerate(predicted["hilbert"])]
     _check_agreement("ceilings", partition, ceilings, [*slice_ranks, predicted["dim_sigma2"] + 1])
+    trial = _monomial_trial if partition.r <= 3 else _trial
     seeds, trial_dims, joints = [], [], []
     for t in range(trials):
         # Each seed is derived as its trial starts: `trials` is only a cap.
         seeds.append(derive_seed(base_seed, t))
-        dims, joint = _trial(partition, seeds[-1], prime, rows, counts)
+        dims, joint = trial(partition, seeds[-1], prime, rows, counts)
         ranks = [*dims, joint]
         for j, (value, ceiling) in enumerate(zip(ranks, ceilings)):
             if value > ceiling:

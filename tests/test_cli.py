@@ -304,24 +304,34 @@ class TestSweep:
         )
 
     @pytest.mark.parametrize(
-        "argv, digest",
+        "argv, digest, matched_before",
         [
             (
                 ("--d-max", "6", "--prime", "7"),
-                "48507c63a054f6dd8f198b2c34b9a30c4f335349656a5351195f5e6434ac9ab1",
+                "716c3be66ddf6865a26f940f3fc97bf83a50d26ac0f30429995cfd771d9031b0",
+                {p.parts for p in cli.enumerate_partitions(6)} - {(1,) * 5, (1,) * 6},
             ),
             (
                 ("--d-max", "8", "--prime", "2"),
-                "a9cce86e9cd07d166518e16e44c834e65fc3af8d4e99a50ec3ca8f6b72ea51ec",
+                "d17476a4cf29136d4245617654074a9429e81fadffa18bf90fdd3286a6e7de36",
+                {
+                    (2, 1), (2, 2), (3, 2), (4, 1), (3, 3), (4, 2),
+                    (4, 3), (5, 2), (6, 1), (5, 3), (6, 2), (7, 1),
+                },
             ),
         ],
         ids=["p7-d6", "p2-d8"],
     )
-    def test_small_prime_verify_sweep_output_bytes_are_pinned(self, capsys, argv, digest):
-        # At these primes many first trials fall short of a ceiling, so
-        # more trials run, and some records are mismatches (exit 1).
+    def test_small_prime_verify_sweep_output_bytes_are_pinned(self, capsys, argv, digest, matched_before):
+        # At these primes many trials fall short of a ceiling, so more
+        # trials run, and some records are mismatches (exit 1). For r <= 3
+        # the first point is a monomial one, which no prime makes unlucky:
+        # only G's draw can be. matched_before lists the MATCHes of these
+        # sweeps when both points were drawn; none may be lost.
         code, out, _ = run(capsys, "sweep", "--mode", "verify", *argv)
         assert code == 1
+        matched = {tuple(r["lambda"]) for r in json_lines(out)[:-1] if r["verdict"] == "MATCH"}
+        assert matched >= matched_before
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.slow

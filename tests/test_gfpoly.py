@@ -162,6 +162,11 @@ class TestForm:
         form = np.array([-1, P, P + 2], dtype=np.int64)
         np.testing.assert_array_equal(multiply(form, ONE, P), [P - 1, 0, 2])
 
+    def test_monomial_is_the_written_out_order(self):
+        for degree in range(9):
+            for a, b, c in exponents(degree):
+                np.testing.assert_array_equal(gfpoly.monomial(a, b, c), monomial(a, b, c))
+
     def test_zero_one_monomial(self):
         assert not multiply(np.zeros(10, dtype=np.int64), random_form(P, 2, 3), P).any()
         np.testing.assert_array_equal(multiply(ONE, ONE, P), [1])
@@ -328,6 +333,18 @@ class TestMonomialMultiples:
         assert monomial_multiples(f, 4, out, rows) is out
         np.testing.assert_array_equal(out[rows], monomial_multiples(f, 4))
         assert not out[[2, 4]].any()
+
+    def test_written_into_given_columns(self):
+        # Through a column map, the coefficient on monomial i lands in column
+        # columns[i]: the first five permuted, the next two in a spare last
+        # column, the rest shifted left by two.
+        f = random_form(P, 2, 0)
+        columns = np.array([3, 0, 2, 4, 1, 13, 13, *range(5, 13)])
+        out = np.zeros((6, 14))
+        assert monomial_multiples(f, 4, out, columns=columns) is out
+        want = monomial_multiples(f, 4)
+        np.testing.assert_array_equal(out[:, [3, 0, 2, 4, 1]], want[:, :5])
+        np.testing.assert_array_equal(out[:, 5:13], want[:, 7:])
 
     def test_chosen_monomials(self):
         # Only the products by the chosen monomials, in the order given,

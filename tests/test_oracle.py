@@ -20,9 +20,12 @@ from secantlines.oracle import (
     _blocked,
     _ceilings,
     _draw_cofactors,
+    _free_columns,
     _hilbert_order,
     _largest_prime,
     _mod,
+    _monomial_cofactors,
+    _monomial_trial,
     _rank,
     _reduce,
     _rref,
@@ -43,6 +46,12 @@ def hilbert(partition, seed):
     """Measured Hilbert function j = 0..d at one random point."""
     dims, _ = _trial(partition, seed, P, *_hilbert_order(partition))
     return [num_monomials(j) - dim for j, dim in enumerate(dims)]
+
+
+def route(partition):
+    """The trial `verify` runs for this partition: the monomial first point
+    for r <= 3, two drawn points otherwise."""
+    return _monomial_trial if partition.r <= 3 else _trial
 
 
 def sigma2(partition, trials, seed):
@@ -478,6 +487,24 @@ class TestBlocks:
                 ]
                 np.testing.assert_array_equal(np.vstack([whole[:0], *pieces]), whole)
 
+    def test_selected_columns_are_the_slice_s_columns(self):
+        # Any set of columns, in any order, of any run of rows, built
+        # directly and lazily, is those columns of the whole slice.
+        generator = np.random.default_rng(SEED)
+        for partition in enumerate_partitions(9):
+            cofactors = _draw_cofactors(partition, SEED, P)
+            d, hilbert_rows = partition.d, _hilbert_order(partition)[0]
+            whole = tangent_slice(cofactors, d, hilbert_rows)
+            for size in (0, 1, whole.shape[1] // 2, whole.shape[1]):
+                columns = generator.permutation(whole.shape[1])[:size]
+                start, stop = sorted(generator.integers(0, len(whole) + 1, 2))
+                want = whole[start:stop, columns]
+                got = tangent_slice(cofactors, d, hilbert_rows, start, stop, columns)
+                np.testing.assert_array_equal(got, want)
+                lazy = _Slice(cofactors, d, hilbert_rows, 0, len(whole), columns)[start:stop]
+                assert lazy.shape == want.shape
+                np.testing.assert_array_equal(np.asarray(lazy), want)
+
     @pytest.mark.parametrize("share", [oracle.TAIL_SHARE, 1.0])
     def test_block_edges_lose_no_row(self, monkeypatch, share):
         # With 7-row blocks every slice of more than LEAF_ROWS rows is
@@ -511,59 +538,84 @@ class TestBlocks:
                 np.testing.assert_array_equal(got, expected)
             residual = _reduce(*basis[:2], _Slice(g, d, None, 0, rows.size), P)
             np.testing.assert_array_equal(residual, want)
+            # `_rank` reads a lazy slice, on selected columns, leaves included.
+            columns = _free_columns(_monomial_cofactors(partition), d) if partition.r <= 3 else None
+            built = tangent_slice(g, d, None, 0, rows.size, columns)
+            assert _rank(_Slice(g, d, None, 0, rows.size, columns), P) == rank(built, P)
 
-    def test_every_slice_row_is_built_once_a_block_at_a_time(self, monkeypatch):
-        # At d = 40 (861 columns) every block has BLOCK_ROWS rows, so a run of
-        # rows turned into an array twice, or whole, shows here.
-        partition = Partition([25, 15])
+    def widths_built_once(self, monkeypatch, partition, points):
+        """Run `verify` and check that it builds each of its points' slice
+        rows once, in runs of at most BLOCK_ROWS, `points` points per trial;
+        return the set of widths built (None for every column). At d = 40
+        (861 columns) every block has BLOCK_ROWS rows, so a run of rows
+        turned into an array twice, or whole, shows here."""
         n_rows = sum(num_monomials(di) for di in partition.parts)
         calls = []
 
-        def recording(cofactors, j, rows=None, start=0, stop=None):
+        def recording(cofactors, j, rows=None, start=0, stop=None, columns=None):
             # Holding each point's cofactors keeps their ids distinct.
-            calls.append((cofactors, j, start, stop))
-            return tangent_slice(cofactors, j, rows, start, stop)
+            calls.append((cofactors, j, start, stop, columns))
+            return tangent_slice(cofactors, j, rows, start, stop, columns)
 
         monkeypatch.setattr(oracle, "tangent_slice", recording)
         report = verify(partition)
-        points = [list(group) for _, group in groupby(calls, key=lambda call: id(call[0]))]
-        assert len(points) == 2 * len(report.seeds)
-        for point in points:
-            assert {j for _, j, _, _ in point} == {partition.d}
-            spans = sorted((start, stop) for _, _, start, stop in point)
+        groups = [list(group) for _, group in groupby(calls, key=lambda call: id(call[0]))]
+        assert len(groups) == points * len(report.seeds)
+        for point in groups:
+            assert {j for _, j, _, _, _ in point} == {partition.d}
+            spans = sorted((start, stop) for _, _, start, stop, _ in point)
             assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
             assert spans[-1][1] == n_rows
             assert max(stop - start for start, stop in spans) <= oracle.BLOCK_ROWS
+        return {None if columns is None else columns.size for *_, columns in calls}
 
-    def test_verify_holds_at_most_two_and_a_quarter_slices(self):
-        # The traced peak of a whole verify, against one degree-60 tangent
-        # slice of [30,20,10]: 793 rows of 1,891 float64 columns (11.4 MiB).
-        partition = Partition([30, 20, 10])
+    def test_every_slice_row_is_built_once_a_block_at_a_time(self, monkeypatch):
+        # With r <= 3 only G's slice is built, on the D columns F's misses.
+        partition = Partition([25, 15])
+        assert self.widths_built_once(monkeypatch, partition, 1) == {derived(partition).D}
+
+    def test_both_drawn_points_build_each_row_once_a_block_at_a_time(self, monkeypatch):
+        # With r >= 4 both points' slices are built, on every column.
+        assert self.widths_built_once(monkeypatch, Partition([10, 10, 10, 10]), 2) == {None}
+
+    @staticmethod
+    def traced_peak(partition, n_rows, n_cols):
+        """The traced peak of a whole verify, as a share of one degree-d
+        tangent slice of n_rows float64 rows of n_cols columns. tracemalloc
+        counts numpy's arrays the same way on every run, where peak RSS
+        moves with the allocator's layout."""
         slice_bytes = 8 * num_monomials(partition.d) * sum(num_monomials(di) for di in partition.parts)
-        assert slice_bytes == 8 * 793 * 1891
+        assert slice_bytes == 8 * n_rows * n_cols
         tracemalloc.start()
         try:
             assert verify(partition).certified
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * slice_bytes
+        return peak / slice_bytes
+
+    def test_verify_holds_at_most_two_and_a_quarter_slices(self):
+        # [30,20,10]'s degree-60 slice: 793 rows of 1,891 columns (11.4 MiB).
+        # It read 1.67 slices with two drawn points, 0.62 on the monomial one.
+        assert self.traced_peak(Partition([30, 20, 10]), 793, 1891) <= 2.25
+
+    def test_two_drawn_points_hold_at_most_two_and_a_quarter_slices(self):
+        # [30,20,5,5]'s degree-60 slice: 769 rows of 1,891 columns (11.1 MiB);
+        # it reads 1.70 slices.
+        assert self.traced_peak(Partition([30, 20, 5, 5]), 769, 1891) <= 2.25
 
     @pytest.mark.slow
     def test_large_verify_holds_under_seven_tenths_of_a_slice(self):
-        # tracemalloc counts numpy's arrays the same way on every run, where
-        # peak RSS moves with the allocator's layout. One degree-100 tangent
-        # slice of [98,1,1]: 4,956 rows of 5,151 float64 columns (194.8 MiB).
-        partition = Partition([98, 1, 1])
-        slice_bytes = 8 * num_monomials(partition.d) * sum(num_monomials(di) for di in partition.parts)
-        assert slice_bytes == 8 * 4956 * 5151
-        tracemalloc.start()
-        try:
-            assert verify(partition).certified
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.70 * slice_bytes
+        # [98,1,1]'s degree-100 slice: 4,956 rows of 5,151 columns
+        # (194.8 MiB). It read 0.681 slices with two drawn points, 0.011 on
+        # the monomial one.
+        assert self.traced_peak(Partition([98, 1, 1]), 4956, 5151) <= 0.70
+
+    @pytest.mark.slow
+    def test_large_verify_with_two_drawn_points_holds_under_seven_tenths_of_a_slice(self):
+        # [97,1,1,1]'s degree-100 slice: 4,860 rows of 5,151 columns
+        # (191.0 MiB); it reads 0.698 slices.
+        assert self.traced_peak(Partition([97, 1, 1, 1]), 4860, 5151) <= 0.70
 
 
 SMALL_PARTITIONS = [p.parts for p in enumerate_partitions(12)]
@@ -671,7 +723,7 @@ class TestSecantMeasurements:
         report = verify(partition, prime=P, trials=3, base_seed=SEED)
         assert 1 <= len(report.seeds) <= 3
         assert list(report.seeds) == [derive_seed(SEED, k) for k in range(len(report.seeds))]
-        trials = [_trial(partition, seed, P, *_hilbert_order(partition)) for seed in report.seeds]
+        trials = [route(partition)(partition, seed, P, *_hilbert_order(partition)) for seed in report.seeds]
         m = max(slice_dims[-1] for slice_dims, _ in trials)
         assert report.measured["dim_IF_d"] == m
         assert report.trial_dim_sigma2 == tuple(rank_joint - 1 for _, rank_joint in trials)
@@ -709,9 +761,9 @@ class TestSecantMeasurements:
         # Trials stop at the first that reaches every ceiling, and that
         # changes no number of the record: at each cap N, `verify` must give
         # the measured values, predictions and verdict of all N trials, each
-        # measured through `_trial`, and list the seeds up to the first
-        # certifying trial, or all N when none certifies. (The name dates
-        # from when the N trials were eliminated as one stack.)
+        # measured through the trial it runs (`route`), and list the seeds up
+        # to the first certifying trial, or all N when none certifies. (The
+        # name dates from when the N trials were eliminated as one stack.)
         partition = Partition(parts)
         report = classify(partition)
         predicted = {
@@ -723,7 +775,7 @@ class TestSecantMeasurements:
         hilbert_rows, counts = _hilbert_order(partition)
         ceilings = _ceilings(partition, report, counts)
         seeds = [derive_seed(SEED, k) for k in range(5)]
-        every = [_trial(partition, seed, prime, hilbert_rows, counts) for seed in seeds]
+        every = [route(partition)(partition, seed, prime, hilbert_rows, counts) for seed in seeds]
         for n in (1, 3, 5):
             trials = every[:n]
             slice_dims = [max(column) for column in zip(*(dims for dims, _ in trials))]
@@ -755,13 +807,21 @@ class TestSecantMeasurements:
             ([9, 7], -2, "degree-16 slice rank 91 above its ceiling 90"),
             ([9, 7], -1, "stacked rank 154 above its ceiling 153"),
             ([2, 1], -3, "degree-2 slice rank 5 above its ceiling 4"),
+            ([1, 1, 1, 1], -2, "degree-4 slice rank 10 above its ceiling 9"),
+            ([1, 1, 1, 1], -1, "stacked rank 16 above its ceiling 15"),
+            ([2, 1, 1, 1], -3, "degree-4 slice rank 7 above its ceiling 6"),
         ],
-        ids=["slice", "stacked", "slice-blocked", "stacked-blocked", "hilbert"],
+        ids=[
+            "slice", "stacked", "slice-blocked", "stacked-blocked", "hilbert",
+            "slice-drawn", "stacked-drawn", "hilbert-drawn",
+        ],
     )
     def test_rank_above_generic_raises(self, monkeypatch, parts, position, message):
         # A slice rank of any degree or a stacked rank reported one above its
-        # ceiling must be refused, also under -O. The ids date from when
-        # [2,1]'s 10 columns took the int64 route; both take the kernel.
+        # ceiling must be refused, also under -O, on both routes: r <= 3
+        # takes the monomial first point, r >= 4 two drawn points. The first
+        # ids date from when [2,1]'s 10 columns took the int64 route; both
+        # take the kernel.
         shift_trial_ranks(monkeypatch, {position: 1})
         with pytest.raises(SemicontinuityError, match=message):
             verify(Partition(parts), prime=P, trials=1, base_seed=SEED)
@@ -796,18 +856,22 @@ def off_its_ceilings(partition, counts):
 
 
 def shift_trial_ranks(monkeypatch, shifts):
-    """Make every `_trial` report its ranks (its slices j = 0..d, then the
-    stacked rank) moved by `shifts`, a map from position to amount."""
-    true_trial = oracle._trial
+    """Make every trial, on either route, report its ranks (its slices
+    j = 0..d, then the stacked rank) moved by `shifts`, a map from position
+    to amount."""
 
-    def shifted(*args):
-        slice_dims, rank_joint = true_trial(*args)
-        ranks = [*slice_dims, rank_joint]
-        for position, amount in shifts.items():
-            ranks[position] += amount
-        return ranks[:-1], ranks[-1]
+    def shifting(true_trial):
+        def shifted(*args):
+            slice_dims, rank_joint = true_trial(*args)
+            ranks = [*slice_dims, rank_joint]
+            for position, amount in shifts.items():
+                ranks[position] += amount
+            return ranks[:-1], ranks[-1]
 
-    monkeypatch.setattr(oracle, "_trial", shifted)
+        return shifted
+
+    for name in ("_trial", "_monomial_trial"):
+        monkeypatch.setattr(oracle, name, shifting(getattr(oracle, name)))
 
 
 def partitions_off_their_ceilings(d_max):
@@ -890,6 +954,49 @@ class TestCeilings:
         for point in points:
             pivots, tail, _ = _rref(tangent_slice(_draw_cofactors(partition, point, P), partition.d), P)
             assert not _reduce(pivots, tail, floats(block), P).any()
+
+
+class TestMonomialPoint:
+    # For r <= 3 the first point is F = x0^d1 x1^d2 (x2^d3): its slice ranks
+    # are counts, and the stacked rank is dim X + 1 plus G's rank on the D
+    # columns F's slice misses.
+    def test_counts_are_the_ranks_the_kernel_measures(self):
+        for partition in enumerate_partitions(12):
+            if partition.r > 3:
+                continue
+            d, (rows, counts) = partition.d, _hilbert_order(partition)
+            cofactors = _monomial_cofactors(partition)
+            measured = [_rref(tangent_slice(cofactors, j), P)[0].size for j in range(d + 1)]
+            assert measured == [*counts[:-1].tolist(), classify(partition).dim_X + 1]
+            f = tangent_slice(cofactors, d)
+            np.testing.assert_array_equal(_free_columns(cofactors, d), np.flatnonzero(~f.any(axis=0)))
+            # The stacked rank, against both slices stacked at full width.
+            g = tangent_slice(_draw_cofactors(partition, derive_seed(SEED, 1), P), d)
+            assert _monomial_trial(partition, SEED, P, rows, counts) == (measured, rank(np.vstack([f, g]), P))
+
+    @settings(max_examples=40, deadline=None)
+    @given(parts=st.lists(st.integers(1, 1000), min_size=2, max_size=3))
+    def test_counts_sit_on_their_ceilings_for_large_parts(self, parts):
+        # Closed forms only, no matrix. Below degree d the count is the row
+        # count. At degree d it is the number of monomials reached,
+        # sum_i C(d_i + 2, 2) - (r - 1) by inclusion-exclusion, since the
+        # multiples of two or three cofactors are multiples of F alone; the
+        # other D columns are the ones G's slice is ranked on.
+        partition = Partition(parts)
+        counts, report = closed_form_counts(partition), classify(partition)
+        reached = sum(num_monomials(di) for di in partition.parts) - (partition.r - 1)
+        assert [*counts[:-1], reached] == _ceilings(partition, report, counts)[:-1]
+        assert num_monomials(partition.d) - reached == report.D
+
+    def test_stacked_rank_above_its_ceiling_raises(self, monkeypatch):
+        # G's rank on the D columns, reported one too high, is refused like
+        # any rank above its ceiling; F is never drawn. [2,1]'s G slice is one
+        # leaf, so `_rank` is called once.
+        true_rank = oracle._rank
+        monkeypatch.setattr(oracle, "_rank", lambda a, modulus: true_rank(a, modulus) + 1)
+        monkeypatch.setattr(oracle, "_trial", None)
+        with pytest.raises(SemicontinuityError, match="stacked rank 11 above its ceiling 10"):
+            verify(Partition([2, 1]), prime=P, trials=1, base_seed=SEED)
 
 
 class TestVerify:
@@ -1058,12 +1165,14 @@ class TestVerdict:
             verify(partition, prime=P)
         assert draws == []
 
-    def test_unlucky_small_prime_draw_is_not_above(self):
+    def test_unlucky_small_prime_draw_is_not_above(self, monkeypatch):
         # At p = 2 the second trial of [2,1] has a slice of rank 3 of 8. Its
         # dim_IZ is 2m - rank_joint with m = 8 from the first trial, so it
         # does not fall below the generic 6. The first trial reaches every
         # ceiling, so `verify` runs it alone; all three are read off
-        # `_trial`.
+        # `_trial`. A monomial first point is never unlucky, so `verify` is
+        # made to draw F here as it does for r >= 4.
+        monkeypatch.setattr(oracle, "_monomial_trial", _trial)
         partition = Partition([2, 1])
         report = verify(partition, prime=2, trials=3, base_seed=0)
         trials = [_trial(partition, derive_seed(0, k), 2, *_hilbert_order(partition)) for k in range(3)]
