@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import io
 import json
 import os
 import sys
@@ -85,6 +84,12 @@ _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 BLOCK_CHARS = 32 * 1024
 
 
+class _Lines(list):
+    """Strings written by a csv writer, one per row."""
+
+    write = list.append
+
+
 def _emit(records: Iterable[dict | ClassificationReport], output_format: str, stream, *, blocks: bool = False) -> None:
     """Write records as JSON Lines, or as CSV with LF endings and a header row
     from the first record. A ClassificationReport's JSON line comes from its
@@ -92,32 +97,40 @@ def _emit(records: Iterable[dict | ClassificationReport], output_format: str, st
     Each record is written and flushed once it is ready; with `blocks` only
     the first is, and the rest go out in blocks of whole records of at most
     BLOCK_CHARS characters, also if `records` raises."""
-    block = io.StringIO()
+    block: list[str] = []  # whole records not yet written
+    size = 0
     writer = None
+
+    def write_block() -> None:
+        nonlocal size
+        stream.write("".join(block))
+        stream.flush()
+        block.clear()
+        size = 0
+
     try:
         for count, record in enumerate(records):
-            start = block.tell()
             report = isinstance(record, ClassificationReport)
             if output_format == "json":
-                block.write(record.json_line() if report else _encode_json(record) + "\n")
+                text = record.json_line() if report else _encode_json(record) + "\n"
             else:
                 row = _flatten(record.to_dict() if report else record)
                 if writer is None:
-                    writer = csv.DictWriter(block, fieldnames=list(row), lineterminator="\n")
+                    writer = csv.DictWriter(rows := _Lines(), fieldnames=list(row), lineterminator="\n")
                     writer.writeheader()
                 writer.writerow(row)
-            if block.tell() > BLOCK_CHARS or not (blocks and count):
-                text = block.getvalue()
-                cut = start or len(text)
-                block.seek(0)
-                block.truncate()
-                block.write(text[cut:])
-                stream.write(text[:cut])
-                stream.flush()
+                text = "".join(rows)
+                rows.clear()
+            # A record that would take the block past BLOCK_CHARS starts the next.
+            if size and size + len(text) > BLOCK_CHARS:
+                write_block()
+            block.append(text)
+            size += len(text)
+            if size > BLOCK_CHARS or not (blocks and count):
+                write_block()
     finally:
-        if block.tell():
-            stream.write(block.getvalue())
-            stream.flush()
+        if block:
+            write_block()
 
 
 def _diff(measured: dict, predicted: dict) -> dict:

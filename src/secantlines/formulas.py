@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from .partitions import DerivedQuantities, Partition, derived
+from .partitions import Partition
 
 
 class NegativeDegreeError(ValueError):
@@ -33,9 +33,38 @@ def _check_agreement(name: str, partition: Partition, first, second) -> None:
         )
 
 
-# Each closed form is written once, in `classify` or in a private helper that
-# takes the quantities it depends on as arguments; `classify` computes every
-# quantity once and hands it on.
+# Each closed form is written once: d, D, N, s, p, 2p - 3s and dim_X in
+# `_invariants`, the rest in `classify` or in a private helper that takes the
+# integers it depends on as arguments. `classify` computes every quantity once
+# and hands it on.
+
+INT64_MAX = 2**63 - 1
+
+
+def _invariants(partition: Partition) -> tuple[int, int, int, int, int, int, int]:
+    """d, D, N, s, p, 2p - 3s and dim_X of a partition, from one pass over its
+    parts; values beyond 64-bit are rejected.
+
+    d is the total degree, D the sum of pairwise degree products (the number of
+    pairwise intersection points of general factors), and N = C(d+2,2) - 1 the
+    dimension of the projective space of degree-d plane curves. s = d - d1, and
+    p = D - d1 * s sums the pairwise products of d2, ..., dr. dim_X is
+    sum_i [C(d_i + 2, 2) - 1], summed here as sum_i d_i (d_i + 3) / 2.
+    """
+    parts = partition.parts
+    d = squares = twice_dim_X = 0
+    for di in parts:
+        d += di
+        squares += di * di
+        twice_dim_X += di * (di + 3)
+    # Sum over pairs i < j of d_i * d_j, from d^2 = sum d_i^2 + 2D.
+    D = (d * d - squares) // 2
+    N = (d + 2) * (d + 1) // 2 - 1
+    if N > INT64_MAX or D > INT64_MAX:
+        raise OverflowError(f"derived quantities of {partition} exceed 64-bit range")
+    s = d - parts[0]
+    p = D - parts[0] * s
+    return d, D, N, s, p, 2 * p - 3 * s, twice_dim_X // 2
 
 
 def hilbert_function_theory(partition: Partition, j: int) -> int:
@@ -50,37 +79,35 @@ def hilbert_function_theory(partition: Partition, j: int) -> int:
         raise NegativeDegreeError(f"degree must be >= 0, got {j}")
     d = partition.d
     if j >= d:
-        return derived(partition).D
+        return _invariants(partition)[1]
     value = comb(j + 2, 2) - sum(comb(max(j - d + di, -1) + 2, 2) for di in partition.parts)
     if j >= d - 2:
-        _check_agreement("hilbert_function_theory", partition, value, derived(partition).D)
+        _check_agreement("hilbert_function_theory", partition, value, _invariants(partition)[1])
     return value
 
 
-def _unbalanced_dim_IZ(partition: Partition, q: DerivedQuantities) -> int:
+def _unbalanced_dim_IZ(d1: int, s: int) -> int:
     # C(d1 - s + 2, 2), for d1 >= s - 1 only.
-    return comb(partition.parts[0] - q.s + 2, 2)
+    return comb(d1 - s + 2, 2)
 
 
-def _defect(
-    partition: Partition, q: DerivedQuantities, defective: bool, exp_dim_IZ: int
-) -> int:
-    if not defective:
-        return 0
-    unbalanced = _unbalanced_dim_IZ(partition, q)
-    min_form = min(unbalanced, q.two_p_minus_three_s)
+def _defect(partition: Partition, s: int, two_p_minus_three_s: int, exp_dim_IZ: int) -> int:
+    # For a defective partition only.
+    unbalanced = _unbalanced_dim_IZ(partition.parts[0], s)
+    min_form = min(unbalanced, two_p_minus_three_s)
     # exp_dim_IZ > 0 exactly when C(d+2,2) - 2D > 0.
-    branch_form = q.two_p_minus_three_s if exp_dim_IZ > 0 else unbalanced
+    branch_form = two_p_minus_three_s if exp_dim_IZ > 0 else unbalanced
     _check_agreement("delta2", partition, min_form, branch_form)
     return min_form
 
 
 def _dim_IZ(
-    partition: Partition, q: DerivedQuantities, exp_dim_IZ: int, delta2: int
+    partition: Partition, s: int, two_p_minus_three_s: int, exp_dim_IZ: int, delta2: int
 ) -> int:
     value = exp_dim_IZ + delta2
-    if partition.parts[0] >= q.s - 1 and q.two_p_minus_three_s > 0:
-        _check_agreement("dim_IZ", partition, value, _unbalanced_dim_IZ(partition, q))
+    d1 = partition.parts[0]
+    if d1 >= s - 1 and two_p_minus_three_s > 0:
+        _check_agreement("dim_IZ", partition, value, _unbalanced_dim_IZ(d1, s))
     return value
 
 
@@ -92,9 +119,11 @@ def _dim_sigma2(
     return value
 
 
-def _fills_ambient(partition: Partition, q: DerivedQuantities, dim_sigma2: int) -> bool:
-    flag = q.two_p_minus_three_s <= 0 or partition.parts == (2, 2, 2, 1)
-    _check_agreement("fills_ambient", partition, flag, dim_sigma2 == q.N)
+def _fills_ambient(
+    partition: Partition, two_p_minus_three_s: int, N: int, dim_sigma2: int
+) -> bool:
+    flag = two_p_minus_three_s <= 0 or partition.parts == (2, 2, 2, 1)
+    _check_agreement("fills_ambient", partition, flag, dim_sigma2 == N)
     return flag
 
 
@@ -161,9 +190,9 @@ _R4_ONES_TAILS = (
 )
 
 
-def _case_label(partition: Partition, q: DerivedQuantities) -> CaseLabel:
+def _case_label(partition: Partition, two_p_minus_three_s: int) -> CaseLabel:
     parts = partition.parts
-    r = partition.r
+    r = len(parts)
     if r == 2:
         label = CaseLabel.R2
     elif r == 3:
@@ -191,7 +220,7 @@ def _case_label(partition: Partition, q: DerivedQuantities) -> CaseLabel:
     else:
         label = CaseLabel.R6PLUS
     _check_agreement(
-        "case_label", partition, label.defective_side, q.two_p_minus_three_s > 0
+        "case_label", partition, label in _DEFECTIVE_SIDE, two_p_minus_three_s > 0
     )
     return label
 
@@ -201,8 +230,8 @@ class ClassificationReport:
     """Every theory-side number for one partition; its record is `to_dict`, and
     `json_line` is that record in compact JSON from one fixed template.
 
-    d, D, N, s, p and two_p_minus_three_s are `derived`'s. The closed forms,
-    and the check on each field that has two derivations:
+    d, D, N, s, p and two_p_minus_three_s are `_invariants`'. The closed
+    forms, and the check on each field that has two derivations:
     - dim_X, the dimension of the variety of split curves:
       sum_i [C(d_i + 2, 2) - 1], checked against C(d+2,2) - D - 1.
     - exp_dim_sigma2, the parameter-count bound for the secant line variety:
@@ -277,37 +306,32 @@ class ClassificationReport:
             f'"defective":{"true" if self.defective else "false"},"delta2":{self.delta2},'
             f'"dim_sigma2":{self.dim_sigma2},"dim_IZ":{self.dim_IZ},'
             f'"fills_ambient":{"true" if self.fills_ambient else "false"},'
-            f'"case_label":"{self.case_label.value}"}}\n'
+            f'"case_label":"{self.case_label._value_}"}}\n'
         )
 
 
 def classify(partition: Partition) -> ClassificationReport:
     """Evaluate every closed-form quantity for one partition, each once, and
     check every quantity that has two derivations."""
-    q = derived(partition)
-    parts = partition.parts
-    N, D, two_p_minus_three_s = q.N, q.D, q.two_p_minus_three_s
+    d, D, N, s, p, two_p_minus_three_s, dim_X = _invariants(partition)
     # sum_i C(d_i + 2, 2) - r, against the point count C(d+2,2) - 1 - D.
-    dim_X = -len(parts)
-    for di in parts:
-        dim_X += (di + 2) * (di + 1) // 2
     _check_agreement("dim_X", partition, dim_X, N - D)
     exp_dim_sigma2 = min(N, 2 * dim_X + 1)
     exp_dim_IZ = max(N + 1 - 2 * D, 0)
-    defective = parts[0] >= q.s and two_p_minus_three_s > 0
-    delta2 = _defect(partition, q, defective, exp_dim_IZ)
-    dim_IZ = _dim_IZ(partition, q, exp_dim_IZ, delta2)
+    defective = partition.parts[0] >= s and two_p_minus_three_s > 0
+    delta2 = _defect(partition, s, two_p_minus_three_s, exp_dim_IZ) if defective else 0
+    dim_IZ = _dim_IZ(partition, s, two_p_minus_three_s, exp_dim_IZ, delta2)
     dim_sigma2 = _dim_sigma2(partition, exp_dim_sigma2, delta2, dim_X, dim_IZ)
     # One dict update: the frozen __init__'s object.__setattr__ per field
     # costs ten times as much. Keyword order must be field order.
     report = object.__new__(ClassificationReport)
     vars(report).update(
         partition=partition,
-        d=q.d,
+        d=d,
         D=D,
         N=N,
-        s=q.s,
-        p=q.p,
+        s=s,
+        p=p,
         two_p_minus_three_s=two_p_minus_three_s,
         dim_X=dim_X,
         exp_dim_sigma2=exp_dim_sigma2,
@@ -316,7 +340,7 @@ def classify(partition: Partition) -> ClassificationReport:
         delta2=delta2,
         dim_sigma2=dim_sigma2,
         dim_IZ=dim_IZ,
-        fills_ambient=_fills_ambient(partition, q, dim_sigma2),
-        case_label=_case_label(partition, q),
+        fills_ambient=_fills_ambient(partition, two_p_minus_three_s, N, dim_sigma2),
+        case_label=_case_label(partition, two_p_minus_three_s),
     )
     return report

@@ -1,13 +1,10 @@
-"""Canonical factor-degree partitions and their derived combinatorial data."""
+"""Canonical factor-degree partitions and their enumeration by total degree."""
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Iterator
-
-INT64_MAX = 2**63 - 1
 
 
 class PartitionError(ValueError):
@@ -82,45 +79,6 @@ class Partition:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(x) for x in self.parts) + "]"
-
-
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Exact integer invariants of a partition.
-
-    d is the total degree, D the sum of pairwise degree products (the number of
-    pairwise intersection points of general factors), and N = C(d+2,2) - 1 the
-    dimension of the projective space of degree-d plane curves. s = d - d1, and
-    p = D - d1 * s sums the pairwise products of d2, ..., dr. The sign of
-    two_p_minus_three_s = 2p - 3s decides the partition's side of the case list.
-    """
-
-    d: int
-    D: int
-    N: int
-    s: int
-    p: int
-    two_p_minus_three_s: int
-
-
-def derived(partition: Partition) -> DerivedQuantities:
-    """Compute all derived quantities exactly; values beyond 64-bit are rejected."""
-    parts = partition.parts
-    d = squares = 0
-    for di in parts:
-        d += di
-        squares += di * di
-    # Sum over pairs i < j of d_i * d_j, from d^2 = sum d_i^2 + 2D.
-    D = (d * d - squares) // 2
-    N = comb(d + 2, 2) - 1
-    if N > INT64_MAX or D > INT64_MAX:
-        raise OverflowError(f"derived quantities of {partition} exceed 64-bit range")
-    s = d - parts[0]
-    p = D - parts[0] * s
-    # One dict update in place of the frozen __init__'s setattr per field.
-    q = object.__new__(DerivedQuantities)
-    vars(q).update(d=d, D=D, N=N, s=s, p=p, two_p_minus_three_s=2 * p - 3 * s)
-    return q
 
 
 def enumerate_partitions(

@@ -20,7 +20,7 @@ from secantlines.oracle import (
     _trial,
     verify,
 )
-from secantlines.partitions import Partition, derived, enumerate_partitions
+from secantlines.partitions import Partition, enumerate_partitions
 
 PRIME = 1_000_003
 TRIALS = 3
@@ -73,7 +73,7 @@ def specializations():
     and of its reduction partition.decrement(e), of total degree d - 1."""
     corpus = []
     for p in enumerate_partitions(9):
-        q = derived(p)
+        q = classify(p)
         for e in range(1, p.r + 1):
             d_e = p.parts[e - 1]
             if d_e < 2:
@@ -113,7 +113,7 @@ def test_criterion_2_hilbert_function_reproduction():
     try:
         # both branches agree on the overlap degrees for every partition, d <= 30
         for p in enumerate_partitions(30):
-            q = derived(p)
+            q = classify(p)
             for j in (q.d - 2, q.d - 1):
                 if j < 0:
                     continue
@@ -214,8 +214,7 @@ def test_criterion_6_fills_ambient():
     exceptional = []
     try:
         for p in enumerate_partitions(12):
-            q = derived(p)
-            report = classify(p)
+            q = report = classify(p)
             fills = report.fills_ambient
             assert fills == (report.dim_sigma2 == q.N)
             if fills and 3 * q.s - 2 * q.p < 0:
@@ -237,7 +236,7 @@ def test_criterion_7_defect_forms_agree():
                 assert delta2 == 0
                 continue
             defective_count += 1
-            q = derived(p)
+            q = classify(p)
             d1 = p.parts[0]
             min_form = min(comb(d1 - q.s + 2, 2), 2 * q.p - 3 * q.s)
             branch_form = (
@@ -260,7 +259,7 @@ def test_criterion_8_specialization_inequalities(specializations):
     try:
         assert specializations, "no applicable (partition, e) pairs found"
         for p, e, _, report_full, report_reduced in specializations:
-            q = derived(p)
+            q = classify(p)
             d_e = p.parts[e - 1]
             dim_IZ = report_full.measured["dim_IZ"]
             dim_IZ_reduced = report_reduced.measured["dim_IZ"]

@@ -531,6 +531,46 @@ class TestSweep:
             assert len(text) <= block or text.count("\n") == 1
         assert len(writes) <= -(-len(out) // block) + 2
 
+    @pytest.mark.parametrize(
+        "argv, header, blocks, writes",
+        [
+            (("--d-max", "30"), 0, True, 220),
+            (("--d-max", "30", "--format", "csv"), 1, True, 72),
+            (("--d-max", "8", "--mode", "verify"), 0, False, 59),
+        ],
+        ids=["json-d30", "csv-d30", "verify-d8"],
+    )
+    def test_write_and_flush_sequence_is_pinned(self, monkeypatch, argv, header, blocks, writes):
+        # The launcher that measures a sweep's peak RSS grows with the shape
+        # of the child's writes, so the block policy is pinned write by
+        # write: the first record alone (with the CSV header), then each
+        # block as many whole records as fit in BLOCK_CHARS, or each record
+        # alone without blocks; one flush after every write.
+        calls = []  # each write's text, and None for each flush
+
+        class Recorded(io.StringIO):
+            def write(self, text):
+                calls.append(text)
+                return super().write(text)
+
+            def flush(self):
+                calls.append(None)
+
+        monkeypatch.setattr(sys, "stdout", Recorded())
+        assert main(["sweep", *argv]) == 0
+        lines = sys.stdout.getvalue().splitlines(keepends=True)
+        expected = ["".join(lines[: header + 1])]
+        for line in lines[header + 1 :]:
+            if blocks and len(expected) > 1 and len(expected[-1]) + len(line) <= cli.BLOCK_CHARS:
+                expected[-1] += line
+            else:
+                expected.append(line)
+        if not blocks:
+            # multiprocessing also flushes stdout before it forks each worker.
+            calls = [call for i, call in enumerate(calls) if call is not None or calls[i - 1] is not None]
+        assert calls == [call for text in expected for call in (text, None)]
+        assert len(expected) == writes
+
     def test_classify_sweep_error_keeps_earlier_records(self, capsys, monkeypatch):
         # Records held for a block are still written when a later partition
         # fails: exit 2 with its message, and every record before it out.

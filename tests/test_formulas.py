@@ -16,7 +16,7 @@ from secantlines.formulas import (
     classify,
     hilbert_function_theory,
 )
-from secantlines.partitions import Partition, derived, enumerate_partitions
+from secantlines.partitions import Partition, enumerate_partitions
 
 
 class TestDimVariety:
@@ -28,8 +28,8 @@ class TestDimVariety:
 
     def test_point_count_form_agrees(self):
         for p in enumerate_partitions(15):
-            q = derived(p)
-            assert classify(p).dim_X == comb(q.d + 2, 2) - q.D - 1
+            q = classify(p)
+            assert q.dim_X == comb(q.d + 2, 2) - q.D - 1
 
 
 class TestExpectedDimSigma2:
@@ -48,14 +48,14 @@ class TestHilbertFunction:
     @pytest.mark.parametrize("parts", [[2, 1], [3, 3], [4, 2, 1], [1, 1, 1, 1, 1]])
     def test_stabilizes_at_point_count(self, parts):
         p = Partition(parts)
-        q = derived(p)
+        q = classify(p)
         for j in range(max(q.d - 2, 0), q.d + 4):
             assert hilbert_function_theory(p, j) == q.D
 
     def test_branches_agree_on_overlap(self):
         # the closed formula and the stabilized value coincide at j = d-2, d-1
         for p in enumerate_partitions(18):
-            q = derived(p)
+            q = classify(p)
             for j in (q.d - 2, q.d - 1):
                 if j < 0:
                     continue
@@ -66,7 +66,7 @@ class TestHilbertFunction:
 
     def test_monotone_and_capped(self):
         for p in enumerate_partitions(12):
-            q = derived(p)
+            q = classify(p)
             values = [hilbert_function_theory(p, j) for j in range(q.d + 2)]
             assert values == sorted(values)
             for j, h in enumerate(values):
@@ -90,9 +90,9 @@ class TestDefectivity:
     def test_boundary_five_factor_family(self, d1):
         # tail (1,1,1,1) sits exactly on 2p - 3s = 0
         p = Partition([d1, 1, 1, 1, 1])
-        q = derived(p)
+        q = classify(p)
         assert 2 * q.p - 3 * q.s == 0
-        assert not classify(p).defective
+        assert not q.defective
 
     @pytest.mark.parametrize(
         "parts, want", [([9, 7, 2], 1), ([10, 7, 2], 1), ([3, 2, 1], 0)]
@@ -153,7 +153,7 @@ class TestFillsAmbient:
     def test_iff_dimension_reaches_ambient(self):
         for p in enumerate_partitions(11):
             report = classify(p)
-            assert report.fills_ambient == (report.dim_sigma2 == derived(p).N)
+            assert report.fills_ambient == (report.dim_sigma2 == report.N)
 
 
 class TestCaseLabels:
@@ -184,9 +184,9 @@ class TestCaseLabels:
         # Every partition with d <= 30, the classify-sweep range, on both sides.
         sides = set()
         for p in enumerate_partitions(30):
-            q = derived(p)
+            q = classify(p)
             side = 2 * q.p - 3 * q.s > 0
-            assert classify(p).case_label.defective_side == side, p
+            assert q.case_label.defective_side == side, p
             sides.add(side)
         assert sides == {False, True}
 
@@ -214,8 +214,7 @@ def test_wide_sweep_consistency():
     # range.
     count = 0
     for p in enumerate_partitions(30):
-        q = derived(p)
-        report = classify(p)
+        q = report = classify(p)
         assert report.dim_X == comb(q.d + 2, 2) - q.D - 1
         if report.defective:
             d1 = p.parts[0]
@@ -237,7 +236,7 @@ class TestDerivationChecks:
     @pytest.mark.parametrize(
         "target, broken, check, parts",
         [
-            ("derived", lambda real: lambda p: replace(real(p), D=real(p).D + 1), "dim_X", [2, 1]),
+            ("_invariants", lambda real: lambda p: real(p)[:1] + (real(p)[1] + 1,) + real(p)[2:], "dim_X", [2, 1]),
             ("_unbalanced_dim_IZ", lambda real: lambda *args: 0, "delta2", [20, 7, 2]),
             ("_defect", _shifted, "dim_IZ", [9, 7, 2]),
             ("_dim_IZ", _shifted, "dim_sigma2", [9, 7, 2]),
@@ -253,23 +252,23 @@ class TestDerivationChecks:
 
     def test_classify_runs_each_check_once(self, monkeypatch):
         # [9,7,2] is defective and in the unbalanced-positive regime, so all
-        # six checks apply; each runs once, on one derived() result.
-        checks, derivations = [], []
-        real_check, real_derived = formulas._check_agreement, formulas.derived
+        # six checks apply; each runs once, on one pass over its parts.
+        checks, passes = [], []
+        real_check, real_invariants = formulas._check_agreement, formulas._invariants
 
         def counted_check(name, *args):
             checks.append(name)
             real_check(name, *args)
 
-        def counted_derived(partition):
-            derivations.append(partition)
-            return real_derived(partition)
+        def counted_invariants(partition):
+            passes.append(partition)
+            return real_invariants(partition)
 
         monkeypatch.setattr(formulas, "_check_agreement", counted_check)
-        monkeypatch.setattr(formulas, "derived", counted_derived)
+        monkeypatch.setattr(formulas, "_invariants", counted_invariants)
         classify(Partition([9, 7, 2]))
         assert checks == ["dim_X", "delta2", "dim_IZ", "dim_sigma2", "fills_ambient", "case_label"]
-        assert derivations == [Partition([9, 7, 2])]
+        assert passes == [Partition([9, 7, 2])]
 
 
 class TestClassifyCalls:
@@ -306,9 +305,11 @@ class TestClassificationReport:
     def test_invariants_hold_everywhere(self):
         for p in enumerate_partitions(12):
             report = classify(p)
-            q = derived(p)
-            assert (report.d, report.D, report.N, report.s, report.p) == (q.d, q.D, q.N, q.s, q.p)
-            assert report.two_p_minus_three_s == 2 * q.p - 3 * q.s
+            assert report.d == sum(p.parts) and report.s == report.d - p.parts[0]
+            assert report.N == comb(report.d + 2, 2) - 1
+            assert report.D == sum(a * b for i, a in enumerate(p.parts) for b in p.parts[i + 1 :])
+            assert report.p == report.D - p.parts[0] * report.s
+            assert report.two_p_minus_three_s == 2 * report.p - 3 * report.s
             assert report.dim_sigma2 == report.exp_dim_sigma2 - report.delta2
             assert report.defective == (report.delta2 > 0)
             assert report.dim_IZ == report.exp_dim_IZ + report.delta2
@@ -335,9 +336,9 @@ def assert_equals_its_init_rebuild(value):
 
 
 class TestFastConstruction:
-    # `classify` and `derived` fill each frozen instance with one dict update
-    # and never call __init__; every record with d <= 30 must equal the one
-    # the generated __init__ builds.
+    # `classify` fills each frozen report with one dict update and never
+    # calls __init__; every record with d <= 30 must equal the one the
+    # generated __init__ builds.
     def test_equals_the_generated_init_to_degree_30(self):
         count = 0
         for p in enumerate_partitions(30):
@@ -345,27 +346,20 @@ class TestFastConstruction:
             rebuilt = assert_equals_its_init_rebuild(report)
             assert report.json_line() == rebuilt.json_line()
             assert report.to_dict() == rebuilt.to_dict()
-            assert_equals_its_init_rebuild(derived(p))
             count += 1
         assert count == 28598
 
     def test_sets_every_field_in_field_order(self):
         # A field added to the class but not to the dict update fails here.
-        p = Partition([9, 7, 2])
-        for value in (classify(p), derived(p)):
-            assert list(vars(value)) == [f.name for f in fields(value)]
+        value = classify(Partition([9, 7, 2]))
+        assert list(vars(value)) == [f.name for f in fields(value)]
 
     def test_stays_frozen(self):
-        p = Partition([9, 7, 2])
-        for value in (classify(p), derived(p)):
-            for f in fields(value):
-                with pytest.raises(FrozenInstanceError):
-                    setattr(value, f.name, None)
-            assert replace(value) == value
-
-    def test_derived_still_rejects_values_past_64_bits(self):
-        with pytest.raises(OverflowError):
-            derived(Partition([2**40, 2**40]))
+        value = classify(Partition([9, 7, 2]))
+        for f in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, None)
+        assert replace(value) == value
 
 
 def assert_json_line_is_the_record(report):

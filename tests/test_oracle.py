@@ -34,7 +34,7 @@ from secantlines.oracle import (
     tangent_slice,
     verify,
 )
-from secantlines.partitions import Partition, derived, enumerate_partitions
+from secantlines.partitions import Partition, enumerate_partitions
 
 from reference import eliminate, nullspace, rank
 
@@ -572,7 +572,7 @@ class TestBlocks:
     def test_every_slice_row_is_built_once_a_block_at_a_time(self, monkeypatch):
         # With r <= 3 only G's slice is built, on the D columns F's misses.
         partition = Partition([25, 15])
-        assert self.widths_built_once(monkeypatch, partition, 1) == {derived(partition).D}
+        assert self.widths_built_once(monkeypatch, partition, 1) == {classify(partition).D}
 
     def test_both_drawn_points_build_each_row_once_a_block_at_a_time(self, monkeypatch):
         # With r >= 4 both points' slices are built, on every column.
@@ -660,7 +660,7 @@ class TestSliceDimensions:
     @pytest.mark.parametrize("parts", [[2, 1], [2, 2, 1], [3, 2]])
     def test_hilbert_stabilizes_at_point_count(self, parts):
         p = Partition(parts)
-        q = derived(p)
+        q = classify(p)
         assert hilbert(p, SEED)[q.d] == q.D
 
     @pytest.mark.parametrize("parts", [[3, 2], [2, 2, 1], [1, 1, 1, 1]])
@@ -671,7 +671,7 @@ class TestSliceDimensions:
     @pytest.mark.parametrize("parts", [[3, 2], [2, 2, 1], [2, 1, 1, 1]])
     def test_hilbert_monotone_for_fixed_factors(self, parts):
         p = Partition(parts)
-        q = derived(p)
+        q = classify(p)
         values = hilbert(p, SEED)
         assert values == sorted(values)
         for j, h in enumerate(values):

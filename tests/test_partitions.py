@@ -3,12 +3,12 @@ from functools import lru_cache
 
 import pytest
 
+from secantlines.formulas import classify
 from secantlines.partitions import (
     EmptyPartitionError,
     NonPositivePartError,
     Partition,
     TooFewPartsError,
-    derived,
     enumerate_partitions,
 )
 
@@ -84,24 +84,24 @@ class TestDerived:
         ],
     )
     def test_examples(self, parts, d, D, N, s, p):
-        q = derived(Partition(parts))
+        q = classify(Partition(parts))
         assert (q.d, q.D, q.N, q.s, q.p) == (d, D, N, s, p)
 
     def test_pairwise_identity_everywhere(self):
         # D = d1 * s + p, and 2D = d^2 - sum d_i^2
         for part in enumerate_partitions(12):
-            q = derived(part)
+            q = classify(part)
             assert q.D == part.parts[0] * q.s + q.p
             assert 2 * q.D == q.d**2 - sum(di**2 for di in part.parts)
 
     def test_p_e_zero_iff_two_parts(self):
         for part in enumerate_partitions(10):
-            q = derived(part)
+            q = classify(part)
             assert (q.p == 0) == (part.r == 2)
 
     def test_overflow_rejected(self):
         with pytest.raises(OverflowError):
-            derived(Partition([2**40, 2**40]))
+            classify(Partition([2**40, 2**40]))
 
 
 class TestEnumeration:
