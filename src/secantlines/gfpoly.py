@@ -187,37 +187,3 @@ def cofactor_products(factors: Sequence[np.ndarray], modulus: int) -> list[np.nd
     middle = (times(prefix[i - 1], suffix[i]) for i in range(1, r - 1))
     return [suffix[0] % modulus, *middle, prefix[-1] % modulus]
 
-
-def monomial_multiples(
-    f: np.ndarray,
-    target_degree: int,
-    out: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
-    monomials: np.ndarray | None = None,
-    columns: np.ndarray | None = None,
-) -> np.ndarray:
-    """Matrix whose rows are the products m * f for m a monomial of degree
-    target_degree - deg f, in graded-lex order of m; given `monomials`, only
-    the products by the monomials at those positions of that order, in turn.
-
-    It has no rows when the target degree is below the degree of f (such a
-    generator contributes nothing to that graded piece). Given `out`, zero
-    where the products go, product k is written into row rows[k] of `out` in
-    place of a new matrix, and `out` is returned; rows[k] defaults to k.
-    Given `columns`, the coefficient on the monomial at position i goes to
-    column columns[i] of `out`, not to column i.
-    """
-    degree = form_degree(f)
-    shift = target_degree - degree
-    if monomials is not None:
-        count = len(monomials)
-    else:
-        count = num_monomials(shift) if shift >= 0 else 0
-    if out is None:
-        out = np.zeros((count, num_monomials(target_degree)), dtype=f.dtype)
-    if rows is None:
-        rows = np.arange(count)
-    if count:
-        index = product_index(shift, degree, monomials)
-        out[rows[:, None], index if columns is None else columns[index]] = f
-    return out

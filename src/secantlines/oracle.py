@@ -47,7 +47,6 @@ from .gfpoly import (
     derive_seed,
     form_degree,
     monomial,
-    monomial_multiples,
     num_monomials,
     product_index,
     random_form,
@@ -366,71 +365,65 @@ def tangent_slice(
     cofactors: Sequence[np.ndarray],
     j: int,
     rows: np.ndarray | None = None,
-    start: int = 0,
-    stop: int | None = None,
     columns: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows spanning the degree-j piece of the ideal generated by the
     all-but-one factor products of one factored form, as a float64 matrix.
 
-    One block of rows per cofactor: all its monomial multiples of degree j.
-    Row k of the blocks, taken in turn, is row rows[k] of the slice (k by
-    default). The matrix holds slice rows start..stop-1 (all of them by
-    default), so a reordered slice, or any run of its rows, is built in
-    place; a run may span cofactors. Given `columns`, it holds only those
-    columns of the slice, in that order: every other monomial is written to
-    one spare column, which the view returned leaves out. Cofactors of
-    degree above j contribute no rows. At j = d the row span is the affine
-    cone over the tangent space of the variety of split forms at that point.
+    In block order the slice has one block of rows per cofactor, in turn:
+    its monomial multiples of degree j, in graded-lex order of the monomial.
+    Row k of the matrix is block row rows[k] (every block row, in block
+    order, by default), so a reordered slice, or any run of its rows, is
+    built in place, with work in proportion to the rows built. Given
+    `columns`, it holds only those columns of the slice, in that order:
+    every other monomial is written to one spare column, which the view
+    returned leaves out. Cofactors of degree above j contribute no rows. At
+    j = d the row span is the affine cone over the tangent space of the
+    variety of split forms at that point.
     """
     if j < 0:
         raise ValueError(f"degree must be >= 0, got {j}")
     sizes = [num_monomials(j - e) if e <= j else 0 for e in map(form_degree, cofactors)]
     if rows is None:
         rows = np.arange(sum(sizes))
-    if stop is None:
-        stop = rows.size
     width, place = num_monomials(j), None
     if columns is not None:
         place = np.full(width, columns.size)
         place[columns] = np.arange(columns.size)
         width = columns.size + 1
-    out = np.zeros((stop - start, width))
-    targets = rows - start
-    inside = (targets >= 0) & (targets < len(out))
+    out = np.zeros((rows.size, width))
     first = 0
     for cofactor, size in zip(cofactors, sizes):
-        kept = np.flatnonzero(inside[first : first + size])
-        monomial_multiples(cofactor, j, out, targets[first:][kept], kept, place)
+        kept = np.flatnonzero((rows >= first) & (rows < first + size))
+        if kept.size:
+            e = form_degree(cofactor)
+            index = product_index(j - e, e, rows[kept] - first)
+            out[kept[:, None], index if place is None else place[index]] = cofactor
         first += size
     return out if columns is None else out[:, :-1]
 
 
 @dataclass(frozen=True, eq=False)
 class _Slice:
-    """Rows start..stop-1 of a tangent slice (`tangent_slice`), on the given
-    columns only (all of them by default), built only when read with
-    `np.asarray`. Slicing it with [a:b] gives another run of rows and builds
-    nothing."""
+    """The tangent slice rows that `tangent_slice(cofactors, j, rows,
+    columns)` builds, built only when read with `np.asarray`. Slicing it
+    with [a:b] slices `rows`, a view, and builds nothing."""
 
     cofactors: Sequence[np.ndarray]
     j: int
-    rows: np.ndarray | None
-    start: int
-    stop: int
+    rows: np.ndarray
     columns: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         width = num_monomials(self.j) if self.columns is None else self.columns.size
-        return self.stop - self.start, width
+        return self.rows.size, width
 
     def __getitem__(self, key: slice) -> _Slice:
-        first, last, _ = key.indices(self.stop - self.start)
-        return replace(self, start=self.start + first, stop=self.start + last)
+        return replace(self, rows=self.rows[key])
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        built = tangent_slice(self.cofactors, self.j, self.rows, self.start, self.stop, self.columns)
+        built = tangent_slice(self.cofactors, self.j, self.rows, self.columns)
         return np.asarray(built, dtype=dtype)
 
 
@@ -442,9 +435,10 @@ def _draw_cofactors(partition: Partition, seed: int, prime: int) -> list[np.ndar
 
 
 def _hilbert_order(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """The row of the degree-d tangent slice that each row of its blocks
-    moves to, so that, for every j = 0..d, the rows spanning x0^(d-j) times
-    the degree-j slice come first, and the number of those rows for each j.
+    """The block rows of the degree-d tangent slice (`tangent_slice`) in
+    Hilbert order, in which, for every j = 0..d, the rows spanning x0^(d-j)
+    times the degree-j slice come first, and the number of those rows for
+    each j.
 
     Row m * G_i, for the cofactor G_i of degree e = d - d_i and a monomial m
     of degree d_i, lies in x0^(d-j) times the degree-j slice exactly when e
@@ -457,7 +451,7 @@ def _hilbert_order(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     keys = np.concatenate([x0_codegree(di) + d - di for di in partition.parts])
     order = np.argsort(keys, kind="stable")
     counts = np.searchsorted(keys[order], np.arange(d + 1), side="right")
-    return np.argsort(order), counts
+    return order, counts
 
 
 def _ceilings(
@@ -518,11 +512,11 @@ def _trial(
     Each `_Slice` is dropped once read, and F's basis before the residual's
     rank is taken.
     """
-    d, n_rows = partition.d, rows.size
-    f = _Slice(_draw_cofactors(partition, derive_seed(seed, 0), prime), d, rows, 0, n_rows)
+    d = partition.d
+    f = _Slice(_draw_cofactors(partition, derive_seed(seed, 0), prime), d, rows)
     pivots, tail, independent = _rref(f, prime)
     del f
-    g = _Slice(_draw_cofactors(partition, derive_seed(seed, 1), prime), d, None, 0, n_rows)
+    g = _Slice(_draw_cofactors(partition, derive_seed(seed, 1), prime), d, np.arange(rows.size))
     residual = _reduce(pivots, tail, g, prime)
     rank = pivots.size
     del g, pivots, tail
@@ -553,8 +547,8 @@ def _monomial_trial(
     partition: Partition, seed: int, prime: int, rows: np.ndarray, counts: np.ndarray
 ) -> tuple[list[int], int]:
     """`_trial` for r <= 3, with the monomial point F = x0^d1 x1^d2 (x2^d3)
-    as its first point: F is neither drawn nor eliminated, and `rows` goes
-    unused. G is drawn at derive_seed(seed, 1), as in `_trial`.
+    as its first point: F is neither drawn nor eliminated. G is drawn at
+    derive_seed(seed, 1), as in `_trial`.
 
     Each cofactor F / x_i^d_i is a monomial, so each slice of F is spanned
     by monomials, and its rank is a count, the same in every characteristic:
@@ -573,7 +567,7 @@ def _monomial_trial(
     d = partition.d
     free = _free_columns(_monomial_cofactors(partition), d)
     cofactors = _draw_cofactors(partition, derive_seed(seed, 1), prime)
-    g = _Slice(cofactors, d, None, 0, int(counts[-1]), free)
+    g = _Slice(cofactors, d, np.arange(counts[-1]), free)
     top = num_monomials(d) - free.size
     return [*counts[:-1].tolist(), top], top + _rank(g, prime)
 

@@ -1,12 +1,14 @@
-"""Integer-matrix helpers the oracle tests compare the blocked kernel with.
+"""Helpers the tests compare the package with.
 
 `eliminate` is an int64 row loop, independent of the float64 kernel: the
 reference for its bases and row rank profiles. `rank` runs the kernel on an
 integer matrix, and `nullspace` reads a kernel basis off `eliminate`.
+`monomial_multiples` builds one cofactor's block of a tangent slice whole.
 """
 
 import numpy as np
 
+from secantlines.gfpoly import form_degree, num_monomials, product_index
 from secantlines.oracle import _blocked, _complement, _rank
 
 
@@ -67,3 +69,17 @@ def nullspace(rows, modulus: int) -> np.ndarray:
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -a[independent][:, free].T % modulus
     return basis
+
+
+def monomial_multiples(f: np.ndarray, target_degree: int) -> np.ndarray:
+    """Matrix whose rows are the products m * f for m a monomial of degree
+    target_degree - deg f, in graded-lex order of m; it has no rows when the
+    target degree is below the degree of f."""
+    degree = form_degree(f)
+    shift = target_degree - degree
+    if shift < 0:
+        return np.zeros((0, num_monomials(target_degree)), dtype=f.dtype)
+    index = product_index(shift, degree)
+    out = np.zeros((len(index), num_monomials(target_degree)), dtype=f.dtype)
+    out[np.arange(len(index))[:, None], index] = f
+    return out

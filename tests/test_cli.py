@@ -1011,9 +1011,10 @@ def test_closed_form_exports_never_import_numpy():
 
 
 def test_public_names_have_a_caller_in_src():
-    # Every public top-level function and class of the closed forms and the
-    # oracle is exported in __all__ or referenced in src/ outside its own
-    # definition, so no public API exists for the tests alone.
+    # Every public top-level function and class of the closed forms, the
+    # oracle, the forms and the partitions is exported in __all__ or
+    # referenced in src/ outside its own definition, so no public API exists
+    # for the tests alone.
     src = Path(cli.__file__).resolve().parent
     trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
     exported = set(ast.literal_eval(next(
@@ -1022,7 +1023,7 @@ def test_public_names_have_a_caller_in_src():
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
     )))
     uncalled = []
-    for module in ("formulas", "oracle"):
+    for module in ("formulas", "oracle", "gfpoly", "partitions"):
         for definition in trees[module].body:
             if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)) or definition.name.startswith("_"):
                 continue

