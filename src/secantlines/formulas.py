@@ -156,11 +156,6 @@ class CaseLabel(str, Enum):
     R5_D2GE2 = "r5_d2ge2"
     R6PLUS = "r6plus"
 
-    @property
-    def defective_side(self) -> bool:
-        """True for the families where 2p - 3s > 0."""
-        return self in _DEFECTIVE_SIDE
-
 
 _DEFECTIVE_SIDE = frozenset(
     {

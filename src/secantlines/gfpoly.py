@@ -3,10 +3,12 @@
 A form of degree d is an int64 numpy vector of its C(d+2, 2) coefficients in
 the graded-lex order on monomials x0^a x1^b x2^c: a descending, then b
 descending, so x0^d comes first and x2^d last. The degree follows from the
-length. That order is known only to `product_index` and `monomial`; products
-and monomial shifts are scatters through the positions `product_index`
-returns. `multiply` is exact for a modulus below 2**31; the oracle's primes
-are far below that, as `oracle.check_prime` admits none above about 1.7e7.
+length. That order is known only to `product_index` and `exponents`:
+products and monomial shifts are scatters through the positions
+`product_index` returns, and any other question about the monomial at a
+position is asked of its exponents. `multiply` is exact for a modulus below
+2**31; the oracle's primes are far below that, as `oracle.check_prime` admits
+none above about 1.7e7.
 """
 
 from __future__ import annotations
@@ -92,10 +94,11 @@ def _grading(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return t, c
 
 
-def x0_codegree(degree: int) -> np.ndarray:
-    """Per graded-lex position of degree `degree`: the degree minus the
-    exponent of x0 (read-only). It never decreases along the order."""
-    return _grading(degree)[0]
+def exponents(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per graded-lex position of degree `degree`: the exponents of x0, x1
+    and x2 of its monomial. The x0 exponent never increases along the order."""
+    t, c = _grading(degree)
+    return degree - t, t - c, c
 
 
 def _product_index(m: int, n: int, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
@@ -131,14 +134,6 @@ def product_index(m: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
         return _product_index(m, n, slice(None) if rows is None else rows)
     table = _cached_product_index(m, n)
     return table if rows is None else table[rows]
-
-
-def monomial(a: int, b: int, c: int) -> np.ndarray:
-    """The form x0^a x1^b x2^c: a one at position t(t+1)/2 + c, t = b + c."""
-    t = b + c
-    form = np.zeros(num_monomials(a + t), dtype=np.int64)
-    form[t * (t + 1) // 2 + c] = 1
-    return form
 
 
 def random_form(modulus: int, degree: int, seed: int) -> np.ndarray:

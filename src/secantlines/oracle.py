@@ -45,12 +45,11 @@ from .formulas import ClassificationReport, _check_agreement, classify, hilbert_
 from .gfpoly import (
     cofactor_products,
     derive_seed,
+    exponents,
     form_degree,
-    monomial,
     num_monomials,
     product_index,
     random_form,
-    x0_codegree,
 )
 from .partitions import Partition
 
@@ -136,10 +135,10 @@ def _blocked(n_cols: int, modulus: int) -> bool:
 
 
 def _largest_prime(n_cols: int) -> int:
-    """The largest prime at which `_blocked` admits `n_cols` columns. With
-    k = max(n_cols, LEAF_ROWS), M * h >= (p**2 - 1) / 2 exceeds 2**52 / k
-    for every p from isqrt(2**53 // k) + 2 up, so the search walks down from
-    there."""
+    """The largest prime at which `_blocked` admits `n_cols` columns, if it
+    admits 2. With k = max(n_cols, LEAF_ROWS), M * h >= (p**2 - 1) / 2
+    exceeds 2**52 / k for every p from isqrt(2**53 // k) + 2 up, so the
+    search walks down from there."""
     prime = isqrt(2**53 // max(n_cols, LEAF_ROWS)) + 2
     while not (_blocked(n_cols, prime) and is_prime(prime)):
         prime -= 1
@@ -149,14 +148,17 @@ def _largest_prime(n_cols: int) -> int:
 def check_prime(d: int, prime: int) -> None:
     """Raise ValueError unless `prime` is prime and the kernel is exact mod
     it on the degree-d tangent slices, the widest matrices a partition of d
-    eliminates, naming the largest prime it admits there."""
+    eliminates, naming the largest prime it admits there. It admits none
+    from d = 47,453,132 on, where M * h = 4 at p = 2 already leaves the
+    exact range."""
     if not is_prime(prime):
         raise ValueError(f"modulus {prime} is not prime")
     n_cols = num_monomials(d)
     if not _blocked(n_cols, prime):
+        admitted = f"primes up to {_largest_prime(n_cols)}" if _blocked(n_cols, 2) else "no prime"
         raise ValueError(
             f"prime {prime} is too large for degree {d}: the exact float64 kernel "
-            f"admits primes up to {_largest_prime(n_cols)} on its {n_cols} columns"
+            f"admits {admitted} on its {n_cols} columns"
         )
 
 
@@ -448,7 +450,7 @@ def _hilbert_order(partition: Partition) -> tuple[np.ndarray, np.ndarray]:
     draw and every prime. Both depend on the cofactor degrees only.
     """
     d = partition.d
-    keys = np.concatenate([x0_codegree(di) + d - di for di in partition.parts])
+    keys = np.concatenate([d - exponents(di)[0] for di in partition.parts])
     order = np.argsort(keys, kind="stable")
     counts = np.searchsorted(keys[order], np.arange(d + 1), side="right")
     return order, counts
@@ -523,24 +525,14 @@ def _trial(
     return np.searchsorted(independent, counts).tolist(), rank + _rank(residual, prime)
 
 
-def _monomial_cofactors(partition: Partition) -> list[np.ndarray]:
-    """Cofactors of the monomial point F = x0^d1 x1^d2 (x2^d3) of a
-    partition with r <= 3: each F / x_i^d_i is a monomial."""
-    exponents = (*partition.parts, 0)[:3]
-    return [
-        monomial(*(0 if k == i else e for k, e in enumerate(exponents)))
-        for i in range(partition.r)
-    ]
-
-
-def _free_columns(cofactors: Sequence[np.ndarray], d: int) -> np.ndarray:
-    """The degree-d monomials that are multiples of none of these monomial
-    cofactors: the columns on which their degree-d slice is zero."""
-    reached = np.zeros(num_monomials(d), dtype=bool)
-    for cofactor in cofactors:
-        e = form_degree(cofactor)
-        reached[product_index(e, d - e, np.flatnonzero(cofactor))] = True
-    return np.flatnonzero(~reached)
+def _free_columns(partition: Partition) -> np.ndarray:
+    """The degree-d monomials that no cofactor F / x_i^d_i of the monomial
+    point F = x0^d1 x1^d2 (x2^d3) divides, for r <= 3: the columns on which
+    F's degree-d slice is zero. F / x_i^d_i divides a monomial exactly when
+    its exponent of x_k is at least d_k for every k != i, so a monomial is
+    reached exactly when at least r - 1 of the r comparisons hold."""
+    reached = sum(e >= di for e, di in zip(exponents(partition.d), partition.parts))
+    return np.flatnonzero(reached < partition.r - 1)
 
 
 def _monomial_trial(
@@ -565,7 +557,7 @@ def _monomial_trial(
     certified in the same way.
     """
     d = partition.d
-    free = _free_columns(_monomial_cofactors(partition), d)
+    free = _free_columns(partition)
     cofactors = _draw_cofactors(partition, derive_seed(seed, 1), prime)
     g = _Slice(cofactors, d, np.arange(counts[-1]), free)
     top = num_monomials(d) - free.size
@@ -651,18 +643,18 @@ def verify(
     push G's rank above generic shows in F's; with r <= 3, G's slice enters
     only through the stacked rank, which is checked against its ceiling. A
     prime that `check_prime` rejects at degree d raises ValueError before
-    any draw.
+    any prediction is built, as does a cap below one trial.
     """
     report = classify(partition)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    check_prime(partition.d, prime)
     predicted = {
         "dim_IF_d": report.dim_X + 1,
         "hilbert": [hilbert_function_theory(partition, j) for j in range(partition.d + 1)],
         "dim_sigma2": report.dim_sigma2,
         "dim_IZ": report.dim_IZ,
     }
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    check_prime(partition.d, prime)
     rows, counts = _hilbert_order(partition)
     ceilings = _ceilings(partition, report, counts)
     # dim_IF_d and dim_IZ follow from these, by `classify`'s own checks.

@@ -4,12 +4,30 @@
 reference for its bases and row rank profiles. `rank` runs the kernel on an
 integer matrix, and `nullspace` reads a kernel basis off `eliminate`.
 `monomial_multiples` builds one cofactor's block of a tangent slice whole.
+`exponents` writes the graded-lex order out as a list, and `monomial` places
+a monomial's one by it, independently of `gfpoly`'s arithmetic on positions.
 """
 
 import numpy as np
 
 from secantlines.gfpoly import form_degree, num_monomials, product_index
 from secantlines.oracle import _blocked, _complement, _rank
+
+
+def exponents(degree: int) -> list[tuple[int, int, int]]:
+    """Graded-lex order written out: x0-exponent descending, then x1-exponent."""
+    return [
+        (a, b, degree - a - b)
+        for a in range(degree, -1, -1)
+        for b in range(degree - a, -1, -1)
+    ]
+
+
+def monomial(a: int, b: int, c: int) -> np.ndarray:
+    """The form x0^a x1^b x2^c, at its place in the written-out order."""
+    form = np.zeros(num_monomials(a + b + c), dtype=np.int64)
+    form[exponents(a + b + c).index((a, b, c))] = 1
+    return form
 
 
 def eliminate(work: np.ndarray, modulus: int) -> tuple[list[int], list[int]]:

@@ -1013,8 +1013,9 @@ def test_closed_form_exports_never_import_numpy():
 def test_public_names_have_a_caller_in_src():
     # Every public top-level function and class of the closed forms, the
     # oracle, the forms and the partitions is exported in __all__ or
-    # referenced in src/ outside its own definition, so no public API exists
-    # for the tests alone.
+    # referenced in src/ outside its own definition, and so is every public
+    # method and property of a public class, so no public API exists for the
+    # tests alone.
     src = Path(cli.__file__).resolve().parent
     trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
     exported = set(ast.literal_eval(next(
@@ -1022,11 +1023,18 @@ def test_public_names_have_a_caller_in_src():
         for node in trees["__init__"].body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
     )))
+
+    def public(body):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield node, node.name
+                if isinstance(node, ast.ClassDef):
+                    for method, name in public(node.body):
+                        yield method, f"{node.name}.{name}"
+
     uncalled = []
     for module in ("formulas", "oracle", "gfpoly", "partitions"):
-        for definition in trees[module].body:
-            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)) or definition.name.startswith("_"):
-                continue
+        for definition, qualified in public(trees[module].body):
             name = definition.name
             inside = {id(node) for node in ast.walk(definition)}
             referenced = any(
@@ -1036,6 +1044,6 @@ def test_public_names_have_a_caller_in_src():
                 for node in ast.walk(tree)
                 if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
             )
-            if not (referenced or name in exported):
-                uncalled.append(f"{module}.{name}")
+            if not (referenced or qualified in exported):
+                uncalled.append(f"{module}.{qualified}")
     assert uncalled == []

@@ -13,29 +13,13 @@ from secantlines.gfpoly import (
     num_monomials,
     product_index,
     random_form,
-    x0_codegree,
 )
 from secantlines.partitions import Partition
 
-from reference import monomial_multiples
+from reference import exponents, monomial, monomial_multiples
 
 P = DEFAULT_PRIME
 ONE = np.ones(1, dtype=np.int64)
-
-
-def exponents(degree):
-    """Graded-lex order written out: x0-exponent descending, then x1-exponent."""
-    return [
-        (a, b, degree - a - b)
-        for a in range(degree, -1, -1)
-        for b in range(degree - a, -1, -1)
-    ]
-
-
-def monomial(a, b, c):
-    form = np.zeros(num_monomials(a + b + c), dtype=np.int64)
-    form[exponents(a + b + c).index((a, b, c))] = 1
-    return form
 
 
 def x(i):
@@ -125,15 +109,14 @@ class TestMonomialIndex:
             assert set(positions.ravel().tolist()) == set(range(num_monomials(m + n)))
         np.testing.assert_array_equal(product_index(0, 9)[0], np.arange(num_monomials(9)))
 
-    def test_x0_codegree(self):
+    def test_exponents_are_the_written_out_order(self):
+        # Position k's exponents of x0, x1 and x2 are the k-th monomial of
+        # the written-out order.
         for degree in range(13):
-            want = [degree - a for a, _, _ in exponents(degree)]
-            np.testing.assert_array_equal(x0_codegree(degree), want)
+            got = np.column_stack(gfpoly.exponents(degree))
+            np.testing.assert_array_equal(got, exponents(degree))
 
     def test_cached_grading_is_read_only(self):
-        assert x0_codegree(5) is x0_codegree(5)
-        with pytest.raises(ValueError):
-            x0_codegree(5)[0] = 1
         # product_index caches small tables and hands out every table
         # read-only, so no caller can corrupt another's positions.
         assert product_index(2, 3) is product_index(2, 3)
@@ -169,11 +152,6 @@ class TestForm:
     def test_coefficients_normalized(self):
         form = np.array([-1, P, P + 2], dtype=np.int64)
         np.testing.assert_array_equal(multiply(form, ONE, P), [P - 1, 0, 2])
-
-    def test_monomial_is_the_written_out_order(self):
-        for degree in range(9):
-            for a, b, c in exponents(degree):
-                np.testing.assert_array_equal(gfpoly.monomial(a, b, c), monomial(a, b, c))
 
     def test_zero_one_monomial(self):
         assert not multiply(np.zeros(10, dtype=np.int64), random_form(P, 2, 3), P).any()

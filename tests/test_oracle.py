@@ -24,7 +24,6 @@ from secantlines.oracle import (
     _hilbert_order,
     _largest_prime,
     _mod,
-    _monomial_cofactors,
     _monomial_trial,
     _rank,
     _reduce,
@@ -36,7 +35,7 @@ from secantlines.oracle import (
 )
 from secantlines.partitions import Partition, enumerate_partitions
 
-from reference import eliminate, monomial_multiples, nullspace, rank
+from reference import eliminate, exponents, monomial, monomial_multiples, nullspace, rank
 
 P = 1_000_003
 SEED = 1234
@@ -430,16 +429,42 @@ class TestBlockedElimination:
             verify(partition, prime=2**31 - 1, trials=1, base_seed=SEED)
         assert verify(partition, prime=7_672_711).certified
 
+    def test_bad_prime_and_cap_are_refused_before_any_prediction(self, monkeypatch):
+        # The Hilbert function prediction takes d + 1 calls, so a prime or a
+        # cap that fails must fail first: at d = 10**6 the default prime is
+        # past the kernel's bound.
+        def unreachable(*args):
+            raise AssertionError("a prediction was built")
+
+        monkeypatch.setattr(oracle, "hilbert_function_theory", unreachable)
+        partition = Partition([10**6, 1])
+        with pytest.raises(ValueError, match="too large for degree 1000001"):
+            verify(partition)
+        with pytest.raises(ValueError, match="need at least one trial"):
+            verify(partition, trials=0)
+
     @pytest.mark.parametrize(
-        "d, largest", [(16, 7_672_711), (40, 3_234_383), (132, 1_005_373), (133, 997_897)]
+        "d, largest",
+        [
+            (16, 7_672_711),
+            (40, 3_234_383),
+            (132, 1_005_373),
+            (133, 997_897),
+            (47_453_131, 3),
+            (47_453_132, None),
+        ],
     )
     def test_check_prime_names_the_largest_admitted_prime(self, d, largest):
         # Degrees 132 and 133 bracket the default prime: the kernel takes it
-        # on 8,911 columns, not on 9,045.
-        check_prime(d, largest)
-        above = next(q for q in count(largest + 1) if is_prime(q))
+        # on 8,911 columns, not on 9,045. At p = 2 and p = 3 alike M * h = 4,
+        # so past degree 47,453,131 it admits no prime, and says so rather
+        # than search below 2.
+        if largest:
+            check_prime(d, largest)
+        above = next(q for q in count((largest or 1) + 1) if is_prime(q))
+        admitted = f"primes up to {largest}" if largest else "no prime"
         columns = num_monomials(d)
-        with pytest.raises(ValueError, match=f"degree {d}: .* up to {largest} on its {columns} columns"):
+        with pytest.raises(ValueError, match=f"degree {d}: .* admits {admitted} on its {columns} columns"):
             check_prime(d, above)
 
 
@@ -558,7 +583,7 @@ class TestBlocks:
             residual = _reduce(*basis[:2], _Slice(g, d, block_rows), P)
             np.testing.assert_array_equal(residual, want)
             # `_rank` reads a lazy slice, on selected columns, leaves included.
-            columns = _free_columns(_monomial_cofactors(partition), d) if partition.r <= 3 else None
+            columns = _free_columns(partition) if partition.r <= 3 else None
             built = tangent_slice(g, d, columns=columns)
             assert _rank(_Slice(g, d, block_rows, columns), P) == rank(built, P)
 
@@ -974,23 +999,39 @@ class TestCeilings:
             assert not _reduce(pivots, tail, floats(block), P).any()
 
 
+def monomial_cofactor_exponents(partition):
+    """The exponents of x0, x1 and x2 of each cofactor F / x_i^d_i of the
+    monomial point F = x0^d1 x1^d2 (x2^d3), for r <= 3."""
+    exps = (*partition.parts, 0)[:3]
+    return [tuple(0 if k == i else e for k, e in enumerate(exps)) for i in range(partition.r)]
+
+
 class TestMonomialPoint:
     # For r <= 3 the first point is F = x0^d1 x1^d2 (x2^d3): its slice ranks
     # are counts, and the stacked rank is dim X + 1 plus G's rank on the D
     # columns F's slice misses.
     def test_counts_are_the_ranks_the_kernel_measures(self):
-        for partition in enumerate_partitions(12):
-            if partition.r > 3:
-                continue
+        for partition in enumerate_partitions(12, r_max=3):
             d, (rows, counts) = partition.d, _hilbert_order(partition)
-            cofactors = _monomial_cofactors(partition)
+            cofactors = [monomial(*e) for e in monomial_cofactor_exponents(partition)]
             measured = [_rref(tangent_slice(cofactors, j), P)[0].size for j in range(d + 1)]
             assert measured == [*counts[:-1].tolist(), classify(partition).dim_X + 1]
             f = tangent_slice(cofactors, d)
-            np.testing.assert_array_equal(_free_columns(cofactors, d), np.flatnonzero(~f.any(axis=0)))
+            np.testing.assert_array_equal(_free_columns(partition), np.flatnonzero(~f.any(axis=0)))
             # The stacked rank, against both slices stacked at full width.
             g = tangent_slice(_draw_cofactors(partition, derive_seed(SEED, 1), P), d)
             assert _monomial_trial(partition, SEED, P, rows, counts) == (measured, rank(np.vstack([f, g]), P))
+
+    def test_free_columns_are_the_monomials_no_cofactor_divides(self):
+        # Divisibility checked exponent by exponent on the written-out order.
+        for partition in enumerate_partitions(24, r_max=3):
+            cofactors = monomial_cofactor_exponents(partition)
+            want = [
+                k
+                for k, term in enumerate(exponents(partition.d))
+                if not any(all(t >= e for t, e in zip(term, cofactor)) for cofactor in cofactors)
+            ]
+            assert _free_columns(partition).tolist() == want, partition
 
     @settings(max_examples=40, deadline=None)
     @given(parts=st.lists(st.integers(1, 1000), min_size=2, max_size=3))
