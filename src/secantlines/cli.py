@@ -8,7 +8,7 @@ its first record. Classify records are written as JSON from one fixed
 template (`ClassificationReport.json_line`), every other record through the
 JSON encoder; both give compact `json.dumps` bytes. Exit codes: 0 success or
 MATCH, 1 verified mismatch, 2 usage or validation error, 3 a verify sweep's
-pool worker exited without finishing its partitions (killed, for example),
+worker exited without finishing its partitions (killed, for example),
 4 an internal fault, such as a failed derivation or semicontinuity check
 (with its traceback on stderr), 141 stdout closed before the output was
 complete (as when piped into `head`).
@@ -23,8 +23,7 @@ import json
 import os
 import sys
 from contextlib import closing
-from functools import partial
-from itertools import chain, islice
+from itertools import chain, cycle, islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .field import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRIALS, is_prime
@@ -37,7 +36,7 @@ if TYPE_CHECKING:
 
 # The oracle loads numpy, so it is imported on the first oracle call, through
 # the function below. The commands look it up in this module at call time, so
-# a replacement made here reaches them, and a sweep's pool workers.
+# a replacement made here reaches them, and a sweep's forked workers.
 
 
 def verify(partition: Partition, **options) -> OracleReport:
@@ -168,13 +167,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_chunk(partitions: list[Partition], **options) -> list[dict | Exception]:
-    """The verify records of one pool task, computed in a pool worker.
+    """The verify records of one chunk of a sweep, computed in its worker.
 
-    `verify` is looked up in this module at call time, so a replacement made
-    before the pool forks reaches the workers too. An exception ends the task
-    and is returned, not raised, after the records before it, so that those
-    still arrive; the sweep raises it in its turn. As with the pool's own
-    errors, the worker's traceback comes along as its cause.
+    An exception ends the chunk, returned after the records before it so that
+    those still arrive; the sweep raises it with the worker's traceback as its
+    cause (multiprocessing is imported on this fault path only).
     """
     records: list[dict | Exception] = []
     for partition in partitions:
@@ -188,17 +185,15 @@ def _verify_chunk(partitions: list[Partition], **options) -> list[dict | Excepti
     return records
 
 
-# Partitions per pool task. Larger tasks cost fewer round trips but balance
-# the last, largest partitions of a sweep worse. With 2 CPUs, 4 and 8 tied
-# for fastest of 1, 2, 4, 8 and 16 on `sweep --d-max 10` and `--d-max 18`.
+# Partitions per chunk. Larger chunks cost fewer pipe writes but balance the
+# last, largest partitions of a sweep worse. On 2 CPUs (median wall of 20
+# verify sweeps to d = 10 / 8 to d = 18), 2 took 0.333 / 3.17 s, 4 took
+# 0.315 / 3.11 s and 8 took 0.316 / 3.05 s: a tie within launch noise.
 SWEEP_CHUNK = 4
-# Seconds a verify sweep waits for its next pool task before it checks that
-# no worker has died. A dead worker's task never completes.
-WORKER_CHECK_S = 1.0
 
 
 class WorkerLostError(RuntimeError):
-    """A verify sweep's pool worker exited without finishing its partitions."""
+    """A verify sweep's worker exited without finishing its partitions."""
 
 
 def _chunks(items: Iterator[Partition], size: int) -> Iterator[list[Partition]]:
@@ -210,12 +205,11 @@ def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict
     """Verify records in sweep order, or the exception that stopped one.
 
     The first partition is verified in this process, so its record goes out
-    before any worker starts. The rest run on a pool of one worker per CPU
-    this process may run on, in tasks of SWEEP_CHUNK partitions, and each
-    result is yielded once it and every earlier one are done. The workers are
-    forked: they start without importing numpy again, and this process runs
-    no threads yet when it forks them. A worker that exits while the sweep
-    runs raises WorkerLostError. Closing the generator stops the workers.
+    before any fork. The rest go to n workers forked from this single-threaded
+    process, one per CPU it may run on: worker w pickles the records of chunks
+    w, w + n, ... of SWEEP_CHUNK partitions to its own pipe, then None, and
+    the pipes are read in turn. A pipe that ends before its None raises
+    WorkerLostError at once; closing the generator kills and reaps them all.
     """
     first = next(partitions, None)
     if first is None:
@@ -224,26 +218,42 @@ def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict
     rest = next(partitions, None)
     if rest is None:
         return
-    import multiprocessing  # only verify sweeps pay for the import
+    import pickle
+    import signal
 
+    chunks = _chunks(chain([rest], partitions), SWEEP_CHUNK)
     workers = len(os.sched_getaffinity(0))
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        started = {child.pid for child in multiprocessing.active_children()}
-        job = partial(_verify_chunk, **options)
-        tasks = pool.imap(job, _chunks(chain([rest], partitions), SWEEP_CHUNK))
-        while True:
+    pipes = {}  # worker pid -> read end of its pipe
+    try:
+        for worker in range(workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(read)  # with no read end here, writes fail once the sweep is gone
+                    for pipe in pipes.values():
+                        pipe.close()
+                    with open(write, "wb") as pipe:
+                        for chunk in islice(chunks, worker, None, workers):
+                            pickle.dump(_verify_chunk(chunk, **options), pipe)
+                            pipe.flush()
+                        pickle.dump(None, pipe)
+                finally:
+                    os._exit(0)  # no atexit handler, no flush of inherited buffers
+            os.close(write)
+            pipes[pid] = open(read, "rb")
+        for pipe in cycle(pipes.values()):
             try:
-                records = tasks.next(timeout=WORKER_CHECK_S)
-            except StopIteration:
+                records = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise WorkerLostError("a pool worker exited without finishing its partitions") from None
+            if records is None:
                 return
-            except multiprocessing.TimeoutError:
-                alive = {child.pid for child in multiprocessing.active_children()}
-                if not started <= alive:
-                    raise WorkerLostError(
-                        "a pool worker exited without finishing its partitions"
-                    ) from None
-                continue
             yield from records
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -526,7 +536,7 @@ def run() -> None:
     the final flush of stdout and stderr still run, and objects outside
     reference cycles are still freed. Frozen objects in cycles are never
     collected, so their finalizers do not run at exit; no command holds a
-    resource that needs one (a sweep's pool is closed before `main`
+    resource that needs one (a sweep's workers are reaped before `main`
     returns). `main` itself never freezes, so in-process callers keep their
     collector.
     """

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import gc
 import hashlib
@@ -6,6 +7,8 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -50,6 +53,30 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Every pid `os.fork` returns in this process while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        if pid := real_fork():
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """A verify sweep forked one worker per CPU, and none of them is left
+    running or unreaped once `main` has returned."""
+    assert len(pids) == len(os.sched_getaffinity(0))
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def json_lines(text):
@@ -285,7 +312,7 @@ class TestSweep:
         }
         assert pairs == expected
 
-    def test_verify_sweep_output_bytes_are_pinned(self, capsys):
+    def test_verify_sweep_output_bytes_are_pinned(self, capsys, forked):
         # Same seeds, same output bytes: any refactor of the oracle must keep
         # this digest (59 lines, 19,816 bytes at the default seed and prime).
         code, out, _ = run(capsys, "sweep", "--d-max", "8", "--mode", "verify")
@@ -293,6 +320,7 @@ class TestSweep:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "aed7e7f0a7ad0b1b258a7ee0134c16e57bd72607eb0a25d34e174781c023e391"
         )
+        assert_reaped(forked)
 
     def test_benchmark_verify_sweep_output_bytes_are_pinned(self, capsys):
         # The benchmark's sweep-verify workload: 128 partitions, each
@@ -358,9 +386,9 @@ class TestSweep:
     def test_verify_records_stream(self, monkeypatch, deadline, fmt, header):
         # Records come out in sweep order, each flushed once it and every
         # earlier record are done, not when the sweep ends. The last partition
-        # runs in a later pool task than the second, so it can wait for the
+        # runs in a later chunk than the second, so it can wait for the
         # second record's flush; the Event is shared across the fork. The
-        # first partition is verified in this process, before the pool starts.
+        # first partition is verified in this process, before any worker starts.
         second_flushed = multiprocessing.get_context("fork").Event()
 
         class Watched(io.StringIO):
@@ -392,8 +420,8 @@ class TestSweep:
             got = [[int(x) for x in row[0].split(",")] for row in csv.reader(lines)]
         assert got == [list(p.parts) for p in partitions]
 
-    def test_worker_error_exits_two_after_earlier_records(self, capsys, monkeypatch, deadline):
-        # A ValueError raised in a pool worker reaches main unchanged: exit 2
+    def test_worker_error_exits_two_after_earlier_records(self, capsys, monkeypatch, deadline, forked):
+        # A ValueError raised in a sweep's worker reaches main unchanged: exit 2
         # with its message, every record before the failing partition already
         # written, and no hang.
         partitions = list(cli.enumerate_partitions(6))
@@ -410,9 +438,10 @@ class TestSweep:
         assert code == 2
         assert err == f"error: cannot verify {failing}\n"
         assert [r["lambda"] for r in json_lines(out)] == [list(p.parts) for p in partitions[:10]]
+        assert_reaped(forked)
 
-    def test_worker_fault_exits_four_after_earlier_records(self, capsys, monkeypatch, deadline):
-        # Any other exception in a pool worker is a fault of the program:
+    def test_worker_fault_exits_four_after_earlier_records(self, capsys, monkeypatch, deadline, forked):
+        # Any other exception in a sweep's worker is a fault of the program:
         # exit 4 with the traceback, the worker's own as its cause, and every
         # record before the failing partition already written.
         partitions = list(cli.enumerate_partitions(6))
@@ -431,12 +460,13 @@ class TestSweep:
         assert "in doctored\n" in err
         assert err.endswith(f"RuntimeError: fault at {failing}\n")
         assert [r["lambda"] for r in json_lines(out)] == [list(p.parts) for p in partitions[:10]]
+        assert_reaped(forked)
 
-    def test_killed_worker_exits_three(self, capsys, monkeypatch, deadline):
-        # A worker that dies without raising, as under the OOM killer, loses
-        # its task, which the pool never completes. The sweep notices within
-        # WORKER_CHECK_S, stops, and exits 3 with one error line and no
-        # traceback, after some of the records before the lost task.
+    def test_killed_worker_exits_three(self, capsys, monkeypatch, deadline, forked):
+        # A worker that dies without raising, as under the OOM killer, closes
+        # its pipe before its end marker. The sweep notices when it reads that
+        # pipe, with no polling, stops, and exits 3 with one error line and no
+        # traceback, after some of the records before the lost chunk.
         partitions = list(cli.enumerate_partitions(6))
         sweeper = os.getpid()
         real_verify = cli.verify
@@ -455,9 +485,100 @@ class TestSweep:
         got = [r["lambda"] for r in json_lines(out)]
         assert got == [list(p.parts) for p in partitions[: len(got)]]
         assert got and all(sum(parts) < 5 for parts in got)
+        assert_reaped(forked)
+
+    def test_record_cut_mid_write_exits_three(self, capsys, monkeypatch, deadline, forked):
+        # A worker killed inside `pickle.dump` leaves a truncated record in
+        # its pipe: a lost worker (exit 3, one error line), not a fault with
+        # an UnpicklingError traceback (exit 4).
+        real_dump = pickle.dump
+        sweeper = os.getpid()
+        partitions = list(cli.enumerate_partitions(6))
+
+        def cut(records, pipe):
+            if os.getpid() != sweeper and records and sum(records[0]["lambda"]) == 5:
+                data = pickle.dumps(records)
+                pipe.write(data[: len(data) // 2])
+                pipe.flush()
+                os._exit(0)
+            real_dump(records, pipe)
+
+        monkeypatch.setattr(pickle, "dump", cut)
+        code, out, err = run(capsys, "sweep", "--d-max", "6", "--mode", "verify")
+        assert code == cli.EXIT_WORKER_LOST == 3
+        assert err == "error: a pool worker exited without finishing its partitions\n"
+        got = [r["lambda"] for r in json_lines(out)]
+        assert got == [list(p.parts) for p in partitions[: len(got)]]
+        assert got and all(sum(parts) <= 5 for parts in got)
+        assert_reaped(forked)
+
+    def test_one_partition_verify_sweep_forks_nothing(self, capsys, forked):
+        # The first partition is verified in this process; with no partition
+        # left, the sweep forks no worker.
+        code, out, _ = run(capsys, "sweep", "--d-max", "2", "--mode", "verify")
+        assert code == 0
+        assert [r["lambda"] for r in json_lines(out)[:-1]] == [[1, 1]]
+        assert forked == []
+
+    def test_closed_stdout_leaves_no_worker(self):
+        # `assert_reaped` on the exit-141 path, in a process of its own: its
+        # stdout is a pipe that the reader closes after one record.
+        script = (
+            "import os, sys\n"
+            "from secantlines.cli import main\n"
+            "pids, real_fork = [], os.fork\n"
+            "def recording_fork():\n"
+            "    if pid := real_fork():\n"
+            "        pids.append(pid)\n"
+            "    return pid\n"
+            "os.fork = recording_fork\n"
+            "code = main(['sweep', '--d-max', '12', '--mode', 'verify'])\n"
+            "left = []\n"
+            "for pid in pids:\n"
+            "    try:\n"
+            "        os.waitpid(pid, os.WNOHANG)\n"
+            "        left.append(pid)\n"
+            "    except ChildProcessError:\n"
+            "        pass\n"
+            "print(code, len(pids), left, file=sys.stderr)\n"
+        )
+        proc = python_process("-c", script, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert json.loads(proc.stdout.readline())["lambda"] == [1, 1]
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            err = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == f"141 {len(os.sched_getaffinity(0))} []\n"
+
+    def test_killed_sweep_leaves_no_worker_holding_stdout(self):
+        # SIGKILL runs no cleanup in the sweep. Its workers hold no read end
+        # of any pipe, so the next write of each fails and it exits, closing
+        # the stdout it inherited: the reader sees EOF, not a hang.
+        proc = python_process(
+            "-m", "secantlines", "sweep", "--d-max", "16", "--mode", "verify",
+            stdout=subprocess.PIPE, start_new_session=True,
+        )
+        try:
+            for _ in range(1 + cli.SWEEP_CHUNK):  # the first record, then a worker's chunk
+                assert "lambda" in json.loads(proc.stdout.readline())
+            proc.kill()
+            proc.wait(timeout=60)
+            end = time.monotonic() + 10
+            while select.select([proc.stdout], [], [], max(0, end - time.monotonic()))[0]:
+                if not proc.stdout.read1():
+                    break  # EOF: every worker has exited
+            else:
+                pytest.fail("a worker of the killed sweep still holds its stdout after 10 s")
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)  # workers left by a failure
+            proc.stdout.close()
 
     def test_one_cpu_output_bytes_are_pinned(self, capsys, monkeypatch):
-        # One CPU in the affinity mask gives a pool of one worker and the same
+        # One CPU in the affinity mask gives one worker and the same
         # bytes as the pin above.
         asked = []
 
@@ -565,9 +686,6 @@ class TestSweep:
                 expected[-1] += line
             else:
                 expected.append(line)
-        if not blocks:
-            # multiprocessing also flushes stdout before it forks each worker.
-            calls = [call for i, call in enumerate(calls) if call is not None or calls[i - 1] is not None]
         assert calls == [call for text in expected for call in (text, None)]
         assert len(expected) == writes
 
@@ -597,23 +715,21 @@ class TestSweep:
         assert code == cli.EXIT_BROKEN_PIPE == 141
         assert err == b""
 
-    def test_only_verify_sweeps_import_multiprocessing(self):
-        # The pool's import is paid only by a verify sweep with more than one
-        # partition, not by classify, verify or a one-partition sweep.
+    def test_no_command_imports_multiprocessing(self):
+        # A verify sweep forks its workers itself: no command loads
+        # multiprocessing on its success path, however many partitions.
         script = (
             "import sys\n"
             "from secantlines.cli import main\n"
             "for argv in (['classify', '1,1'], ['verify', '2,1'], ['sweep', '--d-max', '6'],\n"
-            "             ['sweep', '--d-max', '2', '--mode', 'verify']):\n"
-            "    main(argv)\n"
-            "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
-            "main(['sweep', '--d-max', '3', '--mode', 'verify'])\n"
-            "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
+            "             ['sweep', '--d-max', '2', '--mode', 'verify'],\n"
+            "             ['sweep', '--d-max', '8', '--mode', 'verify']):\n"
+            "    print(main(argv), 'multiprocessing' in sys.modules, file=sys.stderr)\n"
         )
         proc = python_process("-c", script, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0
-        assert err.decode().split() == ["False", "True"]
+        assert err.decode().splitlines() == ["0 False"] * 5
 
     def test_closed_forms_never_import_numpy(self):
         # Only the oracle needs numpy; importing the CLI and every command
