@@ -206,10 +206,11 @@ def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict
 
     The first partition is verified in this process, so its record goes out
     before any fork. The rest go to n workers forked from this single-threaded
-    process, one per CPU it may run on: worker w pickles the records of chunks
-    w, w + n, ... of SWEEP_CHUNK partitions to its own pipe, then None, and
-    the pipes are read in turn. A pipe that ends before its None raises
-    WorkerLostError at once; closing the generator kills and reaps them all.
+    process, one per CPU it may run on (every CPU, where that is unknown):
+    worker w pickles the records of chunks w, w + n, ... of SWEEP_CHUNK
+    partitions to its own pipe, then None, and the pipes are read in turn. A
+    pipe that ends before its None raises WorkerLostError at once; closing
+    the generator kills and reaps them all.
     """
     first = next(partitions, None)
     if first is None:
@@ -222,7 +223,7 @@ def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict
     import signal
 
     chunks = _chunks(chain([rest], partitions), SWEEP_CHUNK)
-    workers = len(os.sched_getaffinity(0))
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pipes = {}  # worker pid -> read end of its pipe
     try:
         for worker in range(workers):

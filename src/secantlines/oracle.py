@@ -11,14 +11,14 @@ maximum rank seen over the trials is a lower bound for the generic rank.
 Each trial measures, at two points F and G of X, F's whole Hilbert function
 and the rank of F's and G's degree-d tangent slices stacked (by Terracini's
 lemma, dim sigma2 plus one). With r >= 4 factors (`_trial`) it draws both
-points and runs one elimination, of F's degree-d slice with its rows sorted
-so that every smaller slice is a prefix: its row rank profile gives the
-Hilbert function, and G's slice is reduced against its basis. With r <= 3
-(`_monomial_trial`) F is the monomial point x0^d1 x1^d2 (x2^d3), a special
-point whose ranks are counts, at most the generic ones like any point's; F's
-slice is the span of the monomials it reaches, so the stacked rank is their
-number plus the rank of G's slice on the other D columns, and F is neither
-drawn nor eliminated. The dimension of the intersection of the two row
+points and eliminates that stack, F's rows first, sorted so that every
+smaller slice of F is a prefix: its row rank profile (`_rank`) gives the
+Hilbert function within F's rows, and the stacked rank as its size. With
+r <= 3 (`_monomial_trial`) F is the monomial point x0^d1 x1^d2 (x2^d3), a
+special point whose ranks are counts, at most the generic ones like any
+point's; F's slice is the span of the monomials it reaches, so the stacked
+rank is their number plus the rank of G's slice on the other D columns, and
+F is neither drawn nor eliminated. The dimension of the intersection of the two row
 spaces is taken as 2m minus the stacked rank, with m the largest slice rank
 seen: the stacked rank can only drop, so once m is generic that value can
 only sit at or above the generic intersection, and its minimum over trials
@@ -27,10 +27,10 @@ is aggregated. No trial holds a whole slice: each is read through a
 reads them, and every block is reduced against the basis of the rows above
 it as it is built.
 
-Every elimination runs one exact kernel (`_rref`): float64 products between
-blocks, and int64 elimination within each leaf window. `check_prime` rejects
-a modulus that is not prime, or at which its sums could leave the exact
-range (`_blocked`)."""
+Every elimination is one call of `_rank`, which runs one exact kernel:
+float64 products between blocks (`_rref`, `_reduce`), and int64 elimination
+within each leaf window (`_leaf`). `check_prime` rejects a modulus that is
+not prime, or at which its sums could leave the exact range (`_blocked`)."""
 
 from __future__ import annotations
 
@@ -349,18 +349,18 @@ def _block_rows(tail: np.ndarray) -> int:
     return max(BLOCK_ROWS, int(tail.size * TAIL_SHARE) // max(sum(tail.shape), 1))
 
 
-def _rank(a: np.ndarray | _Slice, modulus: int) -> int:
-    """Rank of a matrix in `_rref`'s input form: the rank of its top half
-    plus that of its bottom half reduced against the top half's basis, so
-    the basis of the whole is never back-substituted. Leaves of at most
-    LEAF_ROWS rows go through `_leaf`."""
+def _rank(a: np.ndarray | _Slice, modulus: int) -> np.ndarray:
+    """`_rref`'s row rank profile `independent`, whose size is the rank,
+    without back-substituting the basis of the whole: the top half's
+    profile, then that of the bottom half reduced against the top half's
+    basis, shifted by the half. Leaves go through `_leaf`."""
     if a.shape[0] <= LEAF_ROWS:
-        return _leaf(np.asarray(a), modulus)[0].size
+        return _leaf(np.asarray(a), modulus)[2]
     half = a.shape[0] // 2
-    pivots, tail, _ = _rref(a[:half], modulus)
+    pivots, tail, independent = _rref(a[:half], modulus)
     residual = _reduce(pivots, tail, a[half:], modulus)
-    del a, tail
-    return pivots.size + _rank(residual, modulus)
+    del a, pivots, tail
+    return np.concatenate([independent, half + _rank(residual, modulus)])
 
 
 def tangent_slice(
@@ -394,10 +394,12 @@ def tangent_slice(
         place[columns] = np.arange(columns.size)
         width = columns.size + 1
     out = np.zeros((rows.size, width))
+    # A block that misses the range [low, high] of `rows` is not scanned.
+    low, high = (rows.min(), rows.max()) if rows.size else (0, -1)
     first = 0
     for cofactor, size in zip(cofactors, sizes):
-        kept = np.flatnonzero((rows >= first) & (rows < first + size))
-        if kept.size:
+        in_range = low < first + size and first <= high
+        if in_range and (kept := np.flatnonzero((rows >= first) & (rows < first + size))).size:
             e = form_degree(cofactor)
             index = product_index(j - e, e, rows[kept] - first)
             out[kept[:, None], index if place is None else place[index]] = cofactor
@@ -504,25 +506,16 @@ def _trial(
     `_monomial_trial` for r <= 3. `_blocked` must admit the prime on
     degree-d slices (`check_prime`).
 
-    F's slice is built in Hilbert order: rows and counts are
-    `_hilbert_order(partition)`. G's rows stay in block order, which leaves
-    the stacked rank alone. The stacked matrix is never built: F's
-    elimination gives its profile and its basis, and the stacked rank is
-    rank F plus the rank of G reduced against that basis. Neither slice is
-    held whole: each is read through a `_Slice`, F's as `_rref` eliminates
-    it and G's a block at a time as `_reduce` reduces it into one residual.
-    Each `_Slice` is dropped once read, and F's basis before the residual's
-    rank is taken.
+    Both points are one `_Slice` of both cofactor sets: F's rows in Hilbert
+    order (rows and counts are `_hilbert_order(partition)`), then G's in
+    block order, which leaves the stacked rank alone. Its row rank profile
+    gives the Hilbert function, as its count within each prefix of F's rows,
+    and the stacked rank, as its size.
     """
-    d = partition.d
-    f = _Slice(_draw_cofactors(partition, derive_seed(seed, 0), prime), d, rows)
-    pivots, tail, independent = _rref(f, prime)
-    del f
-    g = _Slice(_draw_cofactors(partition, derive_seed(seed, 1), prime), d, np.arange(rows.size))
-    residual = _reduce(pivots, tail, g, prime)
-    rank = pivots.size
-    del g, pivots, tail
-    return np.searchsorted(independent, counts).tolist(), rank + _rank(residual, prime)
+    n = rows.size
+    cofactors = [c for k in (0, 1) for c in _draw_cofactors(partition, derive_seed(seed, k), prime)]
+    profile = _rank(_Slice(cofactors, partition.d, np.concatenate([rows, n + np.arange(n)])), prime)
+    return np.searchsorted(profile, counts).tolist(), profile.size
 
 
 def _free_columns(partition: Partition) -> np.ndarray:
@@ -561,7 +554,7 @@ def _monomial_trial(
     cofactors = _draw_cofactors(partition, derive_seed(seed, 1), prime)
     g = _Slice(cofactors, d, np.arange(counts[-1]), free)
     top = num_monomials(d) - free.size
-    return [*counts[:-1].tolist(), top], top + _rank(g, prime)
+    return [*counts[:-1].tolist(), top], top + _rank(g, prime).size
 
 
 @dataclass(frozen=True)
@@ -621,7 +614,8 @@ def verify(
     which stop after the first whose every rank reaches its ceiling. Each
     trial measures F's whole Hilbert function and the rank of the degree-d
     tangent slices of two points F and G stacked. With r >= 4 it draws
-    factor sets for both and runs one elimination (`_trial`). With r <= 3,
+    factor sets for both and eliminates their slices as one stack, whose
+    row rank profile gives both (`_trial`). With r <= 3,
     F is the monomial point x0^d1 x1^d2 (x2^d3), whose ranks are counts and
     certify as a drawn point's do, and only G is drawn (`_monomial_trial`):
     `verify 98,1,1` (d = 100) takes a fraction of a second. Each slice

@@ -84,11 +84,12 @@ class Partition:
 def enumerate_partitions(
     d_max: int, r_min: int = 2, r_max: int | None = None
 ) -> Iterator[Partition]:
-    """Yield every canonical partition with r_min <= r <= r_max and total degree <= d_max.
+    """Every canonical partition with r_min <= r <= r_max and total degree <= d_max.
 
     Each partition appears exactly once, ordered by ascending total degree d,
     then part count r, then lexicographically on the descending parts tuple
-    (so for d = 4, r = 2: [2,2] before [3,1]).
+    (so for d = 4, r = 2: [2,2] before [3,1]). The range is checked when this
+    is called, not when the iterator is first advanced.
     """
     if r_max is None:
         r_max = d_max
@@ -97,10 +98,8 @@ def enumerate_partitions(
         raise ValueError(
             f"invalid enumeration range: d_max={d_max}, r_min={r_min}, r_max={r_max}"
         )
-    for d in range(2, d_max + 1):
-        for r in range(r_min, min(r_max, d) + 1):
-            for parts in _descending_partitions(d, r):
-                yield Partition._trusted(parts)
+    shapes = ((d, r) for d in range(2, d_max + 1) for r in range(r_min, min(r_max, d) + 1))
+    return (Partition._trusted(parts) for d, r in shapes for parts in _descending_partitions(d, r))
 
 
 def _descending_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -73,7 +73,7 @@ def rank(rows, modulus: int) -> int:
         return 0
     if not _blocked(a.shape[1], modulus):
         raise ValueError(f"the kernel is not exact on {a.shape[1]} columns mod {modulus}")
-    return _rank((a % modulus).astype(np.float64), modulus)
+    return _rank((a % modulus).astype(np.float64), modulus).size
 
 
 def nullspace(rows, modulus: int) -> np.ndarray:

@@ -70,10 +70,11 @@ def forked(monkeypatch):
     return pids
 
 
-def assert_reaped(pids):
-    """A verify sweep forked one worker per CPU, and none of them is left
-    running or unreaped once `main` has returned."""
-    assert len(pids) == len(os.sched_getaffinity(0))
+def assert_reaped(pids, workers=None):
+    """A verify sweep forked one worker per CPU (`workers`, by default the
+    CPUs this process may run on), and none of them is left running or
+    unreaped once `main` has returned."""
+    assert len(pids) == (workers or len(os.sched_getaffinity(0)))
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -594,6 +595,17 @@ class TestSweep:
             "aed7e7f0a7ad0b1b258a7ee0134c16e57bd72607eb0a25d34e174781c023e391"
         )
 
+    def test_no_affinity_call_forks_one_worker_per_cpu(self, capsys, monkeypatch, forked):
+        # Where os.sched_getaffinity is missing (macOS), the sweep forks one
+        # worker per os.cpu_count() and gives the same bytes as the pin.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        code, out, _ = run(capsys, "sweep", "--d-max", "8", "--mode", "verify")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "aed7e7f0a7ad0b1b258a7ee0134c16e57bd72607eb0a25d34e174781c023e391"
+        )
+        assert_reaped(forked, os.cpu_count())
+
     @staticmethod
     def read_one_line(*argv):
         """`secantlines argv... | head -1`: the first record, the exit code
@@ -791,6 +803,13 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "error: invalid enumeration range" in err
+
+    def test_negative_d_max_is_one_error_in_both_modes(self, capsys):
+        # The range is checked before a verify sweep checks its prime at
+        # d_max, so no message about the degree reaches the user.
+        results = [run(capsys, "sweep", "--d-max", "-5", "--mode", mode) for mode in ("classify", "verify")]
+        want = "error: invalid enumeration range: d_max=-5, r_min=2, r_max=-5\n"
+        assert results == [(2, "", want)] * 2
 
 
 class TestFigureData:
@@ -1127,11 +1146,11 @@ def test_closed_form_exports_never_import_numpy():
 
 
 def test_public_names_have_a_caller_in_src():
-    # Every public top-level function and class of the closed forms, the
-    # oracle, the forms and the partitions is exported in __all__ or
-    # referenced in src/ outside its own definition, and so is every public
-    # method and property of a public class, so no public API exists for the
-    # tests alone.
+    # Every top-level function and class of the closed forms, the oracle,
+    # the forms and the partitions, private ones included (dunders aside),
+    # is exported in __all__ or referenced in src/ outside its own
+    # definition, and so is every public method and property of those
+    # classes, so no API and no helper exists for the tests alone.
     src = Path(cli.__file__).resolve().parent
     trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
     exported = set(ast.literal_eval(next(
@@ -1140,17 +1159,20 @@ def test_public_names_have_a_caller_in_src():
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
     )))
 
-    def public(body):
+    def definitions(body, private=False):
         for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield node, node.name
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not (name.startswith("__") and name.endswith("__")) and (private or not name.startswith("_")):
+                yield node, name
                 if isinstance(node, ast.ClassDef):
-                    for method, name in public(node.body):
-                        yield method, f"{node.name}.{name}"
+                    for method, method_name in definitions(node.body):
+                        yield method, f"{name}.{method_name}"
 
     uncalled = []
     for module in ("formulas", "oracle", "gfpoly", "partitions"):
-        for definition, qualified in public(trees[module].body):
+        for definition, qualified in definitions(trees[module].body, private=True):
             name = definition.name
             inside = {id(node) for node in ast.walk(definition)}
             referenced = any(

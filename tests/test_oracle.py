@@ -189,7 +189,11 @@ class TestBlockedElimination:
         a = low_rank(seed, n_rows, n_cols, min(r, n_rows, n_cols), modulus, zero_cols)
         want = len(column_loop_pivots(a, modulus))
         pivots, tail, independent = _rref(floats(a), modulus)
-        assert pivots.size == independent.size == want == _rank(floats(a), modulus)
+        profile = _rank(floats(a), modulus)
+        assert pivots.size == independent.size == want == profile.size
+        # `_rank` returns the row rank profile that `_rref` and the int64
+        # reference find.
+        assert profile.tolist() == independent.tolist() == eliminate(a % modulus, modulus)[0]
         assert tail.shape == (want, n_cols - want)
         assert_basis_matches_eliminate(a, modulus, pivots, tail)
 
@@ -260,7 +264,7 @@ class TestBlockedElimination:
         want = column_loop_pivots(a.T, modulus)
         pivots, tail, independent = _rref(floats(a), modulus)
         assert independent.tolist() == want
-        assert _rank(floats(a), modulus) == len(want)
+        assert _rank(floats(a), modulus).tolist() == want
         assert not _reduce(pivots, tail, floats(a), modulus).any()
 
     @settings(max_examples=40, deadline=None)
@@ -284,7 +288,7 @@ class TestBlockedElimination:
         a = low_rank(seed, n_rows, n_cols, min(r, n_rows, n_cols), modulus, lead, staircase=True)
         pivots, tail, independent = _rref(floats(a), modulus)
         assert independent.tolist() == column_loop_pivots(a.T, modulus)
-        assert _rank(floats(a), modulus) == independent.size
+        assert _rank(floats(a), modulus).tolist() == independent.tolist()
         assert_basis_matches_eliminate(a, modulus, pivots, tail)
 
     @pytest.mark.parametrize("n_cols", [LEAF, 3 * WINDOW + 5])
@@ -351,17 +355,20 @@ class TestBlockedElimination:
         modulus=st.sampled_from([2, 7, P]),
     )
     def test_pair_ranks_match_separate_ranks(self, seed, n_rows, n_cols, r, modulus):
-        # The kernel composed as `_trial` composes it: F's profile and
-        # basis from `_rref`, the stacked rank as rank F plus the rank of G
-        # reduced against that basis; `test_largest_blocked_prime_matches_the_int64_route`
-        # checks whole trials at the largest prime it admits.
+        # The kernel as `_trial` runs it: one profile of F stacked over G,
+        # whose first halving falls on the boundary between them. F's
+        # profile is its part within F's rows, and the stacked rank its
+        # size; `test_largest_blocked_prime_matches_the_int64_route` checks
+        # whole trials at the largest prime it admits.
         f = low_rank(seed, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
-        g = low_rank(seed + 1, n_rows + 3, n_cols, min(r, n_cols), modulus, staircase=True)
-        g[:n_rows:2] = f[::2]  # so that the row spaces meet
-        pivots, tail, independent = _rref(floats(f), modulus)
-        rank_joint = pivots.size + _rank(_reduce(pivots, tail, floats(g), modulus), modulus)
+        g = low_rank(seed + 1, n_rows, n_cols, min(r, n_cols), modulus, staircase=True)
+        g[::2] = f[::2]  # so that the row spaces meet
+        stacked = np.vstack([f, g])
+        profile = _rank(floats(stacked), modulus)
+        independent = profile[profile < n_rows]
+        assert profile.tolist() == eliminate(stacked % modulus, modulus)[0]
         assert independent.tolist() == column_loop_pivots(f.T, modulus)
-        assert (independent.size, rank_joint) == (rank(f, modulus), rank(np.vstack([f, g]), modulus))
+        assert (independent.size, profile.size) == (rank(f, modulus), rank(stacked, modulus))
 
     @pytest.mark.parametrize("modulus", [7, P, 2**31 - 1])
     def test_mod_exact_at_the_float64_limit(self, modulus):
@@ -418,7 +425,7 @@ class TestBlockedElimination:
         want_rows, want_cols = eliminate(a % modulus, modulus)
         assert independent.tolist() == want_rows
         assert sorted(pivots.tolist()) == sorted(want_cols)
-        assert _rank(floats(a), modulus) == len(want_rows)
+        assert _rank(floats(a), modulus).tolist() == want_rows
 
     def test_prime_above_the_kernel_limit_is_rejected(self):
         # Float64 products of entries near 2**31 are inexact, so [9,7]'s 153
@@ -585,14 +592,14 @@ class TestBlocks:
             # `_rank` reads a lazy slice, on selected columns, leaves included.
             columns = _free_columns(partition) if partition.r <= 3 else None
             built = tangent_slice(g, d, columns=columns)
-            assert _rank(_Slice(g, d, block_rows, columns), P) == rank(built, P)
+            assert _rank(_Slice(g, d, block_rows, columns), P).size == rank(built, P)
 
     def widths_built_once(self, monkeypatch, partition, points):
-        """Run `verify` and check that it builds each of its points' slice
-        rows once, in runs of at most BLOCK_ROWS, `points` points per trial;
-        return the set of widths built (None for every column). At d = 40
-        (861 columns) every block has BLOCK_ROWS rows, so a block row
-        built twice, or a slice built whole, shows here."""
+        """Run `verify` and check that each trial builds each row of its one
+        slice, `points` points' slices stacked, once, in runs of at most
+        BLOCK_ROWS; return the set of widths built (None for every column).
+        At d = 40 (861 columns) every block has BLOCK_ROWS rows, so a block
+        row built twice, or a slice built whole, shows here."""
         n_rows = sum(num_monomials(di) for di in partition.parts)
         calls = []
 
@@ -604,12 +611,12 @@ class TestBlocks:
         monkeypatch.setattr(oracle, "tangent_slice", recording)
         report = verify(partition)
         groups = [list(group) for _, group in groupby(calls, key=lambda call: id(call[0]))]
-        assert len(groups) == points * len(report.seeds)
-        for point in groups:
-            assert {j for _, j, _, _ in point} == {partition.d}
-            built = np.concatenate([rows for _, _, rows, _ in point])
-            np.testing.assert_array_equal(np.sort(built), np.arange(n_rows))
-            assert max(rows.size for _, _, rows, _ in point) <= oracle.BLOCK_ROWS
+        assert len(groups) == len(report.seeds)
+        for trial in groups:
+            assert {j for _, j, _, _ in trial} == {partition.d}
+            built = np.concatenate([rows for _, _, rows, _ in trial])
+            np.testing.assert_array_equal(np.sort(built), np.arange(points * n_rows))
+            assert max(rows.size for _, _, rows, _ in trial) <= oracle.BLOCK_ROWS
         return {None if columns is None else columns.size for *_, columns in calls}
 
     def test_every_slice_row_is_built_once_a_block_at_a_time(self, monkeypatch):
@@ -618,7 +625,8 @@ class TestBlocks:
         assert self.widths_built_once(monkeypatch, partition, 1) == {classify(partition).D}
 
     def test_both_drawn_points_build_each_row_once_a_block_at_a_time(self, monkeypatch):
-        # With r >= 4 both points' slices are built, on every column.
+        # With r >= 4 both points' slices are built, stacked in one slice of
+        # 2n rows, on every column.
         assert self.widths_built_once(monkeypatch, Partition([10, 10, 10, 10]), 2) == {None}
 
     @staticmethod
@@ -687,6 +695,27 @@ class TestSliceDimensions:
         prime = at_width(prime, num_monomials(partition.d))
         want = slice_dims_one_degree_at_a_time(partition, derive_seed(seed, 0), prime)
         assert _trial(partition, seed, prime, *_hilbert_order(partition))[0] == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        parts=st.sampled_from([p for p in SMALL_PARTITIONS if 3 * sum(map(num_monomials, p)) > LEAF]),
+        seed=st.integers(0, 2**32),
+        prime=st.sampled_from([7, P]),
+    )
+    def test_three_stacked_points_match_int64_profile(self, parts, seed, prime):
+        # Three drawn points in one `_Slice`, as sigma_3 would stack them:
+        # 3n rows, so `_rank`'s first halving falls inside the second
+        # point's rows, not on a boundary between points. Its profile is
+        # the int64 reference's on the three slices stacked.
+        partition = Partition(parts)
+        points = [_draw_cofactors(partition, derive_seed(seed, k), prime) for k in range(3)]
+        n = sum(num_monomials(di) for di in parts)
+        stacked = _Slice([c for cofactors in points for c in cofactors], partition.d, np.arange(3 * n))
+        want = eliminate(
+            np.vstack([tangent_slice(cofactors, partition.d) for cofactors in points]).astype(np.int64),
+            prime,
+        )[0]
+        assert _rank(stacked, prime).tolist() == want
 
     @pytest.mark.parametrize(
         "parts, j, want",
@@ -1048,11 +1077,12 @@ class TestMonomialPoint:
         assert num_monomials(partition.d) - reached == report.D
 
     def test_stacked_rank_above_its_ceiling_raises(self, monkeypatch):
-        # G's rank on the D columns, reported one too high, is refused like
-        # any rank above its ceiling; F is never drawn. [2,1]'s G slice is one
-        # leaf, so `_rank` is called once.
+        # G's rank on the D columns, reported one too high (a row past the
+        # last in its profile), is refused like any rank above its ceiling;
+        # F is never drawn. [2,1]'s G slice is one leaf, so `_rank` is
+        # called once.
         true_rank = oracle._rank
-        monkeypatch.setattr(oracle, "_rank", lambda a, modulus: true_rank(a, modulus) + 1)
+        monkeypatch.setattr(oracle, "_rank", lambda a, modulus: np.append(true_rank(a, modulus), a.shape[0]))
         monkeypatch.setattr(oracle, "_trial", None)
         with pytest.raises(SemicontinuityError, match="stacked rank 11 above its ceiling 10"):
             verify(Partition([2, 1]), prime=P, trials=1, base_seed=SEED)

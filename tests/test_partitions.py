@@ -159,5 +159,6 @@ class TestEnumeration:
         "args", [(1, 2, 2), (10, 1, 3), (10, 4, 3), (0, 2, 2), (3, 5, 5)]
     )
     def test_invalid_ranges(self, args):
+        # Raised by the call itself, before the iterator is advanced.
         with pytest.raises(ValueError):
-            list(enumerate_partitions(*args))
+            enumerate_partitions(*args)
