@@ -223,7 +223,7 @@ def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict
     import signal
 
     chunks = _chunks(chain([rest], partitions), SWEEP_CHUNK)
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     pipes = {}  # worker pid -> read end of its pipe
     try:
         for worker in range(workers):

@@ -394,12 +394,9 @@ def tangent_slice(
         place[columns] = np.arange(columns.size)
         width = columns.size + 1
     out = np.zeros((rows.size, width))
-    # A block that misses the range [low, high] of `rows` is not scanned.
-    low, high = (rows.min(), rows.max()) if rows.size else (0, -1)
     first = 0
     for cofactor, size in zip(cofactors, sizes):
-        in_range = low < first + size and first <= high
-        if in_range and (kept := np.flatnonzero((rows >= first) & (rows < first + size))).size:
+        if (kept := np.flatnonzero((rows >= first) & (rows < first + size))).size:
             e = form_degree(cofactor)
             index = product_index(j - e, e, rows[kept] - first)
             out[kept[:, None], index if place is None else place[index]] = cofactor

@@ -595,16 +595,19 @@ class TestSweep:
             "aed7e7f0a7ad0b1b258a7ee0134c16e57bd72607eb0a25d34e174781c023e391"
         )
 
-    def test_no_affinity_call_forks_one_worker_per_cpu(self, capsys, monkeypatch, forked):
+    @pytest.mark.parametrize("cpus", [os.cpu_count(), None])
+    def test_no_affinity_call_forks_one_worker_per_cpu(self, capsys, monkeypatch, forked, cpus):
         # Where os.sched_getaffinity is missing (macOS), the sweep forks one
-        # worker per os.cpu_count() and gives the same bytes as the pin.
+        # worker per os.cpu_count(), or one if that is unknown (None), and
+        # gives the same bytes as the pin.
         monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         code, out, _ = run(capsys, "sweep", "--d-max", "8", "--mode", "verify")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "aed7e7f0a7ad0b1b258a7ee0134c16e57bd72607eb0a25d34e174781c023e391"
         )
-        assert_reaped(forked, os.cpu_count())
+        assert_reaped(forked, cpus or 1)
 
     @staticmethod
     def read_one_line(*argv):
