@@ -4,14 +4,15 @@ oracle, sweep ranges, and emit figure grids and fixture tables.
 Every setting is a flag. Only the commands that run the rank oracle
 (`verify`, verify sweeps and `table --check`) load numpy; they flush each
 record once it is computed, while closed-form output goes out in blocks after
-its first record. Classify records are written as JSON from one fixed
-template (`ClassificationReport.json_line`), every other record through the
-JSON encoder; both give compact `json.dumps` bytes. Exit codes: 0 success or
-MATCH, 1 verified mismatch, 2 usage or validation error, 3 a verify sweep's
-worker exited without finishing its partitions (killed, for example),
-4 an internal fault, such as a failed derivation or semicontinuity check
-(with its traceback on stderr), 141 stdout closed before the output was
-complete (as when piped into `head`).
+its first record. A verify sweep verifies a share of its partitions itself
+and forks a worker for each other CPU it may run on. Classify records are
+written as JSON from one fixed template (`ClassificationReport.json_line`),
+every other record through the JSON encoder; both give compact `json.dumps`
+bytes. Exit codes: 0 success or MATCH, 1 verified mismatch, 2 usage or
+validation error, 3 a verify sweep's worker exited without finishing its
+partitions (killed, for example), 4 an internal fault, such as a failed
+derivation or semicontinuity check (with its traceback on stderr), 141 stdout
+closed before the output was complete (as when piped into `head`).
 """
 
 from __future__ import annotations
@@ -167,11 +168,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_chunk(partitions: list[Partition], **options) -> list[dict | Exception]:
-    """The verify records of one chunk of a sweep, computed in its worker.
+    """The verify records of one chunk of a sweep.
 
     An exception ends the chunk, returned after the records before it so that
-    those still arrive; the sweep raises it with the worker's traceback as its
-    cause (multiprocessing is imported on this fault path only).
+    those still arrive. It is wrapped to cross a worker's pipe: unpickled, it
+    has the traceback where it was raised as its cause (multiprocessing is
+    imported on this fault path only).
     """
     records: list[dict | Exception] = []
     for partition in partitions:
@@ -204,13 +206,15 @@ def _chunks(items: Iterator[Partition], size: int) -> Iterator[list[Partition]]:
 def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict | Exception]:
     """Verify records in sweep order, or the exception that stopped one.
 
-    The first partition is verified in this process, so its record goes out
-    before any fork. The rest go to n workers forked from this single-threaded
-    process, one per CPU it may run on (every CPU, where that is unknown):
-    worker w pickles the records of chunks w, w + n, ... of SWEEP_CHUNK
-    partitions to its own pipe, then None, and the pipes are read in turn. A
-    pipe that ends before its None raises WorkerLostError at once; closing
-    the generator kills and reaps them all.
+    The first partition is verified in this process, before any fork. The
+    rest go in chunks of SWEEP_CHUNK partitions to n shares, one per CPU this
+    process may run on (every CPU, where that is unknown), share w taking
+    chunks w, w + n, ... This process verifies share 0 and forks a worker for
+    each other share, which pickles the records of its chunks to its own
+    pipe, then None. It verifies a chunk of its own, then reads the next
+    chunk of each worker in turn; on one CPU it forks nothing. A pipe that
+    ends before its None raises WorkerLostError at once; closing the
+    generator kills and reaps every worker.
     """
     first = next(partitions, None)
     if first is None:
@@ -223,10 +227,10 @@ def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict
     import signal
 
     chunks = _chunks(chain([rest], partitions), SWEEP_CHUNK)
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    shares = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     pipes = {}  # worker pid -> read end of its pipe
     try:
-        for worker in range(workers):
+        for share in range(1, shares):
             read, write = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
@@ -234,7 +238,7 @@ def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict
                     for pipe in pipes.values():
                         pipe.close()
                     with open(write, "wb") as pipe:
-                        for chunk in islice(chunks, worker, None, workers):
+                        for chunk in islice(chunks, share, None, shares):
                             pickle.dump(_verify_chunk(chunk, **options), pipe)
                             pipe.flush()
                         pickle.dump(None, pipe)
@@ -242,11 +246,17 @@ def _verify_results(partitions: Iterator[Partition], **options) -> Iterator[dict
                     os._exit(0)  # no atexit handler, no flush of inherited buffers
             os.close(write)
             pipes[pid] = open(read, "rb")
-        for pipe in cycle(pipes.values()):
-            try:
-                records = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise WorkerLostError("a pool worker exited without finishing its partitions") from None
+        own = (_verify_chunk(chunk, **options) for chunk in islice(chunks, 0, None, shares))
+        for pipe in cycle([None, *pipes.values()]):  # None: this process's own share
+            if pipe is None:
+                records = next(own, None)
+                if records and not isinstance(records[-1], dict):
+                    records[-1] = pickle.loads(pickle.dumps(records[-1]))  # a fault, as a worker's arrives
+            else:
+                try:
+                    records = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise WorkerLostError("a pool worker exited without finishing its partitions") from None
             if records is None:
                 return
             yield from records

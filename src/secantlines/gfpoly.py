@@ -136,18 +136,25 @@ def product_index(m: int, n: int, rows: np.ndarray | None = None) -> np.ndarray:
     return table if rows is None else table[rows]
 
 
+# A seed depends only on the base seed, trial, point and factor, so a verify
+# sweep draws the same forms for many partitions: 49 distinct forms in the
+# 911 draws of a sweep to d = 10, 110 in the 18,654 to d = 18.
+@lru_cache(maxsize=256)
 def random_form(modulus: int, degree: int, seed: int) -> np.ndarray:
     """A form with every coefficient drawn independently and uniformly mod `modulus`.
 
-    Deterministic: the same (modulus, degree, seed) always produces the same form.
+    Deterministic: the same (modulus, degree, seed) always produces the same
+    form, which is drawn once and then read from a cache, so it is read-only.
     """
     if degree < 1:
         raise ValueError(f"random forms need degree >= 1, got {degree}")
     stream = SeedStream(seed)
-    return np.array(
+    form = np.array(
         [stream.field_element(modulus) for _ in range(num_monomials(degree))],
         dtype=np.int64,
     )
+    form.setflags(write=False)
+    return form
 
 
 def multiply(f: np.ndarray, g: np.ndarray, modulus: int) -> np.ndarray:

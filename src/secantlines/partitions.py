@@ -112,7 +112,8 @@ def _descending_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     and spreads what is left over those parts as evenly as possible: the
     smallest tuple that starts with the raised prefix.
     """
-    parts = _even(n, k)
+    q, extra = divmod(n, k)
+    parts = [q + 1] * extra + [q] * (k - extra)
     while True:
         yield tuple(parts)
         suffix = parts[-1]
@@ -122,13 +123,8 @@ def _descending_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
             after = k - 1 - i
             rest = suffix - raised
             if (i == 0 or raised <= parts[i - 1]) and after <= rest <= after * raised:
-                parts[i:] = [raised, *_even(rest, after)]
+                q, extra = divmod(rest, after)
+                parts[i:] = [raised] + [q + 1] * extra + [q] * (after - extra)
                 break
         else:
             return
-
-
-def _even(n: int, k: int) -> list[int]:
-    """n spread over k non-increasing parts that differ by at most one."""
-    q, extra = divmod(n, k)
-    return [q + 1] * extra + [q] * (k - extra)

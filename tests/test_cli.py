@@ -70,11 +70,18 @@ def forked(monkeypatch):
     return pids
 
 
-def assert_reaped(pids, workers=None):
-    """A verify sweep forked one worker per CPU (`workers`, by default the
-    CPUs this process may run on), and none of them is left running or
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs in the affinity mask, so that a verify sweep forks a worker
+    also where this process may run on one CPU only (`taskset -c 0`)."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def assert_reaped(pids, cpus=None):
+    """A verify sweep forked one worker per CPU but one (`cpus`, by default
+    the CPUs this process may run on), and none of them is left running or
     unreaped once `main` has returned."""
-    assert len(pids) == (workers or len(os.sched_getaffinity(0)))
+    assert len(pids) == (cpus or len(os.sched_getaffinity(0))) - 1
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -421,49 +428,75 @@ class TestSweep:
             got = [[int(x) for x in row[0].split(",")] for row in csv.reader(lines)]
         assert got == [list(p.parts) for p in partitions]
 
-    def test_worker_error_exits_two_after_earlier_records(self, capsys, monkeypatch, deadline, forked):
+    def test_worker_error_exits_two_after_earlier_records(self, capsys, monkeypatch, deadline, forked, two_cpus):
         # A ValueError raised in a sweep's worker reaches main unchanged: exit 2
         # with its message, every record before the failing partition already
-        # written, and no hang.
+        # written, and no hang. With two CPUs, partitions 5-8 are the worker's
+        # first chunk.
         partitions = list(cli.enumerate_partitions(6))
-        failing = partitions[10]
+        failing = partitions[8]
+        sweeper = os.getpid()
         real_verify = cli.verify
 
         def doctored(partition, **kwargs):
             if partition == failing:
-                raise ValueError(f"cannot verify {partition}")
+                raise ValueError(f"cannot verify {partition} in a worker: {os.getpid() != sweeper}")
             return real_verify(partition, **kwargs)
 
         monkeypatch.setattr(cli, "verify", doctored)
         code, out, err = run(capsys, "sweep", "--d-max", "6", "--mode", "verify")
         assert code == 2
-        assert err == f"error: cannot verify {failing}\n"
-        assert [r["lambda"] for r in json_lines(out)] == [list(p.parts) for p in partitions[:10]]
+        assert err == f"error: cannot verify {failing} in a worker: True\n"
+        assert [r["lambda"] for r in json_lines(out)] == [list(p.parts) for p in partitions[:8]]
         assert_reaped(forked)
 
-    def test_worker_fault_exits_four_after_earlier_records(self, capsys, monkeypatch, deadline, forked):
-        # Any other exception in a sweep's worker is a fault of the program:
-        # exit 4 with the traceback, the worker's own as its cause, and every
-        # record before the failing partition already written.
+    @staticmethod
+    def fault_at(capsys, monkeypatch, index):
+        """A verify sweep to d = 6 in which partition `index` raises a
+        RuntimeError: its exit code, stderr and the failing partition, after
+        checking that every record before that partition was written."""
         partitions = list(cli.enumerate_partitions(6))
-        failing = partitions[10]
+        sweeper = os.getpid()
         real_verify = cli.verify
 
         def doctored(partition, **kwargs):
-            if partition == failing:
-                raise RuntimeError(f"fault at {partition}")
+            if partition == partitions[index]:
+                raise RuntimeError(f"fault at {partition} in a worker: {os.getpid() != sweeper}")
             return real_verify(partition, **kwargs)
 
-        monkeypatch.setattr(cli, "verify", doctored)
-        code, out, err = run(capsys, "sweep", "--d-max", "6", "--mode", "verify")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "verify", doctored)
+            code, out, err = run(capsys, "sweep", "--d-max", "6", "--mode", "verify")
+        assert [r["lambda"] for r in json_lines(out)] == [list(p.parts) for p in partitions[:index]]
+        return code, err, partitions[index]
+
+    def test_worker_fault_exits_four_after_earlier_records(self, capsys, monkeypatch, deadline, forked, two_cpus):
+        # Any other exception in a sweep's worker is a fault of the program:
+        # exit 4 with the traceback, the worker's own as its cause, and every
+        # record before the failing partition already written. With two CPUs,
+        # partitions 5-8 are the worker's first chunk.
+        code, err, failing = self.fault_at(capsys, monkeypatch, 8)
         assert code == cli.EXIT_INTERNAL == 4
         assert err.startswith("multiprocessing.pool.RemoteTraceback: ")
         assert "in doctored\n" in err
-        assert err.endswith(f"RuntimeError: fault at {failing}\n")
-        assert [r["lambda"] for r in json_lines(out)] == [list(p.parts) for p in partitions[:10]]
+        assert err.endswith(f"RuntimeError: fault at {failing} in a worker: True\n")
         assert_reaped(forked)
 
-    def test_killed_worker_exits_three(self, capsys, monkeypatch, deadline, forked):
+    def test_own_share_fault_reads_as_a_worker_fault(self, capsys, monkeypatch, deadline, forked, two_cpus):
+        # A fault in the chunks the sweep verifies itself (with two CPUs,
+        # partitions 9-12) gives the exit code and the first stderr line of
+        # a worker's fault, with the traceback where it was raised as its
+        # cause.
+        worker_code, worker_err, _ = self.fault_at(capsys, monkeypatch, 8)
+        code, err, failing = self.fault_at(capsys, monkeypatch, 10)
+        assert code == worker_code == cli.EXIT_INTERNAL
+        assert err.splitlines()[0] == worker_err.splitlines()[0] == "multiprocessing.pool.RemoteTraceback: "
+        assert "in doctored\n" in err
+        assert err.endswith(f"RuntimeError: fault at {failing} in a worker: False\n")
+        assert_reaped(forked[:1])
+        assert_reaped(forked[1:])
+
+    def test_killed_worker_exits_three(self, capsys, monkeypatch, deadline, forked, two_cpus):
         # A worker that dies without raising, as under the OOM killer, closes
         # its pipe before its end marker. The sweep notices when it reads that
         # pipe, with no polling, stops, and exits 3 with one error line and no
@@ -488,16 +521,17 @@ class TestSweep:
         assert got and all(sum(parts) < 5 for parts in got)
         assert_reaped(forked)
 
-    def test_record_cut_mid_write_exits_three(self, capsys, monkeypatch, deadline, forked):
+    def test_record_cut_mid_write_exits_three(self, capsys, monkeypatch, deadline, forked, two_cpus):
         # A worker killed inside `pickle.dump` leaves a truncated record in
         # its pipe: a lost worker (exit 3, one error line), not a fault with
-        # an UnpicklingError traceback (exit 4).
+        # an UnpicklingError traceback (exit 4). With two CPUs, the worker's
+        # first chunk holds partitions of degree 4 and 5.
         real_dump = pickle.dump
         sweeper = os.getpid()
         partitions = list(cli.enumerate_partitions(6))
 
         def cut(records, pipe):
-            if os.getpid() != sweeper and records and sum(records[0]["lambda"]) == 5:
+            if os.getpid() != sweeper and any(sum(record["lambda"]) == 5 for record in records or ()):
                 data = pickle.dumps(records)
                 pipe.write(data[: len(data) // 2])
                 pipe.flush()
@@ -552,7 +586,7 @@ class TestSweep:
         finally:
             proc.kill()
             proc.stderr.close()
-        assert err == f"141 {len(os.sched_getaffinity(0))} []\n"
+        assert err == f"141 {len(os.sched_getaffinity(0)) - 1} []\n"
 
     def test_killed_sweep_leaves_no_worker_holding_stdout(self):
         # SIGKILL runs no cleanup in the sweep. Its workers hold no read end
@@ -563,7 +597,7 @@ class TestSweep:
             stdout=subprocess.PIPE, start_new_session=True,
         )
         try:
-            for _ in range(1 + cli.SWEEP_CHUNK):  # the first record, then a worker's chunk
+            for _ in range(1 + 2 * cli.SWEEP_CHUNK):  # the first record, then two chunks
                 assert "lambda" in json.loads(proc.stdout.readline())
             proc.kill()
             proc.wait(timeout=60)
@@ -578,9 +612,9 @@ class TestSweep:
                 os.killpg(proc.pid, signal.SIGKILL)  # workers left by a failure
             proc.stdout.close()
 
-    def test_one_cpu_output_bytes_are_pinned(self, capsys, monkeypatch):
-        # One CPU in the affinity mask gives one worker and the same
-        # bytes as the pin above.
+    def test_one_cpu_output_bytes_are_pinned(self, capsys, monkeypatch, forked):
+        # One CPU in the affinity mask: the sweep forks no worker and gives
+        # the same bytes as the pin above.
         asked = []
 
         def one_cpu(pid):
@@ -591,15 +625,16 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--d-max", "8", "--mode", "verify")
         assert code == 0
         assert asked == [0]
+        assert forked == []
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "aed7e7f0a7ad0b1b258a7ee0134c16e57bd72607eb0a25d34e174781c023e391"
         )
 
     @pytest.mark.parametrize("cpus", [os.cpu_count(), None])
-    def test_no_affinity_call_forks_one_worker_per_cpu(self, capsys, monkeypatch, forked, cpus):
+    def test_no_affinity_call_counts_cpus_with_cpu_count(self, capsys, monkeypatch, forked, cpus):
         # Where os.sched_getaffinity is missing (macOS), the sweep forks one
-        # worker per os.cpu_count(), or one if that is unknown (None), and
-        # gives the same bytes as the pin.
+        # worker per os.cpu_count() but one, or none if that is unknown
+        # (None), and gives the same bytes as the pin.
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         code, out, _ = run(capsys, "sweep", "--d-max", "8", "--mode", "verify")

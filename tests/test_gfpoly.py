@@ -176,6 +176,27 @@ class TestRandomForm:
         with pytest.raises(ValueError):
             random_form(P, 0, 1)
 
+    def test_repeated_draw_is_a_cache_hit_with_equal_values(self):
+        random_form.cache_clear()
+        first = random_form(P, 4, 42)
+        assert random_form(P, 4, 42) is first
+        assert random_form.cache_info().hits == 1
+        np.testing.assert_array_equal(first, random_form.__wrapped__(P, 4, 42))
+
+    def test_cached_form_is_read_only(self):
+        form = random_form(P, 2, 42)
+        with pytest.raises(ValueError, match="read-only"):
+            form[0] = 0
+        assert random_form(P, 2, 42) is form
+
+    def test_cache_is_bounded(self):
+        random_form.cache_clear()
+        size = random_form.cache_info().maxsize
+        assert size is not None
+        for seed in range(size + 10):
+            random_form(P, 1, seed)
+        assert random_form.cache_info().currsize == size
+
 
 class TestMultiply:
     def test_variables(self):
